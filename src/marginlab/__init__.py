@@ -47,6 +47,7 @@ from .landscape import (
 from .mvn import (
     CovarianceSpec,
     ProbResult,
+    box_probabilities_equicorrelated,
     box_probability_equicorrelated,
     box_probability_general,
     box_probability_upper_bound,
@@ -103,8 +104,8 @@ __all__ = [
     "dump_matrix", "load_matrix",
     # mvn
     "ProbResult", "CovarianceSpec", "std_normal_cdf", "quadrant_probability",
-    "conditional_mean", "box_probability_equicorrelated", "box_probability_general",
-    "box_probability_upper_bound",
+    "conditional_mean", "box_probabilities_equicorrelated", "box_probability_equicorrelated",
+    "box_probability_general", "box_probability_upper_bound",
     # landscape
     "SignVector", "TupleQuery", "hamming", "overlap", "is_solution",
     "enumerate_solutions", "discrepancy", "overlap_band",

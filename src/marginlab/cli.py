@@ -116,16 +116,13 @@ def _fmt(x: float) -> str:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    result = scan_negativity(
-        args.which, args.alpha, lo=args.lo, hi=args.hi, step=args.step,
-        threads=args.threads,
-    )
+    result = scan_negativity(args.which, args.alpha, lo=args.lo, hi=args.hi, step=args.step)
     stem = f"scan_{result.which}_alpha{_fmt(result.alpha)}"
     write_scan_csv(os.path.join(out, stem + ".csv"), result)
     write_scan_summary_json(os.path.join(out, stem + "_summary.json"), result)
     _write_config(out, "thresholds", {
         "which": args.which, "alpha": args.alpha, "lo": args.lo, "hi": args.hi,
-        "step": args.step, "threads": args.threads, "out_dir": out,
+        "step": args.step, "out_dir": out,
     })
     print(
         f"{result.which} alpha={_fmt(result.alpha)}: argmin={result.argmin_abscissa:.6g} "
@@ -411,7 +408,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_thresholds)
 

@@ -51,8 +51,9 @@ _MASK64 = (1 << 64) - 1
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
 RESAMPLE_STREAM = 1 << 62
 
-_MAGIC = b"PDM1"
-_HEADER = struct.Struct("<4sQQQQ")
+#: Matrix file headers by magic; PDM1 (read only) has no stream or alpha.
+_MAGIC = b"PDM2"
+_HEADERS = {b"PDM1": struct.Struct("<4sQQQQ"), _MAGIC: struct.Struct("<4sQQQqQd")}
 
 
 def _floor_count(x: float, n: int) -> int:
@@ -280,35 +281,40 @@ def sample_ensemble(
 def dump_matrix(mat: DisorderMatrix, path: str) -> None:
     """Write a matrix to ``path`` in a fixed little-endian binary layout.
 
-    Header: magic ``PDM1``, then rows, cols, distribution tag (0 gaussian,
-    1 rademacher), seed, all unsigned 64-bit; then the entries row-major as
-    little-endian float64.
+    Header: magic ``PDM2``, then rows, cols, distribution tag (0 gaussian,
+    1 rademacher) and stream as unsigned 64-bit, the seed as signed 64-bit
+    and alpha as float64; then the entries row-major as little-endian float64.
     """
+    if not (-(1 << 63) <= mat.seed < 1 << 63 and 0 <= mat.stream <= _MASK64):
+        raise DomainError("PDM2 stores a signed 64-bit seed and an unsigned 64-bit "
+                          f"stream, got seed={mat.seed}, stream={mat.stream}")
     tag = _DISTS.index(mat.dist)
-    header = _HEADER.pack(_MAGIC, mat.rows, mat.cols, tag, mat.seed & _MASK64)
+    header = _HEADERS[_MAGIC].pack(_MAGIC, mat.rows, mat.cols, tag, mat.seed, mat.stream, mat.alpha)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(mat.entries, dtype="<f8").tobytes())
 
 
 def load_matrix(path: str) -> DisorderMatrix:
-    """Read a matrix written by :func:`dump_matrix`."""
+    """Read a matrix file; ``PDM1`` files load with stream 0 and alpha rows/cols."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _HEADER.size:
+    header = _HEADERS.get(blob[:4])
+    if header is None:
+        raise DomainError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < header.size:
         raise DomainError(f"{path}: truncated header")
-    magic, rows, cols, tag, seed = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise DomainError(f"{path}: bad magic {magic!r}")
+    _, rows, cols, tag, seed, *rest = header.unpack_from(blob)
+    stream, alpha = rest if rest else (0, rows / cols)
     if tag >= len(_DISTS):
         raise DomainError(f"{path}: unknown distribution tag {tag}")
-    expected = _HEADER.size + 8 * rows * cols
+    expected = header.size + 8 * rows * cols
     if len(blob) != expected:
         raise DomainError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    entries = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(
+    entries = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(
         np.float64
     ).reshape(rows, cols)
     return DisorderMatrix(
         rows=rows, cols=cols, entries=entries, dist=_DISTS[tag],
-        seed=seed, alpha=rows / cols,
+        seed=seed, alpha=alpha, stream=stream,
     )

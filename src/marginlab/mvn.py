@@ -9,8 +9,9 @@ probability collapses to a one-dimensional integral over the shared factor:
                            - Phi((-kappa - sqrt(beta) w)/sqrt(1-beta))]^m dw
 
 which is evaluated by Gauss-Legendre quadrature on [-8, 8]; the discarded
-tails contribute less than 1.3e-15.  General small covariances go through
-tensor-product quadrature of the density, larger ones through Monte Carlo.
+tails contribute less than 1.3e-15, batched over beta with the same nodes,
+panels, error rule and bits as one beta at a time.  General small covariances go
+through tensor-product quadrature of the density, larger ones through Monte Carlo.
 Every routine reports the value together with an estimate of its absolute
 error and the method that produced it.
 """
@@ -30,6 +31,7 @@ from .errors import DomainError, NotPositiveDefiniteError
 __all__ = [
     "CovarianceSpec",
     "ProbResult",
+    "box_probabilities_equicorrelated",
     "box_probability_equicorrelated",
     "box_probability_general",
     "box_probability_upper_bound",
@@ -134,7 +136,7 @@ def conditional_mean(rho: float) -> float:
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gl_nodes(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _gl_nodes(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     if order not in _GL_CACHE:
         _GL_CACHE[order] = leggauss(order)
     x, w = _GL_CACHE[order]
@@ -157,50 +159,67 @@ def _factor_panels(beta: float, kappa: float) -> list[tuple[float, float]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-12]
 
 
-def _factor_integral(m: int, beta: float, kappa: float, order: int) -> float:
-    s = math.sqrt(beta)
-    d = math.sqrt(2.0 * (1.0 - beta))
-    total = 0.0
-    for lo, hi in _factor_panels(beta, kappa):
-        w, wt = _gl_nodes(order, lo, hi)
+#: Betas per quadrature block: temporaries of at most 8 x 5 panels x 801 nodes.
+_FACTOR_BLOCK = 8
+
+
+def _factor_integrals(m: int, betas: np.ndarray, kappa: float, order: int) -> np.ndarray:
+    # Panels are padded to the block's largest count with the empty panel
+    # [8, 8], whose weights are zero.  Nodes are summed along the contiguous
+    # last axis and panel sums added in panel order, as for one beta alone.
+    out = np.empty(len(betas))
+    for start in range(0, len(betas), _FACTOR_BLOCK):
+        block = betas[start:start + _FACTOR_BLOCK]
+        panels = [_factor_panels(float(beta), kappa) for beta in block]
+        width = max(map(len, panels))
+        edges = np.array([p + [(8.0, 8.0)] * (width - len(p)) for p in panels])
+        w, wt = _gl_nodes(order, edges[:, :, :1], edges[:, :, 1:])
+        s = np.sqrt(block)[:, None, None]
+        d = np.sqrt(2.0 * (1.0 - block))[:, None, None]
         g = 0.5 * (erf((kappa - s * w) / d) - erf((-kappa - s * w) / d))
         phi = _INV_SQRT_2PI * np.exp(-0.5 * w * w)
-        total += float(np.sum(wt * phi * g**m))
-    return total
+        out[start:start + len(block)] = sum(np.sum(wt * phi * g**m, axis=-1).T)
+    return out
 
 
-def box_probability_equicorrelated(m: int, beta: float, kappa: float) -> ProbResult:
-    """P(|Z_i| <= kappa for i <= m) under covariance (1-beta)*I + beta*J.
+def box_probabilities_equicorrelated(m: int, betas: list[float], kappa: float) -> list[ProbResult]:
+    """P(|Z_i| <= kappa for i <= m) under (1-beta)*I + beta*J, for each beta.
 
     Independent cases (m = 1 or beta = 0) are closed-form products of
     erf(kappa/sqrt(2)); otherwise the one-factor reduction is integrated by
-    Gauss-Legendre quadrature with the error estimated from grid refinement.
-    beta >= 1 is rejected: the one-factor reduction needs 1 - beta > 0.
+    Gauss-Legendre quadrature with the error estimated from grid refinement,
+    per beta.  beta >= 1 is rejected: the one-factor reduction needs 1 - beta > 0.
     """
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
-    if beta >= 1.0:
-        raise DomainError(
-            f"beta={beta} >= 1: covariance is singular or invalid and the "
-            "one-factor reduction breaks down"
-        )
-    if beta < 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta}")
+    for beta in betas:
+        if beta >= 1.0:
+            raise DomainError(f"beta={beta} >= 1: covariance is singular or invalid and the "
+                              "one-factor reduction breaks down")
+        if beta < 0.0:
+            raise DomainError(f"beta must be nonnegative, got {beta}")
     if kappa < 0.0:
         raise DomainError(f"kappa must be nonnegative, got {kappa}")
     if kappa == 0.0:
-        return ProbResult(0.0, 0.0, "analytic")
-    if m == 1 or beta == 0.0:
-        p1 = float(erf(kappa / _SQRT2))
-        return ProbResult(p1**m, 1e-14 * m, "analytic")
-    coarse = _factor_integral(m, beta, kappa, 201)
-    fine = _factor_integral(m, beta, kappa, 402)
-    err = abs(fine - coarse) + 1e-15
-    if err > 1e-8:
-        finer = _factor_integral(m, beta, kappa, 801)
-        err = abs(finer - fine) + 1e-15
-        fine = finer
-    return ProbResult(fine, err, "factor_quadrature")
+        return [ProbResult(0.0, 0.0, "analytic")] * len(betas)
+    out = [ProbResult(float(erf(kappa / _SQRT2)) ** m, 1e-14 * m, "analytic")] * len(betas)
+    todo = [i for i, beta in enumerate(betas) if m > 1 and beta != 0.0]
+    quad = np.array([betas[i] for i in todo], dtype=np.float64)
+    coarse = _factor_integrals(m, quad, kappa, 201)
+    fine = _factor_integrals(m, quad, kappa, 402)
+    err = np.abs(fine - coarse) + 1e-15
+    redo = np.flatnonzero(err > 1e-8)
+    finer = _factor_integrals(m, quad[redo], kappa, 801)
+    err[redo] = np.abs(finer - fine[redo]) + 1e-15
+    fine[redo] = finer
+    for i, value, e in zip(todo, fine.tolist(), err.tolist()):
+        out[i] = ProbResult(value, e, "factor_quadrature")
+    return out
+
+
+def box_probability_equicorrelated(m: int, beta: float, kappa: float) -> ProbResult:
+    """The one-beta case of :func:`box_probabilities_equicorrelated`."""
+    return box_probabilities_equicorrelated(m, [beta], kappa)[0]
 
 
 def _as_sigma(cov) -> np.ndarray:

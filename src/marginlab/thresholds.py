@@ -19,13 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from scipy.special import erf, ndtri
 
 from .errors import DomainError
-from .mvn import box_probability_equicorrelated
+from .mvn import box_probabilities_equicorrelated
 
 __all__ = [
     "FreeEnergyPoint",
@@ -123,13 +122,48 @@ class FreeEnergyPoint:
     prob_error: float
 
 
-def _prob_part(m: int, beta: float, alpha: float) -> tuple[float, float]:
-    res = box_probability_equicorrelated(m, beta, 1.0)
-    if res.value <= 0.0:
-        raise DomainError(f"box probability vanished at beta={beta}")
-    part = alpha * math.log2(res.value)
-    err = abs(alpha) * res.abs_error_estimate / (res.value * _LN2)
-    return part, err
+def _f1_parts(delta: float) -> tuple[float, float]:
+    if not (0.0 < delta < 1.0):
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    return 1.0 - delta, 1.0 + binary_entropy(delta)
+
+
+def _f2_parts(beta: float) -> tuple[float, float]:
+    if not (0.0 <= beta < 1.0):
+        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+    return beta, 1.0 + binary_entropy((1.0 - beta) / 2.0)
+
+
+def _f3_parts(beta: float) -> tuple[float, float]:
+    if not (0.0 <= beta < 1.0):
+        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+    delta = (1.0 - beta) / 2.0
+    return beta, (
+        1.0 + delta + binary_entropy(delta)
+        + (1.0 + beta) / 2.0 * binary_entropy((1.0 - beta) / (2.0 * (1.0 + beta)))
+    )
+
+
+#: Functional name -> (box dimension m, abscissa -> (box beta, counting part)).
+_FUNCTIONALS = {"f1": (2, _f1_parts), "f2": (2, _f2_parts), "f3": (3, _f3_parts)}
+
+
+def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
+    # One batched box-probability call for all abscissas; the quadrature error
+    # is propagated through the logarithm and scaled by alpha.
+    m, parts = _FUNCTIONALS[which]
+    split = [parts(x) for x in xs]
+    if alpha < 0.0:
+        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    probs = box_probabilities_equicorrelated(m, [beta for beta, _ in split], 1.0)
+    points = []
+    for x, (beta, counting), res in zip(xs, split, probs):
+        if res.value <= 0.0:
+            raise DomainError(f"box probability vanished at beta={beta}")
+        prob = alpha * math.log2(res.value)
+        err = abs(alpha) * res.abs_error_estimate / (res.value * _LN2)
+        points.append(FreeEnergyPoint(x, alpha, counting + prob, counting, prob, err))
+    return points
 
 
 def f1(delta: float, alpha: float) -> FreeEnergyPoint:
@@ -140,13 +174,7 @@ def f1(delta: float, alpha: float) -> FreeEnergyPoint:
     margin 1.  Counting part 1 + h(delta); probability part
     alpha * log2 P(|Z1| <= 1, |Z2| <= 1) at correlation 1 - delta.
     """
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    counting = 1.0 + binary_entropy(delta)
-    prob, err = _prob_part(2, 1.0 - delta, alpha)
-    return FreeEnergyPoint(delta, alpha, counting + prob, counting, prob, err)
+    return _evaluate("f1", [delta], alpha)[0]
 
 
 def f2(beta: float, alpha: float) -> FreeEnergyPoint:
@@ -155,13 +183,7 @@ def f2(beta: float, alpha: float) -> FreeEnergyPoint:
     Counting part 1 + h((1-beta)/2); probability part uses the bivariate box
     probability at correlation beta.
     """
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    counting = 1.0 + binary_entropy((1.0 - beta) / 2.0)
-    prob, err = _prob_part(2, beta, alpha)
-    return FreeEnergyPoint(beta, alpha, counting + prob, counting, prob, err)
+    return _evaluate("f2", [beta], alpha)[0]
 
 
 def f3(beta: float, alpha: float) -> FreeEnergyPoint:
@@ -172,22 +194,8 @@ def f3(beta: float, alpha: float) -> FreeEnergyPoint:
     entropy terms; the probability part is the trivariate box probability at
     equicorrelation beta.
     """
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    delta = (1.0 - beta) / 2.0
-    counting = (
-        1.0
-        + delta
-        + binary_entropy(delta)
-        + (1.0 + beta) / 2.0 * binary_entropy((1.0 - beta) / (2.0 * (1.0 + beta)))
-    )
-    prob, err = _prob_part(3, beta, alpha)
-    return FreeEnergyPoint(beta, alpha, counting + prob, counting, prob, err)
+    return _evaluate("f3", [beta], alpha)[0]
 
-
-_FUNCTIONALS = {"f1": f1, "f2": f2, "f3": f3}
 
 _DEFAULT_GRIDS = {
     "f1": (1e-5, 0.1, 1e-4),
@@ -224,13 +232,13 @@ def scan_negativity(
     lo: float | None = None,
     hi: float | None = None,
     step: float | None = None,
-    threads: int | None = None,
 ) -> ScanResult:
     """Evaluate a functional on a grid and locate its certified-negative set.
 
     Grid defaults: f1 over delta in [1e-5, 0.1] step 1e-4, f2 and f3 over
     beta in [0.9, 0.999] step 1e-3.  A point counts as negative only when
-    value + prob_error < 0.
+    value + prob_error < 0.  All grid points share one batched quadrature
+    call; each point equals the one-point functional at its abscissa.
     """
     if which not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {which!r}, expected one of {sorted(_FUNCTIONALS)}")
@@ -242,12 +250,7 @@ def scan_negativity(
         raise DomainError(f"bad grid: lo={lo}, hi={hi}, step={step}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     grid = [lo + i * step for i in range(count)]
-    fn = _FUNCTIONALS[which]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(lambda x: fn(x, alpha), grid))
-    else:
-        points = tuple(fn(x, alpha) for x in grid)
+    points = tuple(_evaluate(which, grid, alpha))
     best = min(points, key=lambda p: p.value)
     negatives = [p for p in points if p.value + p.prob_error < 0.0]
     interval = (
@@ -333,16 +336,6 @@ def upsilon(beta: float, alpha: float, kappa: float) -> float:
         + alpha * math.log2(2.0 * kappa)
         - 0.5 * alpha * math.log2(1.0 - beta)
     )
-
-
-def upsilon_leading_coefficient() -> float:
-    """Coefficient of kappa^2 in the small-kappa expansion at beta = 1 - 4 kappa^2.
-
-    h(2 kappa^2) ~ 2 kappa^2 log2(1/kappa^2) + ..., and collecting the
-    alpha-independent kappa^2 terms of the expansion gives
-    (-5 log2(2 pi) + 4)... kept here as the closed form used by tests.
-    """
-    return -5.0 * _LOG2_2PI + 4.0
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,37 @@ def test_dump_load_roundtrip(tmp_path):
         assert back.dist == dist
         assert back.seed == mat.seed
         assert np.array_equal(back.entries, mat.entries)
+    # provenance that rows / cols, an unsigned seed or a missing stream lose
+    for n, alpha, seed, stream in [(1000, 0.0025, 0, 0), (50, 0.3, 7, 5),
+                                   (50, 0.3, -3, 0), (40, 0.5, -(1 << 63), RESAMPLE_STREAM)]:
+        mat = sample_disorder(n, alpha, seed=seed, stream=stream)
+        path = tmp_path / "p.bin"
+        dump_matrix(mat, path)
+        back = load_matrix(path)
+        assert (back.alpha, back.stream, back.seed) == (alpha, stream, seed)
+        assert np.array_equal(back.entries, mat.entries)
+
+
+def test_dump_rejects_unrepresentable_provenance(tmp_path):
+    with pytest.raises(DomainError, match=f"seed={1 << 63},"):
+        dump_matrix(sample_disorder(20, 0.5, seed=1 << 63), tmp_path / "s.bin")
+    with pytest.raises(DomainError, match="stream=-1"):
+        dump_matrix(sample_disorder(20, 0.5, stream=-1), tmp_path / "t.bin")
+    assert not (tmp_path / "s.bin").exists() and not (tmp_path / "t.bin").exists()
+
+
+def test_load_reads_version_one_files(tmp_path):
+    # PDM1: magic, rows, cols, distribution tag, seed mod 2^64, then entries
+    mat = sample_disorder(50, 0.3, seed=-3, stream=5)
+    path = tmp_path / "v1.bin"
+    header = struct.pack("<4sQQQQ", b"PDM1", mat.rows, mat.cols, 0, mat.seed % (1 << 64))
+    path.write_bytes(header + mat.entries.astype("<f8").tobytes())
+    back = load_matrix(path)
+    assert (back.alpha, back.stream, back.seed) == (15 / 50, 0, (1 << 64) - 3)
+    assert np.array_equal(back.entries, mat.entries)
+    path.write_bytes(b"PDM9" + header[4:])
+    with pytest.raises(DomainError, match="bad magic"):
+        load_matrix(path)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import erf
+
+from marginlab import mvn
 from marginlab.errors import DomainError, NotPositiveDefiniteError
 from marginlab.mvn import (
     CovarianceSpec,
+    ProbResult,
+    box_probabilities_equicorrelated,
     box_probability_equicorrelated,
     box_probability_general,
     box_probability_upper_bound,
@@ -79,6 +84,74 @@ def test_independence_factorization():
         res = box_probability_equicorrelated(m, 0.0, 1.0)
         assert res.value == pytest.approx(p1 ** m, abs=1e-8)
         assert res.method == "analytic"
+
+
+def _factor_integral_loop(m, beta, kappa, order):
+    # Reference for the batched kernel: one beta, one numpy reduction per
+    # panel, panel sums added in order.
+    s = math.sqrt(beta)
+    d = math.sqrt(2.0 * (1.0 - beta))
+    total = 0.0
+    for lo, hi in mvn._factor_panels(beta, kappa):
+        w, wt = mvn._gl_nodes(order, lo, hi)
+        g = 0.5 * (erf((kappa - s * w) / d) - erf((-kappa - s * w) / d))
+        phi = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * w * w)
+        total += float(np.sum(wt * phi * g**m))
+    return total
+
+
+# 13 betas: more than one quadrature block and not a multiple of its size.
+BATCH_BETAS = [0.0, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.978, 0.99, 0.9954, 0.999, 0.999999]
+
+
+def test_batched_quadrature_equals_one_beta_loop():
+    for m in (2, 3):
+        for kappa in (0.5, 1.0):
+            batch = box_probabilities_equicorrelated(m, BATCH_BETAS, kappa)
+            assert batch == [box_probability_equicorrelated(m, b, kappa) for b in BATCH_BETAS]
+            for beta, res in zip(BATCH_BETAS[1:], batch[1:]):
+                coarse = _factor_integral_loop(m, beta, kappa, 201)
+                fine = _factor_integral_loop(m, beta, kappa, 402)
+                assert res == ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
+            assert batch[0].method == "analytic"
+
+
+def test_refinement_applies_only_to_betas_that_need_it(monkeypatch):
+    # No grid in the suite reaches the 801-node rule, so push one beta's
+    # coarse estimate 1e-6 off and check that only that beta is refined.
+    real = mvn._factor_integrals
+
+    def coarse_off(m, betas, kappa, order):
+        out = real(m, betas, kappa, order)
+        if order == 201:
+            out[betas == 0.9] += 1e-6
+        return out
+
+    monkeypatch.setattr(mvn, "_factor_integrals", coarse_off)
+    betas = [0.5, 0.9, 0.978]
+    got = box_probabilities_equicorrelated(3, betas, 1.0)
+    for beta, res in zip(betas, got):
+        coarse, fine, finer = (_factor_integral_loop(3, beta, 1.0, n) for n in (201, 402, 801))
+        if beta == 0.9:
+            want = ProbResult(finer, abs(finer - fine) + 1e-15, "factor_quadrature")
+        else:
+            want = ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
+        assert res == want
+
+
+def test_batch_validation_and_degenerate_cases():
+    assert box_probabilities_equicorrelated(2, [], 1.0) == []
+    assert box_probabilities_equicorrelated(2, [0.2, 0.7], 0.0) == [
+        ProbResult(0.0, 0.0, "analytic")
+    ] * 2
+    with pytest.raises(DomainError, match="m must be at least 1"):
+        box_probabilities_equicorrelated(0, [0.5], 1.0)
+    with pytest.raises(DomainError, match=r"beta=1.0 >= 1"):
+        box_probabilities_equicorrelated(2, [0.5, 1.0], 1.0)
+    with pytest.raises(DomainError, match="beta must be nonnegative"):
+        box_probabilities_equicorrelated(2, [0.5, -0.1], 1.0)
+    with pytest.raises(DomainError, match="kappa must be nonnegative"):
+        box_probabilities_equicorrelated(2, [0.5], -1.0)
 
 
 def test_perfect_correlation_collapses_to_one_dim():

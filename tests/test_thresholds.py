@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,8 +26,24 @@ from marginlab.thresholds import (
     psi_upper_bound,
     scan_negativity,
     upsilon,
-    upsilon_leading_coefficient,
+    write_scan_csv,
 )
+
+# SHA-256 of the write_scan_csv bytes of the criterion-2 scans: f1 at and
+# 0.15 below its threshold on the criterion grid, f2 and f3 likewise on the
+# default grids.  Any change to a value's last bit changes the digest.
+F1_CRITERION_GRID = dict(lo=1e-5, hi=0.1, step=1e-4)
+GOLDEN_SCAN_DIGESTS = [
+    ("f1", 1.77, F1_CRITERION_GRID,
+     "cc4f1eb14ebf980c252d556c0edb805b8c410f143cf038bc8688d54eddf9a74c"),
+    ("f1", 1.62, F1_CRITERION_GRID,
+     "1d2c751019c2fead256f654e6057541da1c31b7d83cdf4479e5631dde6f1fdb7"),
+    ("f2", 1.71, {}, "8c011243e33cbdff8e24984cb9136b5acd292e34f9bb99b858e9687b6c82addc"),
+    ("f2", 1.56, {}, "d157a358f64fe131907c85cbe0c93372c7881f5d50cf6d3d818f53d11d8f54f6"),
+    ("f3", 1.667, {}, "1cc70d7d483ec71a3a2a8970d2b738d7d880a3d1a62ae9a360d99e5c95cf2811"),
+    ("f3", 1.667 - 0.15, {},
+     "652a6094ea18c8e357aad344c1e501b935e9bbf2226fbda6f2b7c9a48a4209c9"),
+]
 
 
 def test_binary_entropy_basics():
@@ -117,11 +134,26 @@ def test_scan_certifies_negativity_with_error_budget():
                     pt.value + pt.prob_error < 0.0)
 
 
-def test_scan_threads_match_serial():
-    a = scan_negativity("f1", 1.77, lo=1e-4, hi=2e-2, step=1e-4)
-    b = scan_negativity("f1", 1.77, lo=1e-4, hi=2e-2, step=1e-4, threads=4)
-    assert [p.value for p in a.points] == [p.value for p in b.points]
-    assert a.argmin_abscissa == b.argmin_abscissa
+@pytest.mark.parametrize("which,fn,alpha,grid", [
+    ("f1", f1, 1.77, dict(lo=1e-4, hi=2e-3, step=1e-4)),  # 20 points
+    ("f2", f2, 1.71, {}),  # 100 points
+    ("f3", f3, 1.667, dict(lo=0.95, hi=0.999, step=1e-3)),  # 50 points
+], ids=["f1", "f2", "f3"])
+def test_scan_points_equal_one_point_functionals(which, fn, alpha, grid):
+    # The scan evaluates its grid in one batched quadrature call; every field
+    # of every point must equal the one-point functional exactly.
+    res = scan_negativity(which, alpha, **grid)
+    assert len(res.points) % 8 != 0
+    for pt in res.points:
+        assert pt == fn(pt.abscissa, alpha)
+
+
+@pytest.mark.parametrize("which,alpha,grid,digest", GOLDEN_SCAN_DIGESTS,
+                         ids=[f"{w}-{a:g}" for w, a, _, _ in GOLDEN_SCAN_DIGESTS])
+def test_scan_csv_golden_digest(tmp_path, which, alpha, grid, digest):
+    path = tmp_path / "scan.csv"
+    write_scan_csv(str(path), scan_negativity(which, alpha, **grid))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_negativity_onset_frozen():
@@ -145,12 +177,6 @@ def test_upsilon_exact_reduction():
         beta = 1.0 - 2.0 * c * kappa * kappa
         want = binary_entropy(c * kappa * kappa) - 0.5 * alpha * math.log2(math.pi * c)
         assert upsilon(beta, alpha, kappa) == pytest.approx(want, abs=1e-13)
-
-
-def test_upsilon_leading_coefficient():
-    assert upsilon_leading_coefficient() == pytest.approx(
-        -5.0 * math.log2(2.0 * math.pi) + 4.0, abs=1e-15
-    )
 
 
 def test_psi_gap_identity():
