@@ -2,7 +2,7 @@
 
 Subcommands mirror the library layers: ``thresholds`` scans a free-energy
 functional, ``mvn`` evaluates gaussian box/orthant quantities, ``solve`` runs
-one solver on one sampled instance, ``experiment`` drives the randomized
+one solver on one sampled instance, ``experiment NAME`` drives the randomized
 studies, and ``count-tuples`` tabulates overlap-band tuple counts.
 
 Exit codes are part of the contract:
@@ -13,10 +13,11 @@ Exit codes are part of the contract:
     65  domain error (parameters outside the mathematically valid range)
     66  enumeration cap exceeded
 
-Every run writes ``config.json`` with the resolved parameters next to its
-outputs, and all CSV output is deterministic: running the same command with
-the same seed twice produces byte-identical files (the tuple-count table is
-the one exception; its schema includes wall-clock seconds).
+Each ``EXPERIMENTS`` entry names a runner and the flags it reads; any other
+flag is a usage error.  A subcommand that writes files writes ``config.json``
+(its parsed flags and resolved ``out_dir``) on exit 0 or 2.  Output is
+deterministic: the same command writes byte-identical files, except for the
+wall-clock seconds column of the tuple-count table.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ from .errors import (
     UsageError,
 )
 from .landscape import (
-    TupleCountRecord,
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
-    write_tuple_counts_csv,
 )
 from .mvn import (
     box_probability_equicorrelated,
@@ -73,7 +72,6 @@ from .experiments import (
 from .thresholds import (
     scan_negativity,
     write_scan_csv,
-    write_scan_summary_json,
 )
 
 EXIT_OK = 0
@@ -91,39 +89,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    d = args.out_dir or os.environ.get("MARGINLAB_OUT_DIR") or "."
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _write_config(out_dir: str, command: str, params: dict) -> None:
-    payload = {"command": command, "version": __version__, "parameters": params}
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
+def _fields(obj, names: str) -> dict:
+    return {k: getattr(obj, k) for k in names.split()}
+
+
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     result = scan_negativity(args.which, args.alpha, lo=args.lo, hi=args.hi, step=args.step)
-    stem = f"scan_{result.which}_alpha{_fmt(result.alpha)}"
-    write_scan_csv(os.path.join(out, stem + ".csv"), result)
-    write_scan_summary_json(os.path.join(out, stem + "_summary.json"), result)
-    _write_config(out, "thresholds", {
-        "which": args.which, "alpha": args.alpha, "lo": args.lo, "hi": args.hi,
-        "step": args.step, "out_dir": out,
-    })
+    stem = os.path.join(args.out_dir, f"scan_{result.which}_alpha{_fmt(result.alpha)}")
+    write_scan_csv(stem + ".csv", result)
+    summary = _fields(result, "which alpha argmin_abscissa min_value has_negative n_negative "
+                              "negative_interval")
+    _write_json(stem + "_summary.json", summary | {"n_points": len(result.points)})
     print(
         f"{result.which} alpha={_fmt(result.alpha)}: argmin={result.argmin_abscissa:.6g} "
         f"min={result.min_value:.6g} negative_points={result.n_negative}"
@@ -170,7 +163,7 @@ def _signs_string(sv) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = args.out_dir
     mat = sample_disorder(args.n, args.alpha, args.dist, args.seed)
     trace_payload = None
     if args.algo == "majority":
@@ -208,7 +201,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sv = exhaustive_solve(mat, args.kappa, symmetric=not args.asymmetric, n_cap=args.n_cap)
         if sv is None:
             print("no satisfying configuration")
-            _write_config(out, "solve", vars(args) | {"out_dir": out})
             return EXIT_NEGATIVE_RESULT
         feasible = True
     else:  # pragma: no cover - argparse choices guard this
@@ -234,7 +226,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _write_json(os.path.join(out, "trace.json"), trace_payload)
     if args.dump_matrix:
         dump_matrix(mat, os.path.join(out, "matrix.bin"))
-    _write_config(out, "solve", vars(args) | {"out_dir": out})
     print(
         f"{args.algo} n={args.n} alpha={_fmt(args.alpha)}: "
         f"max|margin|/sqrt(n)={payload['max_abs_margin_over_sqrt_n']:.4f}"
@@ -242,157 +233,172 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _experiment_stem(name: str, args: argparse.Namespace) -> str:
-    kappa = getattr(args, "kappa", 0.0) or 0.0
-    return (
-        f"{name}_n{args.n}_alpha{_fmt(args.alpha)}_kappa{_fmt(kappa)}_seed{args.seed}"
-    )
+def _stem(name: str, n: int, alpha: float, kappa: float, seed: int) -> str:
+    return f"{name}_n{n}_alpha{_fmt(alpha)}_kappa{_fmt(kappa)}_seed{seed}"
+
+
+# Experiment runners return ({file name: (CSV header, rows) or JSON payload},
+# console line); each reads only the flags its EXPERIMENTS entry lists.
+
+
+def _majority_stability(a: argparse.Namespace) -> tuple[dict, str]:
+    """majority-vote Hamming distance under ensemble rotation"""
+    s = majority_stability_trial(a.n, a.k_rows, a.tau, a.trials, a.seed)
+    stem = _stem("majority_stability", a.n, s.alpha, 0, a.seed)
+    expected = s.n * a.tau / math.pi
+    return {
+        stem + ".csv": (["trial", "hamming_distance"],
+                        [[i, int(d)] for i, d in enumerate(s.per_trial)]),
+        stem + "_summary.json": _fields(s, "experiment n alpha trials seed mean std_error")
+        | {"tau": a.tau, "expected_mean": expected},
+    }, f"majority stability: mean d_H = {s.mean:.2f} (expected {expected:.2f})"
+
+
+def _kim_roche_stability(a: argparse.Namespace) -> tuple[dict, str]:
+    """coupled Kim-Roche runs under ensemble rotation"""
+    res = kim_roche_stability_trial(a.n, a.alpha, a.tau, a.trials, a.seed, threshold=a.threshold)
+    # The experiment has no margin; a literal kappa1 keeps its file names unchanged.
+    stem = _stem("kim_roche_stability", a.n, a.alpha, 1, a.seed)
+    rows = [
+        [i, res.final_distances[i],
+         ";".join(str(x) for x in res.round_disagreements[i]),
+         ";".join(repr(x) for x in res.vote_set_agreements[i])]
+        for i in range(res.trials)
+    ]
+    summary = _fields(res, "n alpha tau trials seed median_final_ratio threshold")
+    return {
+        stem + ".csv": (["trial", "final_hamming", "round_disagreements",
+                         "vote_set_agreements"], rows),
+        stem + "_summary.json": summary | {"fraction_below_threshold": res.fraction_below},
+    }, f"kim-roche stability: median d_H/n = {res.median_final_ratio:.4f}"
+
+
+def _trajectory(a: argparse.Namespace) -> tuple[dict, str]:
+    """replica overlaps along an interpolation path"""
+    traj = overlap_trajectory(a.n, a.alpha, a.kappa, a.solver, a.replicas, a.q_steps, a.seed)
+    stem = _stem(f"trajectory_{a.solver}", a.n, a.alpha, a.kappa, a.seed)
+    r = traj.n_replicas
+    rows = [
+        [i, j, k, repr(traj.tau_grid[k]), repr(float(traj.values[i, j, k]))]
+        for i in range(r) for j in range(r) for k in range(traj.values.shape[2])
+    ]
+    final = float(np.mean(traj.values[:, :, -1][~np.eye(r, dtype=bool)]))
+    return {
+        stem + ".csv": (["i", "j", "k", "tau", "overlap"], rows),
+        stem + "_summary.json": _fields(traj, "solver n alpha kappa seed tau_grid")
+        | {"feasible": traj.feasible.tolist(), "mean_offdiagonal_final": final},
+    }, f"trajectory ({a.solver}): wrote {stem}.csv"
+
+
+def _census(a: argparse.Namespace) -> tuple[dict, str]:
+    """close solution pairs under column resampling"""
+    res = online_failure_census(a.n, a.alpha, a.delta, a.trials, a.seed, a.kappa)
+    stem = _stem("census", a.n, a.alpha, a.kappa, a.seed)
+    return {
+        stem + ".csv": (["trial", "close_pair_exists"],
+                        [[i, int(hit)] for i, hit in enumerate(res.per_trial)]),
+        stem + "_summary.json": _fields(res, "n alpha delta kappa trials seed successes fraction")
+        | {"wilson95": [res.wilson_lo, res.wilson_hi]},
+    }, (f"census: close-pair fraction {res.fraction:.3f} "
+        f"[{res.wilson_lo:.3f}, {res.wilson_hi:.3f}]")
+
+
+def _two_stage(a: argparse.Namespace) -> tuple[dict, str]:
+    """online solver run twice across a column resample"""
+    res = online_two_stage_trial(a.n, a.alpha, a.delta, a.trials, a.seed,
+                                 strategy=a.strategy, kappa=a.kappa)
+    stem = _stem(f"two_stage_{a.strategy}", a.n, a.alpha, a.kappa, a.seed)
+    summary = _fields(res, "n alpha delta kappa strategy trials seed successes fraction")
+    return {
+        stem + "_summary.json": summary | {"wilson95": [res.wilson_lo, res.wilson_hi]},
+    }, f"two-stage ({res.strategy}): success fraction {res.fraction:.3f}"
+
+
+def _universality(a: argparse.Namespace) -> tuple[dict, str]:
+    """gaussian-vs-rademacher box probability gaps"""
+    sizes = tuple(int(x) for x in a.sizes.split(","))
+    res = universality_gap(sizes, a.kappa, m=a.m, beta=a.beta, trials=a.trials, seed=a.seed)
+    stem = f"universality_n{'-'.join(str(s) for s in sizes)}_kappa{_fmt(a.kappa)}_seed{a.seed}"
+    rows = [[r.n, repr(r.p_gaussian), repr(r.p_rademacher), repr(r.gap),
+             repr(r.gap_std_error), r.trials] for r in res.rows]
+    slope = "n/a" if res.slope is None else f"{res.slope:.3f}"
+    return {
+        stem + ".csv": (["n", "p_gaussian", "p_rademacher", "gap", "gap_std_error",
+                         "trials"], rows),
+        stem + "_summary.json": _fields(res, "kappa m beta trials seed slope slope_std_error")
+        | {"gaps": [r.gap for r in res.rows]},
+    }, f"universality: gaps {[f'{r.gap:.5f}' for r in res.rows]} slope {slope}"
+
+
+def _stable_params(a: argparse.Namespace) -> tuple[dict, str]:
+    """stable-replica hardness parameters"""
+    p = stable_replica_parameters(a.kappa, a.alpha, a.m, a.eta, a.sensitivity)
+    return {"stable_params.json": asdict(p)}, (
+        f"stability rate {p.stability_rate:.3e}, angle steps {p.q_steps:.3e}, "
+        f"log2 log2 T = {p.log2_log2_t:.3e}")
+
+
+#: Every experiment flag with its argparse settings; ``k_rows`` is ``--k-rows``.
+_EXPERIMENT_FLAGS = {
+    "n": {"type": int, "default": 1000},
+    "alpha": {"type": float, "default": 0.01},
+    "kappa": {"type": float, "default": 1.0},
+    "tau": {"type": float, "default": 0.1},
+    "delta": {"type": float, "default": 0.1},
+    "k_rows": {"type": int, "default": 100},
+    "trials": {"type": int, "default": 50},
+    "seed": {"type": int, "default": 0},
+    "threshold": {"type": float, "default": 0.05},
+    "solver": {"choices": ["majority", "kim_roche", "online_greedy", "online_exp"],
+               "default": "majority"},
+    "strategy": {"choices": ["greedy_minimax", "exp_potential"], "default": "greedy_minimax"},
+    "replicas": {"type": int, "default": 3},
+    "q_steps": {"type": int, "default": 4},
+    "sizes": {"default": "100,400,1600"},
+    "m": {"type": int, "default": 1},
+    "beta": {"type": float, "default": None},
+    "eta": {"type": float, "default": 1e-4},
+    "sensitivity": {"type": float, "default": 1.0},
+}
+
+#: Experiment name -> (runner, the flags it reads).
+EXPERIMENTS = {
+    "majority-stability": (_majority_stability, "n k_rows tau trials seed"),
+    "kim-roche-stability": (_kim_roche_stability, "n alpha tau trials seed threshold"),
+    "trajectory": (_trajectory, "n alpha kappa solver replicas q_steps seed"),
+    "census": (_census, "n alpha delta trials seed kappa"),
+    "two-stage": (_two_stage, "n alpha delta trials seed strategy kappa"),
+    "universality": (_universality, "sizes kappa m beta trials seed"),
+    "stable-params": (_stable_params, "kappa alpha m eta sensitivity"),
+}
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    name = args.experiment
-    if name == "majority-stability":
-        summary = majority_stability_trial(args.n, args.k_rows, args.tau, args.trials, args.seed)
-        stem = f"majority_stability_n{args.n}_alpha{_fmt(summary.alpha)}_kappa0_seed{args.seed}"
-        with open(os.path.join(out, stem + ".csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "hamming_distance"])
-            for i, d in enumerate(summary.per_trial):
-                w.writerow([i, int(d)])
-        _write_json(os.path.join(out, stem + "_summary.json"), {
-            "experiment": summary.experiment,
-            "n": summary.n, "alpha": summary.alpha, "tau": args.tau,
-            "trials": summary.trials, "seed": summary.seed,
-            "mean": summary.mean, "std_error": summary.std_error,
-            "expected_mean": summary.n * args.tau / math.pi,
-        })
-        print(f"majority stability: mean d_H = {summary.mean:.2f} "
-              f"(expected {summary.n * args.tau / math.pi:.2f})")
-    elif name == "kim-roche-stability":
-        res = kim_roche_stability_trial(
-            args.n, args.alpha, args.tau, args.trials, args.seed,
-            threshold=args.threshold,
-        )
-        stem = _experiment_stem("kim_roche_stability", args)
-        with open(os.path.join(out, stem + ".csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "final_hamming", "round_disagreements", "vote_set_agreements"])
-            for i in range(res.trials):
-                w.writerow([
-                    i, res.final_distances[i],
-                    ";".join(str(x) for x in res.round_disagreements[i]),
-                    ";".join(repr(x) for x in res.vote_set_agreements[i]),
-                ])
-        _write_json(os.path.join(out, stem + "_summary.json"), {
-            "n": res.n, "alpha": res.alpha, "tau": res.tau, "trials": res.trials,
-            "seed": res.seed, "median_final_ratio": res.median_final_ratio,
-            "fraction_below_threshold": res.fraction_below, "threshold": res.threshold,
-        })
-        print(f"kim-roche stability: median d_H/n = {res.median_final_ratio:.4f}")
-    elif name == "trajectory":
-        traj = overlap_trajectory(
-            args.n, args.alpha, args.kappa, args.solver, args.replicas,
-            args.q_steps, args.seed,
-        )
-        stem = _experiment_stem(f"trajectory_{args.solver}", args)
-        with open(os.path.join(out, stem + ".csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "k", "tau", "overlap"])
-            t_count = traj.values.shape[2]
-            for i in range(traj.n_replicas):
-                for j in range(traj.n_replicas):
-                    for k in range(t_count):
-                        w.writerow([i, j, k, repr(traj.tau_grid[k]),
-                                    repr(float(traj.values[i, j, k]))])
-        _write_json(os.path.join(out, stem + "_summary.json"), {
-            "solver": traj.solver, "n": traj.n, "alpha": traj.alpha,
-            "kappa": traj.kappa, "seed": traj.seed,
-            "tau_grid": list(traj.tau_grid),
-            "feasible": traj.feasible.tolist(),
-            "mean_offdiagonal_final": float(
-                np.mean(traj.values[:, :, -1][~np.eye(traj.n_replicas, dtype=bool)])
-            ),
-        })
-        print(f"trajectory ({args.solver}): wrote {stem}.csv")
-    elif name == "census":
-        res = online_failure_census(
-            args.n, args.alpha, args.delta, args.trials, args.seed, args.kappa
-        )
-        stem = _experiment_stem("census", args)
-        with open(os.path.join(out, stem + ".csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "close_pair_exists"])
-            for i, hit in enumerate(res.per_trial):
-                w.writerow([i, int(hit)])
-        _write_json(os.path.join(out, stem + "_summary.json"), {
-            "n": res.n, "alpha": res.alpha, "delta": res.delta, "kappa": res.kappa,
-            "trials": res.trials, "seed": res.seed, "successes": res.successes,
-            "fraction": res.fraction,
-            "wilson95": [res.wilson_lo, res.wilson_hi],
-        })
-        print(f"census: close-pair fraction {res.fraction:.3f} "
-              f"[{res.wilson_lo:.3f}, {res.wilson_hi:.3f}]")
-    elif name == "two-stage":
-        res = online_two_stage_trial(
-            args.n, args.alpha, args.delta, args.trials, args.seed,
-            strategy=args.strategy, kappa=args.kappa,
-        )
-        stem = _experiment_stem(f"two_stage_{args.strategy}", args)
-        _write_json(os.path.join(out, stem + "_summary.json"), {
-            "n": res.n, "alpha": res.alpha, "delta": res.delta, "kappa": res.kappa,
-            "strategy": res.strategy, "trials": res.trials, "seed": res.seed,
-            "successes": res.successes, "fraction": res.fraction,
-            "wilson95": [res.wilson_lo, res.wilson_hi],
-        })
-        print(f"two-stage ({res.strategy}): success fraction {res.fraction:.3f}")
-    elif name == "universality":
-        sizes = tuple(int(x) for x in args.sizes.split(","))
-        res = universality_gap(
-            sizes, args.kappa, m=args.m, beta=args.beta, trials=args.trials,
-            seed=args.seed,
-        )
-        stem = (f"universality_n{'-'.join(str(s) for s in sizes)}"
-                f"_kappa{_fmt(args.kappa)}_seed{args.seed}")
-        with open(os.path.join(out, stem + ".csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "p_gaussian", "p_rademacher", "gap", "gap_std_error", "trials"])
-            for r in res.rows:
-                w.writerow([r.n, repr(r.p_gaussian), repr(r.p_rademacher),
-                            repr(r.gap), repr(r.gap_std_error), r.trials])
-        _write_json(os.path.join(out, stem + "_summary.json"), {
-            "kappa": res.kappa, "m": res.m, "beta": res.beta, "trials": res.trials,
-            "seed": res.seed, "slope": res.slope, "slope_std_error": res.slope_std_error,
-            "gaps": [r.gap for r in res.rows],
-        })
-        slope = "n/a" if res.slope is None else f"{res.slope:.3f}"
-        print(f"universality: gaps {[f'{r.gap:.5f}' for r in res.rows]} slope {slope}")
-    elif name == "stable-params":
-        p = stable_replica_parameters(args.kappa, args.alpha, args.m, args.eta, args.sensitivity)
-        _write_json(os.path.join(out, "stable_params.json"), asdict(p))
-        print(f"stability rate {p.stability_rate:.3e}, angle steps {p.q_steps:.3e}, "
-              f"log2 log2 T = {p.log2_log2_t:.3e}")
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown experiment {name}")
-    _write_config(out, f"experiment {name}", vars(args) | {"out_dir": out})
+    run, _ = EXPERIMENTS[args.experiment]
+    files, line = run(args)
+    for name, content in files.items():
+        path = os.path.join(args.out_dir, name)
+        if isinstance(content, dict):
+            _write_json(path, content)
+        else:
+            _write_csv(path, *content)
+    print(line)
     return EXIT_OK
 
 
 def cmd_count_tuples(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     t0 = time.monotonic()
     if args.method == "exact":
         count = count_overlap_tuples_exact(args.n, args.m, args.beta, args.eta)
     else:
         count = count_overlap_tuples_bruteforce(args.n, args.m, args.beta, args.eta)
     seconds = time.monotonic() - t0
-    record = TupleCountRecord(
-        n=args.n, m=args.m, beta=args.beta, eta=args.eta, kappa=0.0,
-        tau_set_id="none", count=count, seconds=seconds,
+    _write_csv(
+        os.path.join(args.out_dir, f"tuple_counts_n{args.n}_m{args.m}.csv"),
+        ["n", "m", "beta", "eta", "kappa", "tau_set_id", "count", "seconds"],
+        [[args.n, args.m, repr(args.beta), repr(args.eta), repr(0.0), "none", count,
+          repr(seconds)]],
     )
-    path = os.path.join(out, f"tuple_counts_n{args.n}_m{args.m}.csv")
-    write_tuple_counts_csv(path, [record])
-    _write_config(out, "count-tuples", vars(args) | {"out_dir": out})
     print(f"{count} tuples ({args.method}, {seconds:.3f}s)")
     return EXIT_OK
 
@@ -443,31 +449,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("experiment", help="randomized stability and universality studies")
-    p.add_argument("experiment", choices=[
-        "majority-stability", "kim-roche-stability", "trajectory", "census",
-        "two-stage", "universality", "stable-params",
-    ])
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--k-rows", type=int, default=100)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--solver", choices=["majority", "kim_roche", "online_greedy", "online_exp"],
-                   default="majority")
-    p.add_argument("--strategy", choices=["greedy_minimax", "exp_potential"],
-                   default="greedy_minimax")
-    p.add_argument("--replicas", type=int, default=3)
-    p.add_argument("--q-steps", type=int, default=4)
-    p.add_argument("--sizes", default="100,400,1600")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=1e-4)
-    p.add_argument("--sensitivity", type=float, default=1.0)
-    p.add_argument("--out-dir", default=None)
+    names = p.add_subparsers(dest="experiment", required=True, metavar="NAME")
+    for name, (run, flags) in EXPERIMENTS.items():
+        q = names.add_parser(name, help=run.__doc__)
+        for flag in flags.split():
+            q.add_argument("--" + flag.replace("_", "-"), **_EXPERIMENT_FLAGS[flag])
+        q.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("count-tuples", help="overlap-band tuple counts")
@@ -486,7 +473,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if "out_dir" in args:
+            args.out_dir = args.out_dir or os.environ.get("MARGINLAB_OUT_DIR") or "."
+            os.makedirs(args.out_dir, exist_ok=True)
+        code = args.func(args)
+        if "out_dir" in args and code in (EXIT_OK, EXIT_NEGATIVE_RESULT):
+            params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+            _write_json(os.path.join(args.out_dir, "config.json"),
+                        {"command": args.command, "version": __version__, "parameters": params})
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

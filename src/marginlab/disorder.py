@@ -4,7 +4,7 @@ A disorder instance is an M x n matrix with i.i.d. entries, M = floor(alpha*n),
 either standard gaussian or uniform sign ("rademacher") entries.  Entries are
 produced by a counter-based generator (Philox) keyed as
 
-    key     = (seed, stream)
+    key     = (seed mod 2^64, stream),  seed in [-2^63, 2^63), stream in [0, 2^64)
     counter = (0, 0, row, 0)
 
 so that entry (r, c) is a pure function of (seed, stream, r, c).  Two matrices
@@ -101,11 +101,20 @@ class DisorderMatrix:
         return (self.rows, self.cols)
 
 
-def _raw_row(seed: int, stream: int, row: int, count: int) -> np.ndarray:
-    bg = Philox(
-        key=np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64),
-        counter=np.array([0, 0, row, 0], dtype=np.uint64),
-    )
+def philox_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key (seed mod 2^64, stream) for seed in [-2^63, 2^63), stream in [0, 2^64).
+
+    Other values raise: masking them would let seed -3 and 2^64 - 3 draw the
+    same entries, and a ``PDM2`` header could not record them.
+    """
+    if not (-(1 << 63) <= seed < 1 << 63 and 0 <= stream <= _MASK64):
+        raise DomainError("seed must lie in [-2^63, 2^63) and stream in [0, 2^64), "
+                          f"got seed={seed}, stream={stream}")
+    return np.array([seed & _MASK64, stream], dtype=np.uint64)
+
+
+def _raw_row(key: np.ndarray, row: int, count: int) -> np.ndarray:
+    bg = Philox(key=key, counter=np.array([0, 0, row, 0], dtype=np.uint64))
     return bg.random_raw(count)
 
 
@@ -140,9 +149,10 @@ def sample_disorder(
     m = _floor_count(alpha, n)
     if m < 1:
         raise SizingError(f"floor(alpha*n) = {m}, no rows to sample")
+    key = philox_key(seed, stream)
     entries = np.empty((m, n), dtype=np.float64)
     for r in range(m):
-        entries[r] = _transform(_raw_row(seed, stream, r, n), dist)
+        entries[r] = _transform(_raw_row(key, r, n), dist)
     return DisorderMatrix(
         rows=m, cols=n, entries=entries, dist=dist, seed=seed,
         alpha=alpha, stream=stream,
@@ -188,9 +198,10 @@ def resample_columns(
     b = _floor_count(delta, mat.cols)
     if b < 1:
         raise SizingError(f"floor(delta*n) = {b}, nothing to resample")
+    key = philox_key(seed, stream)
     entries = mat.entries.copy()
     for r in range(mat.rows):
-        fresh = _transform(_raw_row(seed, stream, r, mat.cols), mat.dist)
+        fresh = _transform(_raw_row(key, r, mat.cols), mat.dist)
         entries[r, mat.cols - b:] = fresh[mat.cols - b:]
     return DisorderMatrix(
         rows=mat.rows, cols=mat.cols, entries=entries, dist=mat.dist,
@@ -285,9 +296,7 @@ def dump_matrix(mat: DisorderMatrix, path: str) -> None:
     1 rademacher) and stream as unsigned 64-bit, the seed as signed 64-bit
     and alpha as float64; then the entries row-major as little-endian float64.
     """
-    if not (-(1 << 63) <= mat.seed < 1 << 63 and 0 <= mat.stream <= _MASK64):
-        raise DomainError("PDM2 stores a signed 64-bit seed and an unsigned 64-bit "
-                          f"stream, got seed={mat.seed}, stream={mat.stream}")
+    philox_key(mat.seed, mat.stream)  # PDM2 holds exactly the keys the sampler accepts
     tag = _DISTS.index(mat.dist)
     header = _HEADERS[_MAGIC].pack(_MAGIC, mat.rows, mat.cols, tag, mat.seed, mat.stream, mat.alpha)
     with open(path, "wb") as fh:

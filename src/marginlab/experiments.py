@@ -25,6 +25,7 @@ from .disorder import (
     DisorderMatrix,
     RESAMPLE_STREAM,
     interpolate,
+    philox_key,
     resample_columns,
     sample_disorder,
     sample_ensemble,
@@ -535,7 +536,7 @@ def universality_gap(
         sigs = _universality_tuple(n, m, beta)
         thr = kappa * math.sqrt(n)
         rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed & (2**64 - 1), n], dtype=np.uint64))
+            np.random.Philox(key=philox_key(seed, n))
         )
         remaining = trials
         count_g = 0

@@ -20,9 +20,8 @@ so band membership tests never touch floating point.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .errors import CapExceededError, DomainError, SizingError
 
 __all__ = [
     "SignVector",
-    "TupleCountRecord",
     "TupleQuery",
     "count_overlap_tuples_bruteforce",
     "count_overlap_tuples_exact",
@@ -42,7 +40,6 @@ __all__ = [
     "is_solution",
     "overlap",
     "overlap_band",
-    "write_tuple_counts_csv",
 ]
 
 DEFAULT_ENUM_CAP = 25
@@ -429,28 +426,3 @@ def count_overlap_tuples_bruteforce(n: int, m: int, beta: float, eta: float) -> 
             total += int(_popcount(inter).sum())
     return total
 
-
-@dataclass(frozen=True)
-class TupleCountRecord:
-    """One row of a tuple-count table."""
-
-    n: int
-    m: int
-    beta: float
-    eta: float
-    kappa: float
-    tau_set_id: str
-    count: int
-    seconds: float = field(compare=False, default=0.0)
-
-
-def write_tuple_counts_csv(path: str, records: list[TupleCountRecord]) -> None:
-    """Write count records as CSV with a fixed header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m", "beta", "eta", "kappa", "tau_set_id", "count", "seconds"])
-        for r in records:
-            writer.writerow(
-                [r.n, r.m, repr(r.beta), repr(r.eta), repr(r.kappa), r.tau_set_id,
-                 r.count, repr(r.seconds)]
-            )

@@ -17,7 +17,6 @@ ever asserted with the error bar included.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -48,7 +47,6 @@ __all__ = [
     "scan_negativity",
     "upsilon",
     "write_scan_csv",
-    "write_scan_summary_json",
 ]
 
 _LN2 = math.log(2.0)
@@ -511,19 +509,3 @@ def write_scan_csv(path: str, result: ScanResult) -> None:
                  repr(p.probability_part), repr(p.prob_error)]
             )
 
-
-def write_scan_summary_json(path: str, result: ScanResult) -> None:
-    """Argmin/minimum/negativity summary as JSON."""
-    payload = {
-        "which": result.which,
-        "alpha": result.alpha,
-        "n_points": len(result.points),
-        "argmin_abscissa": result.argmin_abscissa,
-        "min_value": result.min_value,
-        "has_negative": result.has_negative,
-        "n_negative": result.n_negative,
-        "negative_interval": list(result.negative_interval) if result.negative_interval else None,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import marginlab
 from marginlab.cli import (
     EXIT_CAP,
     EXIT_DOMAIN,
@@ -12,6 +15,198 @@ from marginlab.cli import (
     EXIT_USAGE,
     main,
 )
+
+
+# SHA-256 of every file a small run writes, config.json aside, and of its
+# stdout: one run per experiment (trajectory and universality twice) plus
+# thresholds, solve and count-tuples.  The tuple-count CSV is hashed without
+# its wall-clock seconds column, and count-tuples stdout, which prints the
+# seconds, is not pinned.
+GOLDEN_RUNS = {
+    "majority-stability": (
+        ["experiment", "majority-stability", "--n", "500", "--k-rows", "10", "--tau",
+         "0.2", "--trials", "8", "--seed", "7"],
+        {
+            "majority_stability_n500_alpha0.02_kappa0_seed7.csv":
+                "a3894883a710c2ffd8b9f45438bc2470da6d38a8a69eb92cf2bb265a715aa836",
+            "majority_stability_n500_alpha0.02_kappa0_seed7_summary.json":
+                "f66b18c7a2f15e36ecd56ff915f62c816b71a45ca1f358e53ef64ce930c3a0de",
+            "stdout":
+                "64055f3a1225b6fdf3c19022556f80925683e01ffa761f01cf86490d2fa3afa7",
+        },
+    ),
+    "kim-roche-stability": (
+        ["experiment", "kim-roche-stability", "--n", "2000", "--alpha", "0.01", "--tau",
+         "0.3", "--trials", "3", "--seed", "1"],
+        {
+            "kim_roche_stability_n2000_alpha0.01_kappa1_seed1.csv":
+                "82250f915f18a90e3fdf4d4ce425e6de8d233e0ab64f15098b28a2e76b0407c4",
+            "kim_roche_stability_n2000_alpha0.01_kappa1_seed1_summary.json":
+                "9570e18ddcdb97fb2a1016ecd6125a4c3f2db1f0d4b6a5a2bf2e3d326ad5bae9",
+            "stdout":
+                "7c3fdbf3b913bec538fdb5fde3b66364f84c7c9a62c1a9d4370e91385937709d",
+        },
+    ),
+    "trajectory-kim_roche": (
+        ["experiment", "trajectory", "--solver", "kim_roche", "--n", "1000", "--alpha",
+         "0.01", "--replicas", "2", "--q-steps", "2", "--seed", "2"],
+        {
+            "trajectory_kim_roche_n1000_alpha0.01_kappa1_seed2.csv":
+                "623234a4224954a0c2e6eb0c251b82c02492a0a61cc7a79dff925e1daf445be3",
+            "trajectory_kim_roche_n1000_alpha0.01_kappa1_seed2_summary.json":
+                "6ddf3f78990cf5f85c37ed283b135dea2502183eeb822f1919343064aa032d86",
+            "stdout":
+                "fde792c1b7ac8a83cdfa0544c4a074143019ce138641fe36412176e6e706606e",
+        },
+    ),
+    "trajectory-online_greedy": (
+        ["experiment", "trajectory", "--solver", "online_greedy", "--n", "200",
+         "--alpha", "0.25", "--kappa", "1.5", "--replicas", "2", "--q-steps", "3",
+         "--seed", "3"],
+        {
+            "trajectory_online_greedy_n200_alpha0.25_kappa1.5_seed3.csv":
+                "dc78bc48563a9bc3f866603997c10652ac61cbc9eff4f40c348282da94f831ab",
+            "trajectory_online_greedy_n200_alpha0.25_kappa1.5_seed3_summary.json":
+                "cf7c369f23ae4e0a46189cf26a2c67c61c9067e66fc80f9675d7099c5fe8bc48",
+            "stdout":
+                "3ce89a5a97a6df7992f180c3d77f39e404bcde7e1a9529323bd9aba8294d3c26",
+        },
+    ),
+    "census": (
+        ["experiment", "census", "--n", "12", "--alpha", "0.25", "--delta", "0.1",
+         "--trials", "4", "--seed", "4"],
+        {
+            "census_n12_alpha0.25_kappa1_seed4.csv":
+                "b002a765ce08916d78772b336363b758d1a886921f8e81f572ede9e841e238ba",
+            "census_n12_alpha0.25_kappa1_seed4_summary.json":
+                "c35d8667a24ad57210bba19c6648e930fff583217b83fada9af82c246021d324",
+            "stdout":
+                "4fe5601ce3074bfdb13943eddbe8df1f15d83c6462f9c3515c81aee95403b7fe",
+        },
+    ),
+    "two-stage": (
+        ["experiment", "two-stage", "--n", "200", "--alpha", "0.25", "--delta", "0.1",
+         "--trials", "4", "--strategy", "exp_potential", "--seed", "5"],
+        {
+            "two_stage_exp_potential_n200_alpha0.25_kappa1_seed5_summary.json":
+                "223d308fca074dc650c6519d5ce85933f6779fcdc7ebbd12fad59c807809e9b7",
+            "stdout":
+                "42e5bc7a27bb3c1a472e5746a4e08b61097c8e08599f7562685b09934819179c",
+        },
+    ),
+    "universality-m1": (
+        ["experiment", "universality", "--sizes", "50,100", "--kappa", "0.6745",
+         "--trials", "2000", "--seed", "6"],
+        {
+            "universality_n50-100_kappa0.6745_seed6.csv":
+                "5aab5a97c41e99779f58c81c78e1fbc793bd2f021c476c4c198d8cf055b08d48",
+            "universality_n50-100_kappa0.6745_seed6_summary.json":
+                "cd807d86d23deeaefe8033df19663c8cbc9c853a5069ca2a45885a33d551d0b0",
+            "stdout":
+                "341ac1dd994938553cc2ca3caa945e27a7584816dedde5888cf0a38bbd2fc6a3",
+        },
+    ),
+    "universality-m2": (
+        ["experiment", "universality", "--sizes", "52,100", "--kappa", "1.0", "--m", "2",
+         "--beta", "0.5", "--trials", "2000", "--seed", "6"],
+        {
+            "universality_n52-100_kappa1_seed6.csv":
+                "5652a92b942da03015f41d7d00677049193314d5c7cde8aa741f6fd856836cdf",
+            "universality_n52-100_kappa1_seed6_summary.json":
+                "f5f68cc90f94fd11b19173714f869e359cd46f4787699741560c4371bc92badd",
+            "stdout":
+                "6703a137129beccd7aaa32eaef56d5d7e25d9c10e829883238ee54b86ccec410",
+        },
+    ),
+    "stable-params": (
+        ["experiment", "stable-params", "--kappa", "0.01", "--alpha", "0.001", "--m",
+         "2", "--eta", "1e-5"],
+        {
+            "stable_params.json":
+                "0f878848fa9759ef7a6134faa1d64d0a05a951fe6502cd31019c9a4afbd8c7be",
+            "stdout":
+                "f1c23e2e13df0055bc38daf739264cb647811d2a2740994f3b66fc5258fd4614",
+        },
+    ),
+    "thresholds": (
+        ["thresholds", "--which", "f3", "--alpha", "1.667", "--lo", "0.9", "--hi",
+         "0.999", "--step", "0.001"],
+        {
+            "scan_f3_alpha1.667.csv":
+                "1cc70d7d483ec71a3a2a8970d2b738d7d880a3d1a62ae9a360d99e5c95cf2811",
+            "scan_f3_alpha1.667_summary.json":
+                "276299052beaba823f9f937a4829142c7acdfc401ad7b319b5aacf651cd3fe22",
+            "stdout":
+                "c7c60ac4fca60ea0e87e0c3f9625b4ce6c0311e896482de1b2befd2c4da470ae",
+        },
+    ),
+    "solve-kim-roche": (
+        ["solve", "--algo", "kim-roche", "--n", "2000", "--alpha", "0.01", "--seed", "5",
+         "--dump-matrix"],
+        {
+            "matrix.bin":
+                "133a03d0dd27ff306a0f1ac1c2990c933b3769c2c2744fe712e8c69d80a23a1f",
+            "solution.json":
+                "b85c96bdf21071be487e0c7e8a7c00bf3fe7faef301b7e5a2500a930ca45f27f",
+            "trace.json":
+                "2eaa887bd0afe00230e527765690fd3fb0bca74e0fa0299eb7a29f258cfe1d71",
+            "stdout":
+                "4026e1903f33e9af3a0935e166d109503b5e7d0ca8842fda59829a9923a80c0f",
+        },
+    ),
+    "solve-online-greedy": (
+        ["solve", "--algo", "online-greedy", "--n", "400", "--alpha", "0.25", "--seed",
+         "7"],
+        {
+            "solution.json":
+                "fbaa147ec2bc79ac9f47e545a50d91761147501dec31beac9139638b2efc9145",
+            "trace.json":
+                "f01985a3aecd3a34b54e97b9966010399bbd412518a2ef6e4d351a7e13c370dd",
+            "stdout":
+                "81488a65073eae991d305f072f18b22cbf698c9e95f9579bec809b23e3ef29ed",
+        },
+    ),
+    "solve-exhaustive": (
+        ["solve", "--algo", "exhaustive", "--n", "14", "--alpha", "0.5", "--kappa",
+         "1.5", "--seed", "1"],
+        {
+            "solution.json":
+                "d40dd6bb0ed38ca53ade41755f2118828fecba00ce0b2f7b994b8976287b9bc9",
+            "stdout":
+                "14afc6e391d90ff9c797adcd2317fb3c508f8e4d513325122b9a13b6d9a716c6",
+        },
+    ),
+    "count-tuples": (
+        ["count-tuples", "--n", "10", "--m", "2", "--beta", "0.6", "--eta", "0.2"],
+        {
+            "tuple_counts_n10_m2.csv":
+                "c6c735002f5299b82d0231c9628419f95d110f6a24ad945cf5ef9ce6ee179773",
+        },
+    ),
+}
+
+
+def _digests(out_dir, stdout: str | None) -> dict[str, str]:
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "config.json":
+            continue
+        data = path.read_bytes()
+        if path.name.startswith("tuple_counts_"):
+            data = b"".join(line.rsplit(b",", 1)[0] + b"\r\n" for line in data.splitlines())
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    if stdout is not None:
+        digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_RUNS))
+def test_outputs_golden_digest(tmp_path, capsys, case):
+    argv, want = GOLDEN_RUNS[case]
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert _digests(tmp_path, None if argv[0] == "count-tuples" else stdout) == want
 
 
 def test_thresholds_success_writes_outputs(tmp_path, capsys):
@@ -133,10 +328,83 @@ def test_count_tuples_matches_library(tmp_path, capsys):
     assert rows[1].startswith(f"10,2,0.6,0.2,0.0,none,{want},")
 
 
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(marginlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "marginlab", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "marginlab", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("marginlab ")
+
+
+# The flags each experiment reads; its config.json records exactly these plus
+# the experiment name and the resolved output directory.
+EXPERIMENT_PARAMETERS = {
+    "majority-stability": {"n", "k_rows", "tau", "trials", "seed"},
+    "kim-roche-stability": {"n", "alpha", "tau", "trials", "seed", "threshold"},
+    "trajectory": {"n", "alpha", "kappa", "solver", "replicas", "q_steps", "seed"},
+    "census": {"n", "alpha", "delta", "trials", "seed", "kappa"},
+    "two-stage": {"n", "alpha", "delta", "trials", "seed", "strategy", "kappa"},
+    "universality": {"sizes", "kappa", "m", "beta", "trials", "seed"},
+    "stable-params": {"kappa", "alpha", "m", "eta", "sensitivity"},
+}
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN_RUNS if GOLDEN_RUNS[c][0][0] == "experiment"])
+def test_experiment_config_records_only_its_flags(tmp_path, capsys, case):
+    argv = GOLDEN_RUNS[case][0]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["command"] == "experiment"
+    params = config["parameters"]
+    assert set(params) == EXPERIMENT_PARAMETERS[argv[1]] | {"experiment", "out_dir"}
+    assert (params["experiment"], params["out_dir"]) == (argv[1], str(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "majority", "--n", "200", "--alpha", "0.05", "--seed", "3"],
+    ["experiment", "two-stage", "--n", "100", "--alpha", "0.2", "--trials", "2"],
+])
+def test_config_json_is_byte_identical_across_processes(tmp_path, argv):
+    configs = []
+    for _ in range(2):
+        proc = _run_module(*argv, "--out-dir", str(tmp_path))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        configs.append((tmp_path / "config.json").read_bytes())
+    assert configs[0] == configs[1]
+    params = json.loads(configs[0])["parameters"]
+    assert "func" not in params and "command" not in params
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "universality", "--n", "5"],
+    ["experiment", "kim-roche-stability", "--kappa", "2"],
+    ["experiment", "stable-params", "--seed", "1"],
+    ["experiment", "nonsense"],
+    ["experiment"],
+])
+def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "majority", "--n", "20", "--alpha", "0.5",
+     "--seed", str((1 << 64) - 3)],
+    ["solve", "--algo", "majority", "--n", "20", "--alpha", "0.5", "--seed", str(1 << 63)],
+    ["experiment", "majority-stability", "--n", "100", "--k-rows", "3", "--trials", "2",
+     "--seed", str(-(1 << 63) - 1)],
+    ["experiment", "universality", "--sizes", "50", "--trials", "100",
+     "--seed", str(1 << 63)],
+])
+def test_seed_outside_int64_is_a_domain_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_DOMAIN
+    assert "domain error" in capsys.readouterr().err
+    assert not (tmp_path / "config.json").exists()

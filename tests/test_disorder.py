@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from marginlab.disorder import (
     RESAMPLE_STREAM,
+    DisorderMatrix,
     correlated_pair,
     dump_matrix,
     interpolate,
@@ -46,6 +48,54 @@ def test_entry_purity_across_shapes():
     small = sample_disorder(40, 0.5, seed=3)
     wide = sample_disorder(80, 0.25, seed=3)
     assert np.array_equal(wide.entries[:20, :40], small.entries[:20, :])
+
+
+def _sha256(mat):
+    return hashlib.sha256(np.ascontiguousarray(mat.entries, dtype="<f8").tobytes()).hexdigest()
+
+
+# SHA-256 of the little-endian entries of a sample and of its copy with
+# floor(n/4) columns redrawn from stream 2^64 - 1 - stream, at the ends of the
+# seed and stream ranges.  Any change to the key, counter or transform moves them.
+SAMPLE_DIGESTS = [
+    (0, 0, 100, 0.5, "gaussian",
+     "e5203e8e62a0642ec5012cf8de37a781a8b501bb2370141420344332d011a36b",
+     "10c37182991789fb8d3b9142c2eaaeb58cfca9612ae6c1a7e73c97ace201c74a"),
+    (-3, 5, 64, 0.25, "rademacher",
+     "3df7a83bf5de3eca969208766674ded00e39241de5eb455f7588a6d12ab00675",
+     "5237ca427df58fba8d1080942215b341682e9de798a817abba0298dc51081923"),
+    ((1 << 63) - 1, (1 << 64) - 1, 33, 0.3, "gaussian",
+     "f806cffb188062beb957dd120afed9b2b357e4f778cdbee1fda7235e1d37ece2",
+     "369921785645b5568b0a9b51c6534604a4a4447e5db234b242d686c601ca28c9"),
+    (-(1 << 63), RESAMPLE_STREAM, 40, 0.5, "rademacher",
+     "5cc1c0d724caa570d7303c1105b0e56be76b5ca6e985f36a9649d099086f7ef7",
+     "c5ace57d6d39c98468f7aba6b1fc91ae9141fd089ebd323b4326bd59c42aef5b"),
+]
+
+
+@pytest.mark.parametrize("seed,stream,n,alpha,dist,sample_sha,resample_sha", SAMPLE_DIGESTS)
+def test_sample_and_resample_golden_digest(seed, stream, n, alpha, dist, sample_sha,
+                                           resample_sha):
+    mat = sample_disorder(n, alpha, dist, seed, stream)
+    resampled = resample_columns(mat, 0.25, seed, stream=(1 << 64) - 1 - stream)
+    assert (_sha256(mat), _sha256(resampled)) == (sample_sha, resample_sha)
+
+
+@pytest.mark.parametrize("seed,stream", [
+    (1 << 63, 0), ((1 << 64) - 3, 0), (-(1 << 63) - 1, 0), (0, -1), (0, 1 << 64),
+])
+def test_seed_and_stream_outside_the_key_range_rejected(seed, stream):
+    # Masking to 64 bits would make seed -3 and 2^64 - 3 (or stream -1 and
+    # 2^64 - 1) sample the same matrix under different provenance.
+    message = f"seed={seed}, stream={stream}"
+    with pytest.raises(DomainError, match=message):
+        sample_disorder(20, 0.5, seed=seed, stream=stream)
+    with pytest.raises(DomainError, match=message):
+        resample_columns(sample_disorder(20, 0.5), 0.25, seed, stream=stream)
+    odd = DisorderMatrix(rows=10, cols=20, entries=np.zeros((10, 20)), dist="gaussian",
+                         seed=seed, alpha=0.5, stream=stream)
+    with pytest.raises(DomainError, match=message):
+        dump_matrix(odd, "unused.bin")
 
 
 def test_rademacher_values_and_balance():

@@ -164,6 +164,11 @@ def test_universality_pair_and_triple_paths():
 def test_universality_validation():
     with pytest.raises(DomainError):
         universality_gap((100,), 1.0, trials=10, seed=0)
+    # A masked seed would let -3 and 2^64 - 3 draw the same rows.
+    for seed in (1 << 63, (1 << 64) - 3, -(1 << 63) - 1):
+        with pytest.raises(DomainError, match=f"seed={seed},"):
+            universality_gap((100,), 1.0, trials=100, seed=seed)
+    assert universality_gap((100,), 1.0, trials=100, seed=-(1 << 63)).seed == -(1 << 63)
 
 
 def test_stable_replica_parameter_arithmetic():
