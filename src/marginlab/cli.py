@@ -316,7 +316,10 @@ def _two_stage(a: argparse.Namespace) -> tuple[dict, str]:
 
 def _universality(a: argparse.Namespace) -> tuple[dict, str]:
     """gaussian-vs-rademacher box probability gaps"""
-    sizes = tuple(int(x) for x in a.sizes.split(","))
+    try:
+        sizes = tuple(int(x) for x in a.sizes.split(","))
+    except ValueError:
+        raise UsageError(f"--sizes takes comma-separated integers, got {a.sizes!r}") from None
     res = universality_gap(sizes, a.kappa, m=a.m, beta=a.beta, trials=a.trials, seed=a.seed)
     stem = f"universality_n{'-'.join(str(s) for s in sizes)}_kappa{_fmt(a.kappa)}_seed{a.seed}"
     rows = [[r.n, repr(r.p_gaussian), repr(r.p_rademacher), repr(r.gap),

@@ -1,22 +1,22 @@
 """Counter-based sampling of random constraint matrices.
 
 A disorder instance is an M x n matrix with i.i.d. entries, M = floor(alpha*n),
-either standard gaussian or uniform sign ("rademacher") entries.  Entries are
-produced by a counter-based generator (Philox) keyed as
+either standard gaussian or uniform sign ("rademacher") entries, drawn from
+the counter-based generator Philox:
 
-    key     = (seed mod 2^64, stream),  seed in [-2^63, 2^63), stream in [0, 2^64)
-    counter = (0, 0, row, 0)
+    key           (seed mod 2^64, stream),  seed in [-2^63, 2^63), stream in [0, 2^64)
+    entry (r, c)  output c % 4 of Philox set to counter (c // 4, 0, r, 0)
 
-so that entry (r, c) is a pure function of (seed, stream, r, c).  Two matrices
-sampled with the same seed and stream but different shapes agree entry-by-entry
-on the overlap of their index ranges.  That purity is what makes coupled
-resampling and replica constructions reproducible without storing any state.
+numpy increments the counter before each block, so the block holding entry
+(r, c) encrypts (c // 4 + 1, 0, r, 0).  Entry (r, c) is thus pure in
+(seed, stream, r, c): matrices of different shapes agree on their common
+entries, and a column window draws only its own blocks.  That purity makes
+coupled resampling and replica constructions reproducible without state.
 
-Stream conventions used elsewhere in the package:
-
-    0        base sample
-    1..T     replica samples for interpolation ensembles
-    1 << 62  default stream for column resampling
+    stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
+    2t, 2t + 1            base and replica of experiment trial t
+    RESAMPLE_STREAM + t   fresh columns of trial t (RESAMPLE_STREAM = 2^62)
+    base_stream + 1 + i   replica i of ``sample_ensemble``
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ _MASK64 = (1 << 64) - 1
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
 RESAMPLE_STREAM = 1 << 62
 
-#: Matrix file headers by magic; PDM1 (read only) has no stream or alpha.
+#: Matrix file headers by magic, seed signed; PDM1 (read only) has no stream or alpha.
 _MAGIC = b"PDM2"
-_HEADERS = {b"PDM1": struct.Struct("<4sQQQQ"), _MAGIC: struct.Struct("<4sQQQqQd")}
+_HEADERS = {b"PDM1": struct.Struct("<4sQQQq"), _MAGIC: struct.Struct("<4sQQQqQd")}
 
 
 def _floor_count(x: float, n: int) -> int:
@@ -113,19 +113,20 @@ def philox_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed & _MASK64, stream], dtype=np.uint64)
 
 
-def _raw_row(key: np.ndarray, row: int, count: int) -> np.ndarray:
-    bg = Philox(key=key, counter=np.array([0, 0, row, 0], dtype=np.uint64))
-    return bg.random_raw(count)
-
-
-def _transform(raw: np.ndarray, dist: str) -> np.ndarray:
-    if dist == "gaussian":
-        # Top 53 bits give an exactly representable uniform in the open
-        # interval; the offset keeps ndtri away from both endpoints.
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return ndtri(u)
-    bit = (raw >> np.uint64(63)).astype(np.float64)
-    return 1.0 - 2.0 * bit
+def _rows(key: np.ndarray, rows: int, c0: int, c1: int, dist: str) -> np.ndarray:
+    """Rows [0, rows) and columns [c0, c1) of a sample; no block left of c0 is drawn."""
+    skip = c0 % 4
+    out = np.empty((rows, c1 - c0), dtype=np.float64)
+    for r in range(rows):
+        bg = Philox(key=key, counter=np.array([c0 // 4, 0, r, 0], dtype=np.uint64))
+        raw = bg.random_raw(skip + c1 - c0)[skip:]
+        if dist == "gaussian":
+            # Top 53 bits give an exactly representable uniform in the open
+            # interval; the offset keeps ndtri away from both endpoints.
+            out[r] = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        else:
+            out[r] = 1.0 - 2.0 * (raw >> np.uint64(63)).astype(np.float64)
+    return out
 
 
 def sample_disorder(
@@ -149,10 +150,7 @@ def sample_disorder(
     m = _floor_count(alpha, n)
     if m < 1:
         raise SizingError(f"floor(alpha*n) = {m}, no rows to sample")
-    key = philox_key(seed, stream)
-    entries = np.empty((m, n), dtype=np.float64)
-    for r in range(m):
-        entries[r] = _transform(_raw_row(key, r, n), dist)
+    entries = _rows(philox_key(seed, stream), m, 0, n, dist)
     return DisorderMatrix(
         rows=m, cols=n, entries=entries, dist=dist, seed=seed,
         alpha=alpha, stream=stream,
@@ -198,11 +196,9 @@ def resample_columns(
     b = _floor_count(delta, mat.cols)
     if b < 1:
         raise SizingError(f"floor(delta*n) = {b}, nothing to resample")
-    key = philox_key(seed, stream)
     entries = mat.entries.copy()
-    for r in range(mat.rows):
-        fresh = _transform(_raw_row(key, r, mat.cols), mat.dist)
-        entries[r, mat.cols - b:] = fresh[mat.cols - b:]
+    entries[:, mat.cols - b:] = _rows(philox_key(seed, stream), mat.rows, mat.cols - b,
+                                      mat.cols, mat.dist)
     return DisorderMatrix(
         rows=mat.rows, cols=mat.cols, entries=entries, dist=mat.dist,
         seed=mat.seed, alpha=mat.alpha, stream=mat.stream,

@@ -11,7 +11,8 @@ window: two-sided (all |row . sigma| <= kappa*sqrt(n)) or one-sided
 (all row . sigma >= kappa*sqrt(n)).  Enumeration is exhaustive and meet-in-
 the-middle: margins are precomputed for each half of the coordinates and
 summed blockwise, which makes the scan vectorizable and keeps the per-mask
-cost at one max/min reduction.
+cost at one max/min reduction.  Two-sided scans visit half the cube, since
+negating a configuration negates its margins.
 
 Overlap structure is handled in exact integer arithmetic throughout: the
 overlap of two configurations is (n - 2*d)/n with d their Hamming distance,
@@ -147,6 +148,26 @@ def _half_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]
     return w_hi, w_lo, hi, lo
 
 
+def _worst_margins(mat: DisorderMatrix, symmetric: bool, n_cap: int):
+    """Iterate (base mask, worst margin per low half) over the scanned high halves.
+
+    Worst is max |.| two-sided, min one-sided; the cap is checked on the call.
+    Two-sided scans skip coordinate 0 = -1: half-table row 2^h - 1 - a is -row a.
+    """
+    if mat.cols > n_cap:
+        raise CapExceededError(
+            f"exhaustive scan over 2^{mat.cols} configurations exceeds the cap n <= {n_cap}"
+        )
+    w_hi, w_lo, hi, lo = _half_tables(mat.entries)
+    buf = np.empty_like(w_lo)
+
+    def worst(a: int) -> np.ndarray:
+        np.add(w_lo, w_hi[a], out=buf)
+        return np.max(np.abs(buf), axis=1) if symmetric else np.min(buf, axis=1)
+
+    return ((a << lo, worst(a)) for a in range(1 << (hi - 1 if symmetric else hi)))
+
+
 def _scan_masks(
     mat: DisorderMatrix,
     kappa: float,
@@ -154,29 +175,21 @@ def _scan_masks(
     n_cap: int,
     first_only: bool = False,
 ) -> list[int]:
-    n = mat.cols
-    if n > n_cap:
-        raise CapExceededError(
-            f"exhaustive scan over 2^{n} configurations exceeds the cap n <= {n_cap}"
-        )
+    scan = _worst_margins(mat, symmetric, n_cap)
     if symmetric and kappa < 0.0:
         raise DomainError(f"two-sided margin needs kappa >= 0, got {kappa}")
-    thr = kappa * math.sqrt(n)
-    w_hi, w_lo, hi, lo = _half_tables(mat.entries)
-    buf = np.empty_like(w_lo)
+    thr = kappa * math.sqrt(mat.cols)
     found: list[int] = []
-    for a in range(1 << hi):
-        np.add(w_lo, w_hi[a], out=buf)
-        if symmetric:
-            ok = np.max(np.abs(buf), axis=1) <= thr
-        else:
-            ok = np.min(buf, axis=1) >= thr
-        idx = np.nonzero(ok)[0]
+    for base, worst in scan:
+        idx = np.nonzero(worst <= thr if symmetric else worst >= thr)[0]
         if idx.size:
-            base = a << lo
             if first_only:
                 return [base | int(idx[0])]
             found.extend(base | int(b) for b in idx)
+    if symmetric:
+        # complements of the coordinate-0 = +1 half, in ascending order
+        full = (1 << mat.cols) - 1
+        found += [full ^ m for m in reversed(found)]
     return found
 
 
@@ -203,23 +216,14 @@ def discrepancy(mat: DisorderMatrix, n_cap: int = DEFAULT_ENUM_CAP) -> tuple[flo
     leaves the objective unchanged, so half the cube suffices.  Returns the
     optimum value and one optimizer (its coordinate 0 is +1).
     """
-    n = mat.cols
-    if n > n_cap:
-        raise CapExceededError(
-            f"exhaustive scan over 2^{n} configurations exceeds the cap n <= {n_cap}"
-        )
-    w_hi, w_lo, hi, lo = _half_tables(mat.entries)
-    buf = np.empty_like(w_lo)
     best = math.inf
     best_mask = 0
-    for a in range(1 << (hi - 1)):  # top bit 0: coordinate 0 pinned to +1
-        np.add(w_lo, w_hi[a], out=buf)
-        vals = np.max(np.abs(buf), axis=1)
-        b = int(np.argmin(vals))
-        if vals[b] < best:
-            best = float(vals[b])
-            best_mask = (a << lo) | b
-    return best, SignVector(n, best_mask)
+    for base, worst in _worst_margins(mat, True, n_cap):
+        b = int(np.argmin(worst))
+        if worst[b] < best:
+            best = float(worst[b])
+            best_mask = base | b
+    return best, SignVector(mat.cols, best_mask)
 
 
 def overlap_band(n: int, beta: float, eta: float) -> tuple[int, int]:
@@ -279,10 +283,6 @@ class TupleQuery:
             prev = tau
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
-
-
 def _grid_index(ensemble: InterpolatedEnsemble, tau: float) -> int:
     for k, t in enumerate(ensemble.tau_grid):
         if abs(t - tau) <= 1e-12:
@@ -333,7 +333,7 @@ def enumerate_forbidden_tuples(
         for b in prefix:
             if cand.size == 0:
                 break
-            d = _popcount(cand ^ np.uint64(b))
+            d = np.bitwise_count(cand ^ np.uint64(b))
             cand = cand[(d >= d_lo) & (d <= d_hi)]
         for b in cand:
             prefix.append(int(b))
@@ -404,7 +404,7 @@ def count_overlap_tuples_bruteforce(n: int, m: int, beta: float, eta: float) -> 
     total = 0
     if m == 2:
         for i in range(size):
-            d = _popcount(masks ^ masks[i])
+            d = np.bitwise_count(masks ^ masks[i])
             total += int(np.count_nonzero((d >= d_lo) & (d <= d_hi)))
         return total
     # Pack each point's in-band row as a bitset, then ordered triples are
@@ -415,7 +415,7 @@ def count_overlap_tuples_bruteforce(n: int, m: int, beta: float, eta: float) -> 
     word_idx = masks >> np.uint64(6)
     bit_idx = masks & np.uint64(63)
     for i in range(size):
-        d = _popcount(masks ^ masks[i])
+        d = np.bitwise_count(masks ^ masks[i])
         sel = (d >= d_lo) & (d <= d_hi)
         band_lists.append(np.nonzero(sel)[0])
         np.bitwise_or.at(rows[i], word_idx[sel], np.uint64(1) << bit_idx[sel])
@@ -423,6 +423,6 @@ def count_overlap_tuples_bruteforce(n: int, m: int, beta: float, eta: float) -> 
         js = band_lists[i]
         if js.size:
             inter = rows[js] & rows[i]
-            total += int(_popcount(inter).sum())
+            total += int(np.bitwise_count(inter).sum())
     return total
 

@@ -215,21 +215,21 @@ def kim_roche_solve(
             selected: np.ndarray | None = None
             k_used = m_rows
         else:
-            margins = entries[:, :start] @ sigma[:start]
             k_used = min(sched.k[j - 1], m_rows)
-            order = np.argsort(margins, kind="stable")
-            selected = order[:k_used]
+            selected = np.argsort(margins, kind="stable")[:k_used]
             votes = entries[selected][:, start:stop].sum(axis=0)
         sigma[start:stop] = np.where(votes >= 0.0, 1.0, -1.0)
+        if trace is not None or j < sched.rounds:
+            # prefix margins: the trace's damage count and the next round's ranking
+            margins = entries[:, :stop] @ sigma[:stop]
         if trace is not None:
-            running = entries[:, :stop] @ sigma[:stop]
             trace.append(
                 RoundRecord(
                     round_index=j,
                     block_start=start,
                     block_size=block,
                     k_used=k_used,
-                    violated_after=int(np.count_nonzero(running < 0.0)),
+                    violated_after=int(np.count_nonzero(margins < 0.0)),
                     selected_rows=None if selected is None else tuple(int(r) for r in selected),
                 )
             )

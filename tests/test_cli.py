@@ -395,6 +395,15 @@ def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sizes", ["50,x", "50,,60", "", "5e1"])
+def test_universality_rejects_malformed_sizes(tmp_path, capsys, sizes):
+    argv = ["experiment", "universality", "--sizes", sizes, "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert f"usage error: --sizes takes comma-separated integers, got {sizes!r}" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--algo", "majority", "--n", "20", "--alpha", "0.5",
      "--seed", str((1 << 64) - 3)],

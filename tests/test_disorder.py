@@ -203,8 +203,12 @@ def test_load_reads_version_one_files(tmp_path):
     header = struct.pack("<4sQQQQ", b"PDM1", mat.rows, mat.cols, 0, mat.seed % (1 << 64))
     path.write_bytes(header + mat.entries.astype("<f8").tobytes())
     back = load_matrix(path)
-    assert (back.alpha, back.stream, back.seed) == (15 / 50, 0, (1 << 64) - 3)
+    assert (back.alpha, back.stream, back.seed) == (15 / 50, 0, -3)
     assert np.array_equal(back.entries, mat.entries)
+    dump_matrix(back, tmp_path / "v2.bin")
+    again = load_matrix(tmp_path / "v2.bin")
+    assert (again.alpha, again.stream, again.seed) == (15 / 50, 0, -3)
+    assert np.array_equal(again.entries, mat.entries)
     path.write_bytes(b"PDM9" + header[4:])
     with pytest.raises(DomainError, match="bad magic"):
         load_matrix(path)

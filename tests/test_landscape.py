@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from marginlab.errors import CapExceededError, DomainError
 from marginlab.landscape import (
     SignVector,
     TupleQuery,
+    _half_tables,
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
     discrepancy,
@@ -22,6 +24,7 @@ from marginlab.landscape import (
     overlap_band,
 )
 from marginlab.disorder import sample_disorder
+from marginlab.solvers import exhaustive_solve
 from marginlab.thresholds import phi_count
 
 
@@ -111,6 +114,70 @@ def test_discrepancy_matches_brute_force():
     assert best == pytest.approx(want, abs=1e-12)
     assert vals[arg] == pytest.approx(want, abs=1e-12)
     assert arg[0] == 1  # canonical representative from the +1 half
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the space-joined masks of every solution at n = 20, 10 rows: the
+# two-sided window at kappa = 1 and the one-sided window at kappa = 0.
+ENUM_DIGESTS = [
+    (0, True, 1.0, 18046, "3dd16cb33dd1bfdc4c88d2530ff2398191caa5166567a1d6fd983b8bc50d1c3e"),
+    (0, False, 0.0, 418, "99f20059b738b935de811adb2b3c1b42bf532323659aca750719f043c538d939"),
+    (1, True, 1.0, 24692, "6ec99533b2130e9a1cfc3d026c12c80556d5eb4f64e1c6db6d882ad7958a1198"),
+    (1, False, 0.0, 545, "a19e26e45ccc7c452cc662104d331728fe411328675bc8de9750fbb20738c98a"),
+    (2, True, 1.0, 28920, "662f788a0010679211c1c3fe65d796523fb1cf51a28550e6a1046e34952808e5"),
+    (2, False, 0.0, 3479, "0ffc1552529a6e641af61ec7a4082ec0c87bb86db4ddd31d9405221b364049de"),
+]
+
+
+@pytest.mark.parametrize("seed,symmetric,kappa,count,digest", ENUM_DIGESTS)
+def test_enumeration_golden_digest(seed, symmetric, kappa, count, digest):
+    sols = enumerate_solutions(sample_disorder(20, 0.5, seed=seed), kappa, symmetric)
+    assert len(sols) == count
+    assert _sha256(" ".join(str(sv.bits) for sv in sols)) == digest
+
+
+# SHA-256 of "repr(value) mask" of the discrepancy at n = 21, 10 rows.
+DISCREPANCY_DIGESTS = [
+    (0, "36ce31bd0f0a52210811232c98b74d3d56d20ebdc3428fc43636c3e6c1fbf989"),
+    (1, "8a8b33c77b27dea532a83fed2962139464f8e6f69a06d6ec681b8f748486f3af"),
+    (2, "fca54616a759c7bbfdc8c1ba73948dc8e90d87602effb9044078f49cdd56f0a0"),
+]
+
+
+@pytest.mark.parametrize("seed,digest", DISCREPANCY_DIGESTS)
+def test_discrepancy_golden_digest(seed, digest):
+    value, arg = discrepancy(sample_disorder(21, 0.5, seed=seed))
+    assert _sha256(f"{value!r} {arg.bits}") == digest
+
+
+# SHA-256 of the space-joined first-solution masks ("None" when infeasible)
+# at n = 20 for two margins per window: one feasible, one not.
+EXHAUSTIVE_DIGESTS = [
+    (True, (1.0, 0.05), "7644cbb638d9d8533fae407557da732ea48a8dcc17f4335aacce45de3d33cec3"),
+    (False, (0.0, 1.0), "544f097176357f858fe34ef24cf6c18727cf52800606680080a5b8f913e4e6e7"),
+]
+
+
+def test_exhaustive_solve_golden_digest():
+    for symmetric, kappas, digest in EXHAUSTIVE_DIGESTS:
+        found = [
+            exhaustive_solve(sample_disorder(20, 0.5, seed=seed), kappa, symmetric)
+            for seed in (0, 1, 2) for kappa in kappas
+        ]
+        assert _sha256(" ".join(str(sv and sv.bits) for sv in found)) == digest
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+def test_half_tables_are_exactly_antisymmetric(dist):
+    # Row 2^h - 1 - a of a half table is the complement of row a; two-sided
+    # scans visit only half the cube and rely on its margins being exact negations.
+    for n in range(1, 23):
+        w_hi, w_lo, _, _ = _half_tables(sample_disorder(n, 1.0, dist, seed=n).entries)
+        assert np.array_equal(w_hi[::-1], -w_hi)
+        assert np.array_equal(w_lo[::-1], -w_lo)
 
 
 def test_overlap_band_integer_arithmetic():

@@ -104,6 +104,24 @@ def test_trace_blocks_partition_coordinates():
         assert len(r.selected_rows) == min(r.k_used, mat.rows)
 
 
+@pytest.mark.parametrize("n,alpha,divisors", [
+    (500, 0.4, (50.0, 3.0)), (2000, 0.1, (200.0, 3.0)), (10_000, 0.002, (1000.0, 3.0)),
+])
+def test_trace_keeps_the_solution_and_recounts_violations(n, alpha, divisors):
+    # The traced run must not change the output, and each round's count must
+    # match a direct recount of the prefix margins of the final sign vector
+    # (nonzero on most seeds of the first two sizes).
+    sched = kim_roche_schedule(n, 4.0, divisors)
+    for seed in range(10):
+        mat = sample_disorder(n, alpha, seed=seed)
+        sv, trace = kim_roche_solve(mat, sched, collect_trace=True)
+        assert kim_roche_solve(mat, sched) == (sv, None)
+        sigma = sv.signs().astype(np.float64)
+        for r in trace:
+            stop = r.block_start + r.block_size
+            assert r.violated_after == np.count_nonzero(mat.entries[:, :stop] @ sigma[:stop] < 0)
+
+
 def test_refinement_beats_majority_on_minimum_margin():
     # operating point chosen so the first refinement panel (k = 11) is a
     # strict subset of the rows and the minimum margin is not yet trivially
