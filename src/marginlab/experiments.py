@@ -531,6 +531,8 @@ def universality_gap(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if trials < 100:
         raise DomainError(f"trials too few for a gap estimate: {trials}")
+    if any(n < 1 for n in n_list):
+        raise DomainError(f"sizes must be positive, got {n_list}")
     rows: list[UniversalityRow] = []
     for n in n_list:
         sigs = _universality_tuple(n, m, beta)

@@ -9,10 +9,10 @@ negation is a single XOR.
 Solutions are configurations whose constraint margins stay inside the margin
 window: two-sided (all |row . sigma| <= kappa*sqrt(n)) or one-sided
 (all row . sigma >= kappa*sqrt(n)).  Enumeration is exhaustive and meet-in-
-the-middle: margins are precomputed for each half of the coordinates and
-summed blockwise, which makes the scan vectorizable and keeps the per-mask
-cost at one max/min reduction.  Two-sided scans visit half the cube, since
-negating a configuration negates its margins.
+the-middle: margins are precomputed for each half of the coordinates, and
+each Python step sums a block of high halves against the whole low table,
+stored row-major (rows x low halves), then reduces over the rows.  Two-sided
+scans visit half the cube, since negating a configuration negates its margins.
 
 Overlap structure is handled in exact integer arithmetic throughout: the
 overlap of two configurations is (n - 2*d)/n with d their Hamming distance,
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 25
+_SCAN_BLOCK = 1 << 16  # float64 elements of one cube-scan temporary (512 KiB)
 
 
 @dataclass(frozen=True, order=True)
@@ -149,31 +150,31 @@ def _half_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]
 
 
 def _worst_margins(mat: DisorderMatrix, symmetric: bool, n_cap: int):
-    """Iterate (base mask, worst margin per low half) over the scanned high halves.
+    """Iterate (base mask, worst margins) over blocks of the scanned high halves.
 
-    Worst is max |.| two-sided, min one-sided; the cap is checked on the call.
-    Two-sided scans skip coordinate 0 = -1: half-table row 2^h - 1 - a is -row a.
+    Worst is max |.| two-sided, min one-sided: a (block, 2^lo) array, flat index
+    mask - base, of at most _SCAN_BLOCK elements or one high half.  The cap is
+    checked on the call.  Two-sided blocks stop before coordinate 0 = -1, since
+    half-table row 2^h - 1 - a is -row a and would repeat a complement.
     """
     if mat.cols > n_cap:
         raise CapExceededError(
             f"exhaustive scan over 2^{mat.cols} configurations exceeds the cap n <= {n_cap}"
         )
     w_hi, w_lo, hi, lo = _half_tables(mat.entries)
-    buf = np.empty_like(w_lo)
+    w_hi = w_hi[: 1 << (hi - 1 if symmetric else hi)]
+    w_lo_t = w_lo.T.copy()
+    step = max(1, _SCAN_BLOCK // w_lo.size)
 
-    def worst(a: int) -> np.ndarray:
-        np.add(w_lo, w_hi[a], out=buf)
-        return np.max(np.abs(buf), axis=1) if symmetric else np.min(buf, axis=1)
+    def worst(a0: int) -> np.ndarray:
+        block = w_hi[a0:a0 + step, :, None] + w_lo_t
+        return np.abs(block, out=block).max(axis=1) if symmetric else block.min(axis=1)
 
-    return ((a << lo, worst(a)) for a in range(1 << (hi - 1 if symmetric else hi)))
+    return ((a0 << lo, worst(a0)) for a0 in range(0, len(w_hi), step))
 
 
 def _scan_masks(
-    mat: DisorderMatrix,
-    kappa: float,
-    symmetric: bool,
-    n_cap: int,
-    first_only: bool = False,
+    mat: DisorderMatrix, kappa: float, symmetric: bool, n_cap: int, first_only: bool = False
 ) -> list[int]:
     scan = _worst_margins(mat, symmetric, n_cap)
     if symmetric and kappa < 0.0:
@@ -181,11 +182,11 @@ def _scan_masks(
     thr = kappa * math.sqrt(mat.cols)
     found: list[int] = []
     for base, worst in scan:
-        idx = np.nonzero(worst <= thr if symmetric else worst >= thr)[0]
+        idx = np.flatnonzero(worst <= thr if symmetric else worst >= thr)
         if idx.size:
             if first_only:
-                return [base | int(idx[0])]
-            found.extend(base | int(b) for b in idx)
+                return [base + int(idx[0])]
+            found.extend((base + idx).tolist())
     if symmetric:
         # complements of the coordinate-0 = +1 half, in ascending order
         full = (1 << mat.cols) - 1
@@ -216,13 +217,12 @@ def discrepancy(mat: DisorderMatrix, n_cap: int = DEFAULT_ENUM_CAP) -> tuple[flo
     leaves the objective unchanged, so half the cube suffices.  Returns the
     optimum value and one optimizer (its coordinate 0 is +1).
     """
-    best = math.inf
-    best_mask = 0
+    best, best_mask = math.inf, 0
     for base, worst in _worst_margins(mat, True, n_cap):
         b = int(np.argmin(worst))
-        if worst[b] < best:
-            best = float(worst[b])
-            best_mask = base | b
+        if worst.flat[b] < best:
+            best = float(worst.flat[b])
+            best_mask = base + b
     return best, SignVector(mat.cols, best_mask)
 
 

@@ -404,6 +404,15 @@ def test_universality_rejects_malformed_sizes(tmp_path, capsys, sizes):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sizes", ["0", "-5", "50,0"])
+def test_universality_rejects_nonpositive_sizes(tmp_path, capsys, sizes):
+    argv = ["experiment", "universality", f"--sizes={sizes}", "--trials", "100",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_DOMAIN
+    assert "domain error: sizes must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--algo", "majority", "--n", "20", "--alpha", "0.5",
      "--seed", str((1 << 64) - 3)],

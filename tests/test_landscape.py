@@ -13,6 +13,7 @@ from marginlab.landscape import (
     SignVector,
     TupleQuery,
     _half_tables,
+    _scan_masks,
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
     discrepancy,
@@ -114,6 +115,38 @@ def test_discrepancy_matches_brute_force():
     assert best == pytest.approx(want, abs=1e-12)
     assert vals[arg] == pytest.approx(want, abs=1e-12)
     assert arg[0] == 1  # canonical representative from the +1 half
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_cube_scan_matches_direct_product_sweep(n):
+    # Every mask in ascending order, from one product per configuration; at these
+    # sizes a scan block is larger than the whole scanned half.
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    for seed in (0, 1, 2):
+        mat = sample_disorder(n, max(0.5, 1.0 / n), seed=seed)
+        y = signs @ mat.entries.T
+        root_n = math.sqrt(n)
+        for symmetric, kappa in ((True, 1.0), (True, 0.5), (False, 0.0), (False, 0.3)):
+            thr = kappa * root_n
+            ok = np.all(np.abs(y) <= thr if symmetric else y >= thr, axis=1)
+            want = np.flatnonzero(ok).tolist()
+            assert _scan_masks(mat, kappa, symmetric, 25) == want
+            assert _scan_masks(mat, kappa, symmetric, 25, first_only=True) == want[:1]
+        best, arg = discrepancy(mat)
+        worst = np.max(np.abs(y), axis=1)
+        assert best == pytest.approx(worst.min(), abs=1e-12)
+        assert worst[arg.bits] == pytest.approx(worst.min(), abs=1e-12)
+        assert arg[0] == 1
+
+
+def test_cap_is_checked_before_the_margin():
+    mat = sample_disorder(10, 0.5, seed=0)
+    with pytest.raises(CapExceededError):
+        _scan_masks(mat, -1.0, True, 8)
+    with pytest.raises(CapExceededError):
+        enumerate_solutions(mat, -1.0, n_cap=8)
+    with pytest.raises(DomainError):
+        enumerate_solutions(mat, -1.0)
 
 
 def _sha256(text):
