@@ -233,6 +233,8 @@ def overlap_band(n: int, beta: float, eta: float) -> tuple[int, int]:
     band test is exact in integer arithmetic: overlap (n-2d)/n lies in
     [beta-eta, beta] iff d lies in the returned window.
     """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     if not (0.0 < eta < beta <= 1.0):
         raise DomainError(f"need 0 < eta < beta <= 1, got beta={beta}, eta={eta}")
     bn = beta * n
@@ -355,16 +357,13 @@ def count_overlap_tuples_exact(n: int, m: int, beta: float, eta: float) -> int:
     For m = 3 the third point is split over the d12 flipped and n - d12
     agreeing coordinates of the first two (t1 and t2 of them flipped), with
     both induced distances t1 + t2 and d12 - t1 + t2 constrained to the band.
-    Cost grows with the band width, not with 2^n, so n in the thousands is
-    fine for narrow bands.
+    C(d12, t1) and the prefix sums of C(n - d12, t2), stopped at t2 = d_hi, step
+    by C(r, s + 1) = C(r, s) * (r - s) / (s + 1) in exact integer division, so
+    the cost is O(band width * n) big-integer steps, not 2^n.
     """
     if m not in (2, 3):
         raise DomainError(f"exact counting supports m in {{2, 3}}, got {m}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
     d_lo, d_hi = overlap_band(n, beta, eta)
-    if d_lo > d_hi:
-        return 0
     if m == 2:
         pairs = sum(math.comb(n, d) for d in range(d_lo, d_hi + 1))
         return (1 << n) * pairs
@@ -372,16 +371,17 @@ def count_overlap_tuples_exact(n: int, m: int, beta: float, eta: float) -> int:
     for d12 in range(d_lo, d_hi + 1):
         rest = n - d12
         # prefix[t] = sum_{s < t} C(rest, s), so window sums are two lookups
-        prefix = [0] * (rest + 2)
-        for s in range(rest + 1):
-            prefix[s + 1] = prefix[s] + math.comb(rest, s)
-        third = 0
+        prefix, c = [0], 1
+        for s in range(min(rest, d_hi) + 1):
+            prefix.append(prefix[-1] + c)
+            c = c * (rest - s) // (s + 1)
+        third, c = 0, 1  # c = C(d12, t1)
         for t1 in range(d12 + 1):
             t2_lo = max(0, d_lo - t1, d_lo - d12 + t1)
             t2_hi = min(rest, d_hi - t1, d_hi - d12 + t1)
-            if t2_lo > t2_hi:
-                continue
-            third += math.comb(d12, t1) * (prefix[t2_hi + 1] - prefix[t2_lo])
+            if t2_lo <= t2_hi:
+                third += c * (prefix[t2_hi + 1] - prefix[t2_lo])
+            c = c * (d12 - t1) // (t1 + 1)
         total += math.comb(n, d12) * third
     return (1 << n) * total
 

@@ -328,6 +328,16 @@ def test_count_tuples_matches_library(tmp_path, capsys):
     assert rows[1].startswith(f"10,2,0.6,0.2,0.0,none,{want},")
 
 
+@pytest.mark.parametrize("method", ["exact", "brute"])
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_count_tuples_rejects_nonpositive_n(tmp_path, capsys, n, method):
+    argv = ["count-tuples", f"--n={n}", "--m", "2", "--beta", "0.5", "--eta", "0.25",
+            "--method", method, "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_DOMAIN
+    assert f"domain error: need n >= 1, got {n}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _run_module(*args: str) -> subprocess.CompletedProcess:
     # The child imports the same package as this process, installed or not.
     src = os.path.dirname(os.path.dirname(marginlab.__file__))

@@ -248,6 +248,62 @@ def test_exact_count_two_is_closed_form():
     assert count_overlap_tuples_exact(n, 2, beta, eta) == want
 
 
+def _count_tuples_loop(n, m, beta, eta):
+    # Reference for the recurrence kernel: a full prefix sum over C(rest, s)
+    # and one math.comb call per binomial.
+    d_lo, d_hi = overlap_band(n, beta, eta)
+    if d_lo > d_hi:
+        return 0
+    if m == 2:
+        return (1 << n) * sum(math.comb(n, d) for d in range(d_lo, d_hi + 1))
+    total = 0
+    for d12 in range(d_lo, d_hi + 1):
+        rest = n - d12
+        prefix = [0] * (rest + 2)
+        for s in range(rest + 1):
+            prefix[s + 1] = prefix[s] + math.comb(rest, s)
+        third = 0
+        for t1 in range(d12 + 1):
+            t2_lo = max(0, d_lo - t1, d_lo - d12 + t1)
+            t2_hi = min(rest, d_hi - t1, d_hi - d12 + t1)
+            if t2_lo > t2_hi:
+                continue
+            third += math.comb(d12, t1) * (prefix[t2_hi + 1] - prefix[t2_lo])
+        total += math.comb(n, d12) * third
+    return (1 << n) * total
+
+
+def test_exact_counts_equal_prefix_sum_loop():
+    # Every integral band up to n = 30: the prefix is cut short of rest
+    # whenever d_hi < n - d12, and narrow bands leave the t2 window empty at
+    # both ends of the t1 range.
+    for n in range(1, 31):
+        for bn in range(2, n + 1):
+            for en in range(1, bn):
+                for m in (2, 3):
+                    want = _count_tuples_loop(n, m, bn / n, en / n)
+                    assert count_overlap_tuples_exact(n, m, bn / n, en / n) == want
+    # Bands of the size perfbench's analytic workload counts (eta = 16/n).
+    for n, bn in [(788, 384), (800, 400), (801, 401), (812, 416)]:
+        for m in (2, 3):
+            want = _count_tuples_loop(n, m, bn / n, 16 / n)
+            assert count_overlap_tuples_exact(n, m, bn / n, 16 / n) == want
+
+
+# SHA-256 of the decimal m = 3 count for (n, beta*n, eta*n): the perfbench
+# band and two larger ones, where the reference loop would take seconds.
+THREE_WAY_COUNT_DIGESTS = [
+    (800, 400, 16, "481a29c0a1df94ab48143bc61826109b4cfb709f089cf7fb98c286d11e5009df"),
+    (1201, 600, 25, "c4b4a9730f7e708023e1c53b02b5f930c2114c35265ae71b40f103b1a1a901e4"),
+    (2000, 1000, 40, "1ee5768543d77fc5a718bc0fd26f2eca588e5c61fd058d138d69ed282ff24691"),
+]
+
+
+@pytest.mark.parametrize("n,bn,en,digest", THREE_WAY_COUNT_DIGESTS)
+def test_three_way_count_golden_digest(n, bn, en, digest):
+    assert _sha256(str(count_overlap_tuples_exact(n, 3, bn / n, en / n))) == digest
+
+
 def test_count_growth_rate_tracks_entropy_functional():
     # log2 of the exact pair count per coordinate approaches the counting
     # part 1 + h((1 - beta + eta)/2) of the first-moment functional
