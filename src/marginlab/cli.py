@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -406,7 +407,9 @@ def cmd_count_tuples(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # Built once per process, so no default may read the environment or the clock.
     parser = _Parser(prog="marginlab", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"marginlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -473,9 +476,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if "out_dir" in args:
             args.out_dir = args.out_dir or os.environ.get("MARGINLAB_OUT_DIR") or "."
             os.makedirs(args.out_dir, exist_ok=True)

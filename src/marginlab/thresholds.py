@@ -153,6 +153,8 @@ def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
     split = [parts(x) for x in xs]
     if alpha < 0.0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     probs = box_probabilities_equicorrelated(m, [beta for beta, _ in split], 1.0)
     points = []
     for x, (beta, counting), res in zip(xs, split, probs):
@@ -244,7 +246,7 @@ def scan_negativity(
     lo = g_lo if lo is None else lo
     hi = g_hi if hi is None else hi
     step = g_step if step is None else step
-    if step <= 0.0 or hi < lo:
+    if not (step > 0.0 and lo <= hi and math.isfinite((hi - lo) / step)):
         raise DomainError(f"bad grid: lo={lo}, hi={hi}, step={step}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     grid = [lo + i * step for i in range(count)]

@@ -133,7 +133,7 @@ GOLDEN_RUNS = {
          "0.999", "--step", "0.001"],
         {
             "scan_f3_alpha1.667.csv":
-                "1cc70d7d483ec71a3a2a8970d2b738d7d880a3d1a62ae9a360d99e5c95cf2811",
+                "fb4bbcf41f7b3a6a730af5e05fed5331d0ab4f6bf00de105bd8b264aab1fe2bb",
             "scan_f3_alpha1.667_summary.json":
                 "276299052beaba823f9f937a4829142c7acdfc401ad7b319b5aacf651cd3fe22",
             "stdout":
@@ -436,3 +436,85 @@ def test_seed_outside_int64_is_a_domain_error(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_DOMAIN
     assert "domain error" in capsys.readouterr().err
     assert not (tmp_path / "config.json").exists()
+
+
+# (exit code, n_negative, negative_interval, argmin_abscissa) of the six
+# criterion-2 scans of test_scan_csv_golden_digest and of the three scan
+# windows the benchmark runs, at both ends of their alpha ranges.  These hold
+# across any quadrature change that keeps the values within the error bar.
+F1_CRITERION = ["--lo", "1e-05", "--hi", "0.1", "--step", "0.0001"]
+F1_WINDOW = ["--lo", "1e-05", "--hi", "0.00991", "--step", "0.0001"]
+FROZEN_SCANS = [
+    ("f1", "1.77", F1_CRITERION, (0, 65, [0.00201, 0.00841], 0.0046099999999999995)),
+    ("f1", "1.62", F1_CRITERION, (2, 0, None, 0.0034100000000000003)),
+    ("f2", "1.71", [], (0, 53, [0.935, 0.987], 0.968)),
+    ("f2", "1.56", [], (2, 0, None, 0.979)),
+    ("f3", "1.667", [], (0, 7, [0.975, 0.981], 0.978)),
+    ("f3", repr(1.667 - 0.15), [], (2, 0, None, 0.985)),
+    ("f1", "1.7", F1_WINDOW, (2, 0, None, 0.00401)),
+    ("f1", "1.8", F1_WINDOW, (0, 99, [0.00011, 0.00991], 0.00481)),
+    ("f2", "1.64", [], (2, 0, None, 0.974)),
+    ("f2", "1.74", [], (0, 97, [0.9, 0.996], 0.9650000000000001)),
+    ("f3", "1.6", [], (2, 0, None, 0.981)),
+    ("f3", "1.7", [], (0, 66, [0.93, 0.995], 0.976)),
+]
+
+
+@pytest.mark.parametrize("which,alpha,grid,want", FROZEN_SCANS,
+                         ids=[f"{w}-{a}" for w, a, _, _ in FROZEN_SCANS])
+def test_scan_certified_sets_are_frozen(tmp_path, capsys, which, alpha, grid, want):
+    code = main(["thresholds", "--which", which, "--alpha", alpha, *grid,
+                 "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    (summary,) = tmp_path.glob("*_summary.json")
+    s = json.loads(summary.read_text())
+    assert (code, s["n_negative"], s["negative_interval"], s["argmin_abscissa"]) == want
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["thresholds", "--which", "f2", "--alpha", "nan"], "alpha must be finite, got nan"),
+    (["thresholds", "--which", "f2", "--alpha", "inf"], "alpha must be finite, got inf"),
+    (["thresholds", "--which", "f2", "--alpha", "1.7", "--step", "nan"], "bad grid"),
+    (["thresholds", "--which", "f2", "--alpha", "1.7", "--lo", "nan"], "bad grid"),
+    (["thresholds", "--which", "f2", "--alpha", "1.7", "--hi", "nan"], "bad grid"),
+    (["thresholds", "--which", "f1", "--alpha", "1.7", "--lo=-inf"], "bad grid"),
+    (["thresholds", "--which", "f1", "--alpha", "1.7", "--hi", "inf"], "bad grid"),
+], ids=["alpha-nan", "alpha-inf", "step-nan", "lo-nan", "hi-nan", "lo-minus-inf", "hi-inf"])
+def test_thresholds_rejects_non_finite_inputs(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_DOMAIN
+    assert f"domain error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--box", "--m", "3", "--beta", "0.9", "--kappa", "nan"],
+     "kappa must be nonnegative, got nan"),
+    (["--box", "--m", "3", "--beta", "nan"], "beta must be nonnegative, got nan"),
+    (["--box", "--general", "--m", "3", "--beta", "0.9", "--kappa", "nan"],
+     "kappa must be nonnegative, got nan"),
+    (["--upper-bound", "--m", "3", "--beta", "0.9", "--kappa", "nan"],
+     "kappa must be nonnegative, got nan"),
+], ids=["box-kappa", "box-beta", "general-kappa", "upper-bound-kappa"])
+def test_mvn_rejects_nan_inputs(capsys, argv, message):
+    assert main(["mvn", *argv]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"domain error: {message}" in captured.err
+
+
+def test_main_parses_cleanly_after_usage_errors(tmp_path, capsys):
+    # main reuses one parser per process; a parse that failed part-way must
+    # leave nothing behind for the next call.
+    for argv in (["thresholds", "--alpha", "1.0", "--which", "f9"],
+                 ["count-tuples", "--n", "10", "--m", "4", "--beta", "0.6", "--eta", "0.2"],
+                 ["experiment", "stable-params", "--kappa", "0.01", "--seed", "1"]):
+        assert main(argv + ["--out-dir", str(tmp_path / "bad")]) == EXIT_USAGE
+    argv, want = GOLDEN_RUNS["count-tuples"]
+    assert main(argv + ["--out-dir", str(tmp_path / "good")]) == EXIT_OK
+    capsys.readouterr()
+    assert not (tmp_path / "bad").exists()
+    assert _digests(tmp_path / "good", None) == want
+    config = json.loads((tmp_path / "good" / "config.json").read_text())
+    assert config == {"command": "count-tuples", "version": marginlab.__version__, "parameters": {
+        "n": 10, "m": 2, "beta": 0.6, "eta": 0.2, "method": "exact",
+        "out_dir": str(tmp_path / "good")}}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
 from marginlab import mvn
@@ -20,6 +22,7 @@ from marginlab.mvn import (
     quadrant_probability,
     std_normal_cdf,
 )
+from marginlab.thresholds import scan_negativity
 
 # Regenerate with tests/oracles/box_probabilities.py (scipy dblquad/tplquad
 # on the explicit densities; independent of the one-factor quadrature).
@@ -86,22 +89,42 @@ def test_independence_factorization():
         assert res.method == "analytic"
 
 
+@functools.cache
+def _leggauss(order):
+    return leggauss(order)
+
+
 def _factor_integral_loop(m, beta, kappa, order):
-    # Reference for the batched kernel: one beta, one numpy reduction per
-    # panel, panel sums added in order.
+    # Full-line reference for the half-line kernel, independent of mvn:
+    # [-8, 8] cut at +-kappa/sqrt(beta) +- 10 sqrt(1-beta)/sqrt(beta), nodes
+    # lo + half*(x + 1), one numpy reduction per panel, sums in order.
     s = math.sqrt(beta)
     d = math.sqrt(2.0 * (1.0 - beta))
+    t0 = kappa / s
+    r = 10.0 * math.sqrt(1.0 - beta) / s
+    cuts = sorted({-8.0, 8.0} | {c for c in (-t0 - r, -t0 + r, t0 - r, t0 + r) if -8.0 < c < 8.0})
+    x, wx = _leggauss(order)
     total = 0.0
-    for lo, hi in mvn._factor_panels(beta, kappa):
-        w, wt = mvn._gl_nodes(order, lo, hi)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo <= 1e-12:
+            continue
+        half = 0.5 * (hi - lo)
+        w = lo + half * (x + 1.0)
         g = 0.5 * (erf((kappa - s * w) / d) - erf((-kappa - s * w) / d))
         phi = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * w * w)
-        total += float(np.sum(wt * phi * g**m))
+        total += float(np.sum(half * wx * phi * g**m))
     return total
 
 
-# 13 betas: more than one quadrature block and not a multiple of its size.
-BATCH_BETAS = [0.0, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.978, 0.99, 0.9954, 0.999, 0.999999]
+def _kernel(m, beta, kappa, order):
+    return float(mvn._factor_integrals(m, np.array([beta]), kappa, order)[0])
+
+
+# 14 betas: more than one quadrature block and not a multiple of its size;
+# the first block mixes betas with one (beta <= 0.5), two (0.6) and three
+# half-line panels.
+BATCH_BETAS = [0.0, 1e-6, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 0.95, 0.978, 0.99, 0.9954, 0.999,
+               0.999999]
 
 
 def test_batched_quadrature_equals_one_beta_loop():
@@ -110,9 +133,10 @@ def test_batched_quadrature_equals_one_beta_loop():
             batch = box_probabilities_equicorrelated(m, BATCH_BETAS, kappa)
             assert batch == [box_probability_equicorrelated(m, b, kappa) for b in BATCH_BETAS]
             for beta, res in zip(BATCH_BETAS[1:], batch[1:]):
-                coarse = _factor_integral_loop(m, beta, kappa, 201)
-                fine = _factor_integral_loop(m, beta, kappa, 402)
+                coarse, fine = _kernel(m, beta, kappa, 201), _kernel(m, beta, kappa, 402)
                 assert res == ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
+                assert abs(coarse - _factor_integral_loop(m, beta, kappa, 201)) <= 2e-15
+                assert abs(fine - _factor_integral_loop(m, beta, kappa, 402)) <= 2e-15
             assert batch[0].method == "analytic"
 
 
@@ -127,16 +151,26 @@ def test_refinement_applies_only_to_betas_that_need_it(monkeypatch):
             out[betas == 0.9] += 1e-6
         return out
 
-    monkeypatch.setattr(mvn, "_factor_integrals", coarse_off)
-    betas = [0.5, 0.9, 0.978]
-    got = box_probabilities_equicorrelated(3, betas, 1.0)
-    for beta, res in zip(betas, got):
-        coarse, fine, finer = (_factor_integral_loop(3, beta, 1.0, n) for n in (201, 402, 801))
+    expected = {}
+    for beta in (0.5, 0.9, 0.978):
+        coarse, fine, finer = (_kernel(3, beta, 1.0, n) for n in (201, 402, 801))
         if beta == 0.9:
-            want = ProbResult(finer, abs(finer - fine) + 1e-15, "factor_quadrature")
+            expected[beta] = ProbResult(finer, abs(finer - fine) + 1e-15, "factor_quadrature")
+            reference = _factor_integral_loop(3, beta, 1.0, 801)
         else:
-            want = ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
-        assert res == want
+            expected[beta] = ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
+            reference = _factor_integral_loop(3, beta, 1.0, 402)
+        assert abs(expected[beta].value - reference) <= 2e-15
+    monkeypatch.setattr(mvn, "_factor_integrals", coarse_off)
+    assert box_probabilities_equicorrelated(3, list(expected), 1.0) == list(expected.values())
+
+
+def test_default_scan_builds_only_the_rules_it_uses(monkeypatch):
+    # No default grid needs the 801-node refinement; building that rule anyway
+    # (an 801 x 801 companion matrix) raises the peak memory of every scan.
+    monkeypatch.setattr(mvn, "_GL_CACHE", {})
+    scan_negativity("f3", 1.667)
+    assert sorted(mvn._GL_CACHE) == [201, 402]
 
 
 def test_batch_validation_and_degenerate_cases():

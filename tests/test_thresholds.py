@@ -35,14 +35,14 @@ from marginlab.thresholds import (
 F1_CRITERION_GRID = dict(lo=1e-5, hi=0.1, step=1e-4)
 GOLDEN_SCAN_DIGESTS = [
     ("f1", 1.77, F1_CRITERION_GRID,
-     "cc4f1eb14ebf980c252d556c0edb805b8c410f143cf038bc8688d54eddf9a74c"),
+     "d7922b3f259d598693de1cf5507b2a998e7784e2e4ef0f16fd83f44ce9765e1a"),
     ("f1", 1.62, F1_CRITERION_GRID,
-     "1d2c751019c2fead256f654e6057541da1c31b7d83cdf4479e5631dde6f1fdb7"),
-    ("f2", 1.71, {}, "8c011243e33cbdff8e24984cb9136b5acd292e34f9bb99b858e9687b6c82addc"),
-    ("f2", 1.56, {}, "d157a358f64fe131907c85cbe0c93372c7881f5d50cf6d3d818f53d11d8f54f6"),
-    ("f3", 1.667, {}, "1cc70d7d483ec71a3a2a8970d2b738d7d880a3d1a62ae9a360d99e5c95cf2811"),
+     "9c9de25f2a461c0b58273528d3fdf461228348bf871c549992121721ca255645"),
+    ("f2", 1.71, {}, "324d2964adee4b9d667a6ea28a2de6805ec2710e9e1a3335e33e5cd03a93e4a3"),
+    ("f2", 1.56, {}, "9ab417d9d2b1464afa146df502e4ae7ed0d2572ed28cdc68d5fecc7c0f2e4bc6"),
+    ("f3", 1.667, {}, "fb4bbcf41f7b3a6a730af5e05fed5331d0ab4f6bf00de105bd8b264aab1fe2bb"),
     ("f3", 1.667 - 0.15, {},
-     "652a6094ea18c8e357aad344c1e501b935e9bbf2226fbda6f2b7c9a48a4209c9"),
+     "848313728c58d78ba8612a81d682b6d2b38e540ff24d6dd91c7afda44e2cf198"),
 ]
 
 
