@@ -8,10 +8,11 @@ the counter-based generator Philox:
     entry (r, c)  output c % 4 of Philox set to counter (c // 4, 0, r, 0)
 
 numpy increments the counter before each block, so the block holding entry
-(r, c) encrypts (c // 4 + 1, 0, r, 0).  Entry (r, c) is thus pure in
-(seed, stream, r, c): matrices of different shapes agree on their common
-entries, and a column window draws only its own blocks.  That purity makes
-coupled resampling and replica constructions reproducible without state.
+(r, c) encrypts (c // 4 + 1, 0, r, 0); one generator walks all rows, moved
+to row r + 1 by ``advance``.  Entry (r, c) is thus pure in (seed, stream,
+r, c): matrices of different shapes agree on their common entries, and a
+column window draws only its own blocks.  That purity makes coupled
+resampling and replica constructions reproducible without state.
 
     stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
     2t, 2t + 1            base and replica of experiment trial t
@@ -47,6 +48,7 @@ __all__ = [
 
 _DISTS = ("gaussian", "rademacher")
 _MASK64 = (1 << 64) - 1
+_DRAW_BLOCK = 1 << 15  # entries of one sampler chunk (256 KiB of raw draws)
 
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
 RESAMPLE_STREAM = 1 << 62
@@ -113,20 +115,24 @@ def philox_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed & _MASK64, stream], dtype=np.uint64)
 
 
-def _rows(key: np.ndarray, rows: int, c0: int, c1: int, dist: str) -> np.ndarray:
-    """Rows [0, rows) and columns [c0, c1) of a sample; no block left of c0 is drawn."""
-    skip = c0 % 4
-    out = np.empty((rows, c1 - c0), dtype=np.float64)
-    for r in range(rows):
-        bg = Philox(key=key, counter=np.array([c0 // 4, 0, r, 0], dtype=np.uint64))
-        raw = bg.random_raw(skip + c1 - c0)[skip:]
+def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
+    """Fill ``out`` with rows [0, len(out)), columns from c0 on; no block left of c0 is drawn."""
+    (rows, width), skip = out.shape, c0 % 4
+    bg = Philox(key=key, counter=np.array([c0 // 4, 0, 0, 0], dtype=np.uint64))
+    step = max(1, _DRAW_BLOCK // width)
+    raw = np.empty((min(step, rows), width), dtype=np.uint64)
+    for r0 in range(0, rows, step):
+        chunk, bits = out[r0:r0 + step], raw[:rows - r0]
+        for row in bits:
+            row[:] = bg.random_raw(skip + width)[skip:]
+            bg.advance((1 << 128) - (skip + width + 3) // 4)  # to row r + 1's first block
         if dist == "gaussian":
             # Top 53 bits give an exactly representable uniform in the open
             # interval; the offset keeps ndtri away from both endpoints.
-            out[r] = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+            chunk[:] = np.right_shift(bits, 11, out=bits)
+            ndtri(np.multiply(np.add(chunk, 0.5, out=chunk), 2.0**-53, out=chunk), out=chunk)
         else:
-            out[r] = 1.0 - 2.0 * (raw >> np.uint64(63)).astype(np.float64)
-    return out
+            chunk[:] = 1.0 - 2.0 * (bits >> np.uint64(63))
 
 
 def sample_disorder(
@@ -145,12 +151,13 @@ def sample_disorder(
         raise SizingError(f"need at least one column, got n={n}")
     if dist not in _DISTS:
         raise DomainError(f"unknown distribution {dist!r}")
-    if not (alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     m = _floor_count(alpha, n)
     if m < 1:
         raise SizingError(f"floor(alpha*n) = {m}, no rows to sample")
-    entries = _rows(philox_key(seed, stream), m, 0, n, dist)
+    entries = np.empty((m, n), dtype=np.float64)
+    _rows(philox_key(seed, stream), entries, 0, dist)
     return DisorderMatrix(
         rows=m, cols=n, entries=entries, dist=dist, seed=seed,
         alpha=alpha, stream=stream,
@@ -197,8 +204,7 @@ def resample_columns(
     if b < 1:
         raise SizingError(f"floor(delta*n) = {b}, nothing to resample")
     entries = mat.entries.copy()
-    entries[:, mat.cols - b:] = _rows(philox_key(seed, stream), mat.rows, mat.cols - b,
-                                      mat.cols, mat.dist)
+    _rows(philox_key(seed, stream), entries[:, mat.cols - b:], mat.cols - b, mat.dist)
     return DisorderMatrix(
         rows=mat.rows, cols=mat.cols, entries=entries, dist=mat.dist,
         seed=mat.seed, alpha=mat.alpha, stream=mat.stream,

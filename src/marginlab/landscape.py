@@ -116,6 +116,15 @@ def _masks_to_signs(masks: np.ndarray, n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 
+def _threshold(mat: DisorderMatrix, kappa: float, symmetric: bool) -> float:
+    # kappa*sqrt(n); every comparison with NaN fails, so NaN would accept nothing
+    if symmetric and not kappa >= 0.0:
+        raise DomainError(f"two-sided margin needs kappa >= 0, got {kappa}")
+    if math.isnan(kappa):
+        raise DomainError(f"one-sided margin needs a number kappa, got {kappa}")
+    return kappa * math.sqrt(mat.cols)
+
+
 def is_solution(
     mat: DisorderMatrix, sigma: SignVector, kappa: float, symmetric: bool = True
 ) -> bool:
@@ -127,10 +136,8 @@ def is_solution(
     """
     if sigma.n != mat.cols:
         raise SizingError(f"sign vector has {sigma.n} coordinates, matrix {mat.cols}")
-    if symmetric and kappa < 0.0:
-        raise DomainError(f"two-sided margin needs kappa >= 0, got {kappa}")
+    thr = _threshold(mat, kappa, symmetric)
     y = mat.entries @ sigma.signs().astype(np.float64)
-    thr = kappa * math.sqrt(mat.cols)
     if symmetric:
         return bool(np.max(np.abs(y)) <= thr)
     return bool(np.min(y) >= thr)
@@ -177,9 +184,7 @@ def _scan_masks(
     mat: DisorderMatrix, kappa: float, symmetric: bool, n_cap: int, first_only: bool = False
 ) -> list[int]:
     scan = _worst_margins(mat, symmetric, n_cap)
-    if symmetric and kappa < 0.0:
-        raise DomainError(f"two-sided margin needs kappa >= 0, got {kappa}")
-    thr = kappa * math.sqrt(mat.cols)
+    thr = _threshold(mat, kappa, symmetric)
     found: list[int] = []
     for base, worst in scan:
         idx = np.flatnonzero(worst <= thr if symmetric else worst >= thr)

@@ -10,8 +10,9 @@ rational arithmetic so the blocks always partition the n coordinates.
 
 The online family commits to one coordinate per column, seeing only the
 columns consumed so far; the two built-in step rules either minimize the
-worst running margin or a smooth exponential proxy for it.  Exhaustive search
-over the cube backs everything up at small n.
+worst running margin, costing run + col and run - col from one reused buffer,
+or a smooth exponential proxy for it, with sinh of every column tabled once.
+Exhaustive search over the cube backs everything up at small n.
 """
 
 from __future__ import annotations
@@ -262,31 +263,34 @@ def online_solve(
     window at margin kappa, and the optional per-step trace.
     """
     if strategy not in ONLINE_STRATEGIES:
-        raise DomainError(
-            f"unknown strategy {strategy!r}, expected one of {ONLINE_STRATEGIES}"
-        )
-    if kappa <= 0.0:
+        raise DomainError(f"unknown strategy {strategy!r}, expected one of {ONLINE_STRATEGIES}")
+    if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    entries = mat.entries
     n = mat.cols
-    run = np.zeros(mat.rows, dtype=np.float64)
-    signs = np.empty(n, dtype=np.int8)
+    cols = np.ascontiguousarray(mat.entries.T)  # column t as a contiguous row
     lam = kappa / (2.0 * math.sqrt(n))
+    if strategy == "exp_potential":
+        sinh_cols = lam * cols
+        np.sinh(sinh_cols, out=sinh_cols)
+    run = np.zeros(mat.rows, dtype=np.float64)
+    cand = np.empty((2, mat.rows), dtype=np.float64)  # run + col, run - col
+    signs = np.empty(n, dtype=np.int8)
     trace: list[StepRecord] | None = [] if collect_trace else None
     for t in range(n):
-        col = entries[:, t]
         if strategy == "greedy_minimax":
-            cost_plus = float(np.max(np.abs(run + col)))
-            cost_minus = float(np.max(np.abs(run - col)))
-            s = 1 if cost_plus <= cost_minus else -1
+            np.add(run, cols[t], out=cand[0])
+            np.subtract(run, cols[t], out=cand[1])
+            cost = np.abs(cand).max(axis=1)
+            k = 0 if cost[0] <= cost[1] else 1
+            run[:] = cand[k]
         else:
             # Phi(+1) - Phi(-1) = 2 sum sinh(lam*run) sinh(lam*col)
-            diff = float(np.dot(np.sinh(lam * run), np.sinh(lam * col)))
-            s = 1 if diff <= 0.0 else -1
-        run += s * col
-        signs[t] = s
+            k = 0 if np.dot(np.sinh(lam * run), sinh_cols[t]) <= 0.0 else 1
+            (np.subtract if k else np.add)(run, cols[t], out=run)
+        signs[t] = s = 1 - 2 * k
         if trace is not None:
-            trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(np.max(np.abs(run)))))
+            worst = cost[k] if strategy == "greedy_minimax" else np.abs(run).max()
+            trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(worst)))
     feasible = bool(np.max(np.abs(run)) <= kappa * math.sqrt(n))
     return SignVector.from_signs(signs), feasible, trace
 

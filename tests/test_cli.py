@@ -518,3 +518,29 @@ def test_main_parses_cleanly_after_usage_errors(tmp_path, capsys):
     assert config == {"command": "count-tuples", "version": marginlab.__version__, "parameters": {
         "n": 10, "m": 2, "beta": 0.6, "eta": 0.2, "method": "exact",
         "out_dir": str(tmp_path / "good")}}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--algo", "online-greedy", "--n", "40", "--alpha", "0.25", "--kappa", "nan"],
+     "kappa must be positive, got nan"),
+    (["solve", "--algo", "online-exp", "--n", "40", "--alpha", "0.25", "--kappa", "nan"],
+     "kappa must be positive, got nan"),
+    (["solve", "--algo", "exhaustive", "--n", "12", "--alpha", "0.25", "--kappa", "nan"],
+     "two-sided margin needs kappa >= 0, got nan"),
+    (["solve", "--algo", "exhaustive", "--n", "12", "--alpha", "0.25", "--kappa", "nan",
+      "--asymmetric"], "one-sided margin needs a number kappa, got nan"),
+    (["experiment", "two-stage", "--n", "40", "--alpha", "0.25", "--trials", "2",
+      "--kappa", "nan"], "kappa must be positive, got nan"),
+    (["experiment", "census", "--n", "10", "--alpha", "0.2", "--trials", "2",
+      "--kappa", "nan"], "two-sided margin needs kappa >= 0, got nan"),
+    (["solve", "--algo", "majority", "--n", "20", "--alpha", "inf"],
+     "alpha must be positive and finite, got inf"),
+    (["solve", "--algo", "majority", "--n", "20", "--alpha", "nan"],
+     "alpha must be positive and finite, got nan"),
+], ids=["online-greedy-kappa-nan", "online-exp-kappa-nan", "exhaustive-kappa-nan",
+        "exhaustive-one-sided-kappa-nan", "two-stage-kappa-nan", "census-kappa-nan",
+        "solve-alpha-inf", "solve-alpha-nan"])
+def test_solvers_reject_non_finite_margins_and_alpha(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_DOMAIN
+    assert f"domain error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

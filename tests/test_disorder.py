@@ -81,6 +81,41 @@ def test_sample_and_resample_golden_digest(seed, stream, n, alpha, dist, sample_
     assert (_sha256(mat), _sha256(resampled)) == (sample_sha, resample_sha)
 
 
+# SHA-256 of samples at shapes the digests above miss: many rows per sampler
+# chunk, several chunks per sample, rows wider than a chunk.
+WIDE_SAMPLE_DIGESTS = [
+    (11, 7, 1000, 0.25, "gaussian",
+     "33b28dd0920baa463fb53609f20589b8aec631b34c78411f97f07ef302c4dad0"),
+    (-5, RESAMPLE_STREAM + 3, 10_000, 0.01, "gaussian",
+     "73e8148c0791a4bf39eda45f92431383e48441c40488d8b4ca44da33ea781cfd"),
+    (2, 9, 70_001, 3 / 70_001 + 1e-12, "rademacher",
+     "1b57c09fc3f25aff2bff251fbb2754837d0ce88d25483bd138b6b2853d11a471"),
+]
+
+
+@pytest.mark.parametrize("seed,stream,n,alpha,dist,sha", WIDE_SAMPLE_DIGESTS)
+def test_wide_sample_golden_digest(seed, stream, n, alpha, dist, sha):
+    assert _sha256(sample_disorder(n, alpha, dist, seed, stream)) == sha
+
+
+# SHA-256 of a 30 x 100 sample with its last 15, 14 or 13 columns redrawn, so
+# the fresh window starts at c0 = 85, 86, 87: lanes 1, 2, 3 of a Philox block.
+WINDOW_DIGESTS = [
+    ("gaussian", 0.15, "3c4dd1140b85c53fe594aa687994711569e7f4508af0bbe9d5ad0b3c89ee57e2"),
+    ("gaussian", 0.14, "34fa9e37ae1695771de6f5cfb861385d49ce4a2a8212ca454aa49949782ef33e"),
+    ("gaussian", 0.13, "eeb5166a1d83a8e51f929e2b5500633b05c7407e1f4630acd40b1e54a247a773"),
+    ("rademacher", 0.15, "2f60b49c15fd4668391ec9c6791abe8fadbcf4152e6e32cfcc4414b24f17cdbb"),
+    ("rademacher", 0.14, "9f363572152e94cb4af808bb7a5e948d44cd2883d44a4cf7c2d9a940a4a56b89"),
+    ("rademacher", 0.13, "04b0006be33d51c9874e703b1178e6615eda4cdab14d41ebaecb785b87298bcf"),
+]
+
+
+@pytest.mark.parametrize("dist,delta,sha", WINDOW_DIGESTS)
+def test_unaligned_resample_window_golden_digest(dist, delta, sha):
+    base = sample_disorder(100, 0.3, dist, 4, 1)
+    assert _sha256(resample_columns(base, delta, 4, stream=6)) == sha
+
+
 @pytest.mark.parametrize("seed,stream", [
     (1 << 63, 0), ((1 << 64) - 3, 0), (-(1 << 63) - 1, 0), (0, -1), (0, 1 << 64),
 ])
@@ -239,3 +274,9 @@ def test_property_resample_block_size(delta, n):
     b = int(math.floor(delta * n + 1e-9))
     keep = n - b
     assert np.array_equal(out.entries[:, :keep], mat.entries[:, :keep])
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(DomainError, match="alpha must be positive and finite"):
+        sample_disorder(20, alpha)

@@ -149,6 +149,22 @@ def test_cap_is_checked_before_the_margin():
         enumerate_solutions(mat, -1.0)
 
 
+
+@pytest.mark.parametrize("symmetric,message", [
+    (True, "two-sided margin needs kappa >= 0, got nan"),
+    (False, "one-sided margin needs a number kappa, got nan"),
+])
+def test_nan_margin_rejected_in_both_windows(symmetric, message):
+    # NaN fails every comparison, so an unchecked threshold accepts nothing.
+    mat = sample_disorder(10, 0.5, seed=0)
+    sv = SignVector(10, 0)
+    with pytest.raises(DomainError, match=message):
+        is_solution(mat, sv, math.nan, symmetric)
+    with pytest.raises(DomainError, match=message):
+        enumerate_solutions(mat, math.nan, symmetric)
+    with pytest.raises(DomainError, match=message):
+        exhaustive_solve(mat, math.nan, symmetric)
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +168,48 @@ def test_online_feasibility_flag_matches_margins():
             )
 
 
+def _online_sha256(strategy, collect_trace):
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        mat = sample_disorder(1000, 0.25, seed=seed)
+        sv, feasible, trace = online_solve(mat, 1.0, strategy, collect_trace=collect_trace)
+        h.update(sv.signs().tobytes())
+        h.update(bytes([feasible]))
+        for r in trace or ():
+            h.update(struct.pack("<qbd", r.step, r.sign, r.max_abs_margin))
+    return h.hexdigest()
+
+
+# SHA-256 of the sign bytes, the feasibility flag and the packed trace records
+# (step, sign, max_abs_margin) of seeds 0-2 at n = 1000, alpha = 0.25, kappa = 1.
+ONLINE_DIGESTS = [
+    ("greedy_minimax", False, "c7f8729d6dfa94293b1aed792e7493cfd6de7a6d9ec34bcc4d5e5f83800e543e"),
+    ("greedy_minimax", True, "fc99169e725dfef45516f6babe8e6d4ec1fa4d4bc9a01d418e6239f99163b7d8"),
+    ("exp_potential", False, "a0f908de4f4df233b3c85af95801706a4d62dac7ab4bbff4979656eedad11dcb"),
+    ("exp_potential", True, "d1e8dcae7e40269d226cfbc92a4d8787ccce06d36f83f29013398652c5a4ef0e"),
+]
+
+
+@pytest.mark.parametrize("strategy,collect_trace,sha", ONLINE_DIGESTS)
+def test_online_golden_digest(strategy, collect_trace, sha):
+    assert _online_sha256(strategy, collect_trace) == sha
+
+
+@pytest.mark.parametrize("n,alpha", [(200, 0.3), (1000, 0.25), (3000, 0.1)])
+def test_online_trace_keeps_the_solution_and_recounts_margins(n, alpha):
+    # The traced run must not change the output, and each step's record must
+    # match the running margins recomputed from the final sign vector.
+    for strategy in ONLINE_STRATEGIES:
+        for seed in range(5):
+            mat = sample_disorder(n, alpha, seed=seed)
+            sv, feasible, trace = online_solve(mat, 1.0, strategy, collect_trace=True)
+            assert online_solve(mat, 1.0, strategy) == (sv, feasible, None)
+            signs = sv.signs()
+            run = np.cumsum(mat.entries * signs, axis=1)
+            assert [(r.step, r.sign) for r in trace] == list(enumerate(signs.tolist()))
+            assert [r.max_abs_margin for r in trace] == np.abs(run).max(axis=0).tolist()
+
+
 def test_online_is_prefix_measurable():
     # at a fixed horizon, each decision depends only on columns seen so far:
     # resampling a suffix cannot change the preceding outputs
@@ -195,6 +239,9 @@ def test_online_rejects_bad_kappa():
     mat = sample_disorder(50, 0.2, seed=0)
     with pytest.raises(DomainError):
         online_solve(mat, 0.0, "greedy_minimax")
+    for strategy in ONLINE_STRATEGIES:
+        with pytest.raises(DomainError, match="kappa must be positive, got nan"):
+            online_solve(mat, math.nan, strategy)
     with pytest.raises(DomainError):
         online_solve(mat, 1.0, "nonsense")
 
