@@ -55,6 +55,7 @@ from .mvn import (
     std_normal_cdf,
 )
 from .solvers import (
+    ONLINE_STRATEGIES,
     exhaustive_solve,
     kim_roche_schedule,
     kim_roche_solve,
@@ -62,6 +63,7 @@ from .solvers import (
     online_solve,
 )
 from .experiments import (
+    TRAJECTORY_SOLVERS,
     kim_roche_stability_trial,
     majority_stability_trial,
     online_failure_census,
@@ -353,9 +355,8 @@ _EXPERIMENT_FLAGS = {
     "trials": {"type": int, "default": 50},
     "seed": {"type": int, "default": 0},
     "threshold": {"type": float, "default": 0.05},
-    "solver": {"choices": ["majority", "kim_roche", "online_greedy", "online_exp"],
-               "default": "majority"},
-    "strategy": {"choices": ["greedy_minimax", "exp_potential"], "default": "greedy_minimax"},
+    "solver": {"choices": TRAJECTORY_SOLVERS, "default": "majority"},
+    "strategy": {"choices": ONLINE_STRATEGIES, "default": "greedy_minimax"},
     "replicas": {"type": int, "default": 3},
     "q_steps": {"type": int, "default": 4},
     "sizes": {"default": "100,400,1600"},

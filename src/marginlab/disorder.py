@@ -64,6 +64,13 @@ def _floor_count(x: float, n: int) -> int:
     return int(math.floor(x * n + 1e-9))
 
 
+def _resampled_columns(delta: float, n: int) -> int:
+    """floor(delta*n), the columns ``resample_columns`` redraws, for delta in (0, 1/2)."""
+    if not (0.0 < delta < 0.5):
+        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
+    return _floor_count(delta, n)
+
+
 @dataclass(frozen=True)
 class DisorderMatrix:
     """An M x n constraint matrix together with its sampling provenance.
@@ -198,9 +205,7 @@ def resample_columns(
     counters as an ordinary sample, so fresh entry (r, c) is pure in
     (seed, stream, r, c) and independent of the original matrix.
     """
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
-    b = _floor_count(delta, mat.cols)
+    b = _resampled_columns(delta, mat.cols)
     if b < 1:
         raise SizingError(f"floor(delta*n) = {b}, nothing to resample")
     entries = mat.entries.copy()

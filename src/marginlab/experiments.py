@@ -1,11 +1,13 @@
 """Randomized experiments probing solver stability and disorder universality.
 
-Each experiment couples instances through the counter-based sampler: trial t
-draws its base from stream 2t and its replica (or resampled block) from an
-independent stream, so runs are reproducible from (experiment, seed) alone
-and trials are independent.  Summaries carry per-trial statistics plus a
-standard error; binomial fractions also get a Wilson interval, which stays
-honest at the extremes where the normal approximation collapses.
+The four coupled experiments (majority and Kim-Roche stability under
+rotation, the census and the online two-stage trial under column
+resampling) draw trial t through one runner, ``_coupled_solutions``: the
+base on stream 2t, rotated toward a replica on stream 2t + 1 or resampled on
+stream RESAMPLE_STREAM + t.  Trial t is thus pure in (seed, t), and trials
+are independent.  Summaries carry per-trial statistics plus a standard
+error; binomial fractions also get a Wilson interval, which stays honest at
+the extremes where the normal approximation collapses.
 
 The universality experiment deliberately bypasses the matrix type and draws
 its disorder in bulk with coupled uniforms: the gaussian and sign samples
@@ -15,7 +17,10 @@ of the Monte Carlo noise from their probability gap.
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,7 @@ from scipy.special import ndtri
 from .disorder import (
     DisorderMatrix,
     RESAMPLE_STREAM,
+    _resampled_columns,
     interpolate,
     philox_key,
     resample_columns,
@@ -32,7 +38,7 @@ from .disorder import (
     uniform_tau_grid,
 )
 from .errors import DomainError, SizingError
-from .landscape import SignVector, _scan_masks, hamming, is_solution, overlap
+from .landscape import _scan_masks, hamming, is_solution
 from .solvers import (
     KimRocheSchedule,
     kim_roche_schedule,
@@ -92,6 +98,40 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _binomial_fields(successes: int, trials: int) -> dict:
+    """The successes, fraction and Wilson fields of a binomial result."""
+    lo, hi = wilson_interval(successes, trials)
+    return {"successes": successes, "fraction": successes / trials,
+            "wilson_lo": lo, "wilson_hi": hi}
+
+
+def _coupled_solutions(
+    n: int,
+    alpha: float,
+    trials: int,
+    seed: int,
+    solve: Callable,
+    tau: float | None = None,
+    delta: float | None = None,
+    min_trials: int = 1,
+) -> Iterator[tuple]:
+    """Yield (solve(base), solve(partner)) for each trial.
+
+    The partner is the base rotated by ``tau`` or, given ``delta``, the base
+    with its last columns resampled; the module docstring gives the streams.
+    """
+    if trials < min_trials:
+        raise SizingError(f"need at least {min_trials} trial(s), got {trials}")
+    for t in range(trials):
+        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
+        if delta is None:
+            replica = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t + 1)
+            partner = interpolate(base, replica, tau)
+        else:
+            partner = resample_columns(base, delta, seed, stream=RESAMPLE_STREAM + t)
+        yield solve(base), solve(partner)
+
+
 def expected_majority_flip_probability(tau: float) -> float:
     """Per-coordinate flip rate of the one-shot majority under a rotation by tau.
 
@@ -114,21 +154,15 @@ def majority_stability_trial(
 ) -> TrialSummary:
     """Hamming distance between majority outputs of a base and its rotation.
 
-    Trial t solves the base (stream 2t) and the base rotated by tau toward an
-    independent replica (stream 2t+1).  Each coordinate flips independently
-    with probability tau/pi, so the distance is Binomial(n, tau/pi) exactly.
+    Trial t solves the base and its rotation by tau toward an independent
+    replica.  Each coordinate flips independently with probability tau/pi,
+    so the distance is Binomial(n, tau/pi) exactly.
     """
-    if trials < 2:
-        raise SizingError(f"need at least 2 trials, got {trials}")
     if k_rows < 1:
         raise SizingError(f"need at least one voting row, got {k_rows}")
     alpha = k_rows / n
-    dists = []
-    for t in range(trials):
-        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
-        repl = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t + 1)
-        twisted = interpolate(base, repl, tau)
-        dists.append(float(hamming(majority_solve(base), majority_solve(twisted))))
+    pairs = _coupled_solutions(n, alpha, trials, seed, majority_solve, tau=tau, min_trials=2)
+    dists = [float(hamming(a, b)) for a, b in pairs]
     arr = np.array(dists)
     return TrialSummary(
         experiment="majority_stability",
@@ -177,44 +211,30 @@ def kim_roche_stability_trial(
 ) -> KimRocheStabilityResult:
     """Run the multi-stage solver on coupled instances and compare traces.
 
-    Trial t solves the base (stream 2t) and the base rotated by tau toward an
-    independent replica (stream 2t+1).  Round 0 assigns its n_blocks[0]
-    coordinates by full-row majority, so each of them flips with probability
-    exactly tau/pi (see ``expected_majority_flip_probability``), whatever
-    the number of rows.  Only the later blocks, n - n_blocks[0] coordinates
-    voted on by selected rows, can add disagreement beyond that.
+    Trial t solves the base and its rotation by tau toward an independent
+    replica.  Round 0 assigns its n_blocks[0] coordinates by full-row
+    majority, so each of them flips with probability exactly tau/pi (see
+    ``expected_majority_flip_probability``), whatever the number of rows.
+    Only the later blocks, n - n_blocks[0] coordinates voted on by selected
+    rows, can add disagreement beyond that.
     """
-    if trials < 1:
-        raise SizingError(f"need at least one trial, got {trials}")
+    if not 0.0 <= threshold < math.inf:
+        raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
     sched = schedule if schedule is not None else kim_roche_schedule(n)
+    solve = functools.partial(kim_roche_solve, schedule=sched, collect_trace=True)
     finals: list[int] = []
     per_round: list[tuple[int, ...]] = []
     agreements: list[tuple[float, ...]] = []
-    for t in range(trials):
-        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
-        repl = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t + 1)
-        twisted = interpolate(base, repl, tau)
-        sv_a, tr_a = kim_roche_solve(base, sched, collect_trace=True)
-        sv_b, tr_b = kim_roche_solve(twisted, sched, collect_trace=True)
+    for (sv_a, tr_a), (sv_b, tr_b) in _coupled_solutions(n, alpha, trials, seed, solve, tau=tau):
         finals.append(hamming(sv_a, sv_b))
-        sig_a = sv_a.signs()
-        sig_b = sv_b.signs()
-        cums = []
-        for rec in tr_a:
-            stop = rec.block_start + rec.block_size
-            cums.append(int(np.count_nonzero(sig_a[:stop] != sig_b[:stop])))
-        per_round.append(tuple(cums))
-        ag = []
-        for ra, rb in zip(tr_a, tr_b):
-            if ra.selected_rows is None:
-                continue
-            shared = len(set(ra.selected_rows) & set(rb.selected_rows))
-            ag.append(shared / len(ra.selected_rows))
-        agreements.append(tuple(ag))
-    ratios = sorted(d / n for d in finals)
-    mid = len(ratios) // 2
-    median = ratios[mid] if len(ratios) % 2 else 0.5 * (ratios[mid - 1] + ratios[mid])
-    below = sum(1 for d in finals if d <= threshold * n) / trials
+        # flips[i]: disagreements among the first i + 1 coordinates
+        flips = np.cumsum(sv_a.signs() != sv_b.signs())
+        per_round.append(tuple(int(flips[r.block_start + r.block_size - 1]) for r in tr_a))
+        agreements.append(tuple(
+            len(set(ra.selected_rows) & set(rb.selected_rows)) / len(ra.selected_rows)
+            for ra, rb in zip(tr_a, tr_b)
+            if ra.selected_rows is not None
+        ))
     return KimRocheStabilityResult(
         n=n,
         alpha=alpha,
@@ -225,8 +245,8 @@ def kim_roche_stability_trial(
         final_distances=tuple(finals),
         round_disagreements=tuple(per_round),
         vote_set_agreements=tuple(agreements),
-        median_final_ratio=median,
-        fraction_below=below,
+        median_final_ratio=statistics.median(d / n for d in finals),
+        fraction_below=sum(d <= threshold * n for d in finals) / trials,
     )
 
 
@@ -284,23 +304,17 @@ def overlap_trajectory(
         sched = kim_roche_schedule(n)
     solve = _trajectory_solver(solver, kappa, sched)
     ensemble = sample_ensemble(n, alpha, n_replicas, uniform_tau_grid(q_steps), seed)
-    outputs: list[list[SignVector]] = []
+    signs = np.empty((n_replicas, q_steps + 1, n), dtype=np.int8)
     feasible = np.zeros((n_replicas, q_steps + 1), dtype=bool)
     for i in range(n_replicas):
-        row = []
         for k in range(q_steps + 1):
             inst = ensemble.instance(i, k)
             sv = solve(inst)
-            row.append(sv)
+            signs[i, k] = sv.signs()
             feasible[i, k] = is_solution(inst, sv, kappa, symmetric=True)
-        outputs.append(row)
-    values = np.ones((n_replicas, n_replicas, q_steps + 1), dtype=np.float64)
-    for i in range(n_replicas):
-        for j in range(n_replicas):
-            if i == j:
-                continue
-            for k in range(q_steps + 1):
-                values[i, j, k] = overlap(outputs[i][k], outputs[j][k])
+    # mismatches[i, j, k]: coordinates where replicas i and j disagree at angle k
+    mismatches = np.count_nonzero(signs[:, None] != signs[None, :], axis=-1)
+    values = 1.0 - 2.0 * mismatches / n  # ``overlap`` of each pair, term for term
     return OverlapTrajectory(
         solver=solver,
         n=n,
@@ -352,23 +366,12 @@ def online_failure_census(
     """
     if n > n_cap:
         raise SizingError(f"census enumerates 2^n cube twice; needs n <= {n_cap}")
-    if trials < 1:
-        raise SizingError(f"need at least one trial, got {trials}")
-    d_max = int(math.floor(delta * n + 1e-9))
+    d_max = _resampled_columns(delta, n)
+    scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True, n_cap=n_cap)
     hits = []
-    for t in range(trials):
-        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
-        resampled = resample_columns(base, delta, seed, stream=RESAMPLE_STREAM + t)
-        a = np.array(_scan_masks(base, kappa, True, n_cap), dtype=np.uint64)
-        b = np.array(_scan_masks(resampled, kappa, True, n_cap), dtype=np.uint64)
-        found = False
-        for mask in a:
-            if b.size and int(np.min(np.bitwise_count(b ^ mask))) <= d_max:
-                found = True
-                break
-        hits.append(found)
-    successes = sum(hits)
-    lo, hi = wilson_interval(successes, trials)
+    for a, b in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
+        b = np.array(b, dtype=np.uint64)
+        hits.append(b.size > 0 and any(np.bitwise_count(b ^ m).min() <= d_max for m in a))
     return CensusResult(
         n=n,
         alpha=alpha,
@@ -376,11 +379,8 @@ def online_failure_census(
         kappa=kappa,
         trials=trials,
         seed=seed,
-        successes=successes,
-        fraction=successes / trials,
-        wilson_lo=lo,
-        wilson_hi=hi,
         per_trial=tuple(hits),
+        **_binomial_fields(sum(hits), trials),
     )
 
 
@@ -416,29 +416,20 @@ def online_two_stage_trial(
     kappa: float = 1.0,
 ) -> TwoStageResult:
     """Estimate how often an online rule lands in the in-band pair set."""
-    if trials < 1:
-        raise SizingError(f"need at least one trial, got {trials}")
-    b = int(math.floor(delta * n + 1e-9))
+    b = _resampled_columns(delta, n)
     if b < 1:
         raise SizingError(f"floor(delta*n) = {b}, nothing resampled")
-    prefix = n - b
-    d_max = b
+    solve = functools.partial(online_solve, kappa=kappa, strategy=strategy)
+    pairs = _coupled_solutions(n, alpha, trials, seed, solve, delta=delta)
     successes = 0
-    for t in range(trials):
-        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
-        resampled = resample_columns(base, delta, seed, stream=RESAMPLE_STREAM + t)
-        sv_a, ok_a, _ = online_solve(base, kappa, strategy)
-        sv_b, ok_b, _ = online_solve(resampled, kappa, strategy)
-        sig_a = sv_a.signs()
-        sig_b = sv_b.signs()
-        if not np.array_equal(sig_a[:prefix], sig_b[:prefix]):
+    for t, ((sv_a, ok_a, _), (sv_b, ok_b, _)) in enumerate(pairs):
+        if not np.array_equal(sv_a.signs()[:n - b], sv_b.signs()[:n - b]):
             raise AssertionError(
                 f"online prefix property violated at trial {t}: decisions on a "
                 "shared column prefix must agree"
             )
-        if ok_a and ok_b and hamming(sv_a, sv_b) <= d_max:
+        if ok_a and ok_b and hamming(sv_a, sv_b) <= b:
             successes += 1
-    lo, hi = wilson_interval(successes, trials)
     return TwoStageResult(
         n=n,
         alpha=alpha,
@@ -447,10 +438,7 @@ def online_two_stage_trial(
         strategy=strategy,
         trials=trials,
         seed=seed,
-        successes=successes,
-        fraction=successes / trials,
-        wilson_lo=lo,
-        wilson_hi=hi,
+        **_binomial_fields(successes, trials),
     )
 
 
@@ -527,8 +515,10 @@ def universality_gap(
     difference with its own standard error.  The central limit theorem makes
     the gap shrink like n^(-1/2) with a Berry-Esseen constant.
     """
-    if kappa <= 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
+    if beta is not None and not -1.0 <= beta <= 1.0:
+        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
     if trials < 100:
         raise DomainError(f"trials too few for a gap estimate: {trials}")
     if any(n < 1 for n in n_list):
@@ -540,27 +530,20 @@ def universality_gap(
         rng = np.random.Generator(
             np.random.Philox(key=philox_key(seed, n))
         )
-        remaining = trials
-        count_g = 0
-        count_r = 0
-        diff_sum = 0.0
-        diff_sq = 0.0
+        count_g = count_r = n_split = 0  # trials passing each law, and either law alone
         chunk_rows = max(1, min(trials, (1 << 22) // max(n, 1)))
-        while remaining > 0:
-            c = min(remaining, chunk_rows)
-            u = rng.random((c, n))
+        for c0 in range(0, trials, chunk_rows):
+            u = rng.random((min(chunk_rows, trials - c0), n))
             xg = ndtri(u)
             xr = np.where(u < 0.5, -1.0, 1.0)
             ok_g = np.all(np.abs(xg @ sigs.T) <= thr, axis=1)
             ok_r = np.all(np.abs(xr @ sigs.T) <= thr, axis=1)
             count_g += int(np.count_nonzero(ok_g))
             count_r += int(np.count_nonzero(ok_r))
-            d = ok_g.astype(np.float64) - ok_r.astype(np.float64)
-            diff_sum += float(d.sum())
-            diff_sq += float((d * d).sum())
-            remaining -= c
-        mean_d = diff_sum / trials
-        var_d = max(diff_sq / trials - mean_d * mean_d, 0.0)
+            n_split += int(np.count_nonzero(ok_g != ok_r))
+        # the paired difference ok_g - ok_r is +-1 on split trials, else 0
+        mean_d = (count_g - count_r) / trials
+        var_d = max(n_split / trials - mean_d * mean_d, 0.0)
         rows.append(
             UniversalityRow(
                 n=n,
@@ -642,7 +625,7 @@ def stable_replica_parameters(
     sensitivity: float,
 ) -> StableReplicaParameters:
     """Evaluate the replicated-stability parameter formulas."""
-    if kappa <= 0.0 or alpha <= 0.0 or eta <= 0.0 or sensitivity <= 0.0:
+    if not all(0.0 < x < math.inf for x in (kappa, alpha, eta, sensitivity)):
         raise DomainError("kappa, alpha, eta, and sensitivity must all be positive")
     if m < 2:
         raise DomainError(f"tuple size must be at least 2, got {m}")

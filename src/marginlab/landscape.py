@@ -118,7 +118,7 @@ def _masks_to_signs(masks: np.ndarray, n: int) -> np.ndarray:
 
 def _threshold(mat: DisorderMatrix, kappa: float, symmetric: bool) -> float:
     # kappa*sqrt(n); every comparison with NaN fails, so NaN would accept nothing
-    if symmetric and not kappa >= 0.0:
+    if symmetric and not 0.0 <= kappa < math.inf:
         raise DomainError(f"two-sided margin needs kappa >= 0, got {kappa}")
     if math.isnan(kappa):
         raise DomainError(f"one-sided margin needs a number kappa, got {kappa}")
@@ -279,7 +279,7 @@ class TupleQuery:
             raise DomainError(
                 f"need 0 < eta < beta <= 1, got beta={self.beta}, eta={self.eta}"
             )
-        if self.kappa <= 0.0:
+        if not 0.0 < self.kappa < math.inf:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if not self.tau_set:
             raise DomainError("tau_set must be nonempty")

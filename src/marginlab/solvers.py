@@ -264,7 +264,7 @@ def online_solve(
     """
     if strategy not in ONLINE_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}, expected one of {ONLINE_STRATEGIES}")
-    if not kappa > 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
     n = mat.cols
     cols = np.ascontiguousarray(mat.entries.T)  # column t as a contiguous row

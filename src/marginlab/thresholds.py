@@ -74,7 +74,7 @@ def alpha_c(kappa: float) -> float:
     each of the floor(alpha*n) constraints is satisfied with probability
     P(|Z| <= kappa), so the expected count is 2^{n (1 + alpha log2 P)}.
     """
-    if kappa <= 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
     p = _margin_prob(kappa)
     if p >= 1.0:
@@ -328,7 +328,7 @@ def upsilon(beta: float, alpha: float, kappa: float) -> float:
     """
     if not (0.0 <= beta < 1.0):
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    if kappa <= 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
     return (
         binary_entropy((1.0 - beta) / 2.0)
@@ -368,7 +368,7 @@ def psi_free_energy(c: float, beta: float, m: int, alpha: float, kappa: float) -
         raise DomainError(f"m must be at least 1, got {m}")
     if not (0.0 <= beta < 1.0):
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    if kappa <= 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
     counting = 1.0 + c * m + m * binary_entropy((1.0 - beta) / 2.0)
     prob = (
@@ -423,7 +423,7 @@ def chaos_exponent(kappa: float, alpha: float, m: int) -> float:
     values rule out pairs of solutions of slightly decorrelated instances
     that stay at high overlap.  Requires 5 kappa^2 / 2 < 1.
     """
-    if kappa <= 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
@@ -456,7 +456,7 @@ class NecessityRow:
 
 def necessity_terms(kappa: float, c: float) -> NecessityRow:
     """Exact implied density for one value of the overlap-scale constant C."""
-    if kappa <= 0.0:
+    if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if c < 1.0:
         raise DomainError(f"C must be at least 1, got {c}")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import marginlab
+from marginlab import cli
 from marginlab.cli import (
     EXIT_CAP,
     EXIT_DOMAIN,
@@ -543,4 +544,33 @@ def test_main_parses_cleanly_after_usage_errors(tmp_path, capsys):
 def test_solvers_reject_non_finite_margins_and_alpha(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_DOMAIN
     assert f"domain error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Small valid values of every flag an experiment reads, so each non-finite
+# case below fails on its own flag.
+SMALL_EXPERIMENT_ARGS = {
+    "majority-stability": ["--n", "60", "--k-rows", "3", "--trials", "2"],
+    "kim-roche-stability": ["--n", "200", "--alpha", "0.02", "--trials", "1"],
+    "trajectory": ["--n", "60", "--alpha", "0.1", "--replicas", "2", "--q-steps", "1"],
+    "census": ["--n", "10", "--alpha", "0.2", "--trials", "1"],
+    "two-stage": ["--n", "40", "--alpha", "0.25", "--trials", "1"],
+    "universality": ["--sizes", "10", "--trials", "100"],
+    "stable-params": ["--m", "2"],
+}
+NON_FINITE_FLAGS = [
+    (name, flag, value)
+    for name, (_, flags) in cli.EXPERIMENTS.items()
+    for flag in flags.split() if cli._EXPERIMENT_FLAGS[flag].get("type") is float
+    for value in ("nan", "inf", "-inf")
+]
+
+
+@pytest.mark.parametrize("name,flag,value", NON_FINITE_FLAGS,
+                         ids=[f"{n}-{f}-{v}" for n, f, v in NON_FINITE_FLAGS])
+def test_experiments_reject_non_finite_flags(tmp_path, capsys, name, flag, value):
+    argv = ["experiment", name, *SMALL_EXPERIMENT_ARGS[name],
+            f"--{flag.replace('_', '-')}={value}", "--out-dir", str(tmp_path)]
+    assert main(argv) in (EXIT_USAGE, EXIT_DOMAIN)
+    assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

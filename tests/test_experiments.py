@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from marginlab import experiments
+from marginlab.disorder import interpolate, sample_disorder
 from marginlab.errors import DomainError, SizingError
 from marginlab.experiments import (
     expected_majority_flip_probability,
@@ -15,6 +17,8 @@ from marginlab.experiments import (
     universality_gap,
     wilson_interval,
 )
+from marginlab.landscape import hamming
+from marginlab.solvers import majority_solve
 
 
 def test_wilson_interval_basics():
@@ -184,3 +188,57 @@ def test_stable_replica_parameter_arithmetic():
     assert tighter.q_steps == pytest.approx(2.0 * p.q_steps, rel=1e-12)
     loose = stable_replica_parameters(0.001, 0.001, 2, 1e-5, 1.0)
     assert not loose.eta_compatible  # eta above kappa^2 breaks the scheme
+
+
+def _record_calls(monkeypatch, name):
+    # Spy on a solver as the experiments module calls it; each call's output
+    # is one per-trial record.
+    real = getattr(experiments, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(experiments, name, spy)
+    return calls
+
+
+def _per_trial_records(run, trials):
+    if run == "majority":
+        return majority_stability_trial(300, 6, 0.4, trials, seed=9).per_trial
+    if run == "kim_roche":
+        res = kim_roche_stability_trial(2000, 0.01, 0.3, trials, seed=9)
+        return tuple(zip(res.final_distances, res.round_disagreements,
+                         res.vote_set_agreements))
+    if run == "census":
+        return online_failure_census(12, 0.5, 0.25, trials, seed=9, kappa=0.35).per_trial
+    raise AssertionError(run)
+
+
+@pytest.mark.parametrize("run", ["majority", "kim_roche", "census"])
+def test_each_trial_is_pure_in_seed_and_index(run):
+    assert _per_trial_records(run, 3) == _per_trial_records(run, 5)[:3]
+
+
+def test_two_stage_trial_is_pure_in_seed_and_index(monkeypatch):
+    # The result keeps only a success count, so the records are the two
+    # online runs of each trial.
+    calls = _record_calls(monkeypatch, "online_solve")
+    records = []
+    for trials in (3, 5):
+        calls.clear()
+        online_two_stage_trial(100, 0.2, 0.2, trials, seed=9, kappa=1.0)
+        assert len(calls) == 2 * trials
+        records.append([(sv.signs().tobytes(), ok) for sv, ok, _ in calls])
+    assert records[0] == records[1][:6]
+
+
+def test_majority_trial_is_a_rotation_of_streams_2t_and_2t_plus_1():
+    n, k_rows, tau, seed = 300, 6, 0.4, 9
+    res = majority_stability_trial(n, k_rows, tau, 3, seed)
+    base = sample_disorder(n, k_rows / n, "gaussian", seed, stream=2)
+    replica = sample_disorder(n, k_rows / n, "gaussian", seed, stream=3)
+    twisted = interpolate(base, replica, tau)
+    assert res.per_trial[1] == hamming(majority_solve(base), majority_solve(twisted))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab.errors import DomainError
+from marginlab.landscape import TupleQuery
 from marginlab.mvn import box_probability_equicorrelated
 from marginlab.thresholds import (
     alpha_c,
@@ -258,3 +259,17 @@ def test_property_upsilon_reduction(c, kappa):
     beta = 1.0 - 2.0 * c * kappa * kappa
     want = binary_entropy(c * kappa * kappa) - 0.5 * alpha * math.log2(math.pi * c)
     assert upsilon(beta, alpha, kappa) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: alpha_c(k),
+    lambda k: upsilon(0.5, 1.0, k),
+    lambda k: psi_free_energy(1e-4, 0.5, 2, 1.0, k),
+    lambda k: chaos_exponent(k, 1.0, 2),
+    lambda k: necessity_terms(k, 2.0),
+    lambda k: TupleQuery(m=2, beta=0.8, eta=0.1, kappa=k, tau_set=(0.0,)),
+], ids=["alpha_c", "upsilon", "psi_free_energy", "chaos_exponent", "necessity_terms",
+        "TupleQuery"])
+def test_margin_entry_points_reject_nan_kappa(call):
+    with pytest.raises(DomainError, match="kappa must be positive, got nan"):
+        call(math.nan)
