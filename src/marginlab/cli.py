@@ -13,11 +13,16 @@ Exit codes are part of the contract:
     65  domain error (parameters outside the mathematically valid range)
     66  enumeration cap exceeded
 
-Each ``EXPERIMENTS`` entry names a runner and the flags it reads; any other
-flag is a usage error.  A subcommand that writes files writes ``config.json``
-(its parsed flags and resolved ``out_dir``) on exit 0 or 2.  Output is
-deterministic: the same command writes byte-identical files, except for the
-wall-clock seconds column of the tuple-count table.
+Every subcommand runner returns ``(files, text, exit_code)``.  ``files`` maps
+each file name to a JSON payload (``dict``), a CSV as ``(header, rows)`` or a
+``DisorderMatrix`` for ``matrix.bin``; ``text`` is what goes to stdout.
+``main`` is the only writer: for a subcommand with ``--out-dir`` it adds
+``config.json`` (the parsed flags and resolved ``out_dir``) and writes every
+file, then prints ``text``.  A float flag that reaches ``config.json`` must be
+finite, so no output file holds NaN or Infinity.  Each ``EXPERIMENTS`` entry
+names a runner and the flags it reads; any other flag is a usage error.
+Output is deterministic: the same command writes byte-identical files, except
+for the wall-clock seconds column of the tuple-count table.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .disorder import dump_matrix, sample_disorder
+from .disorder import DisorderMatrix, dump_matrix, sample_disorder
 from .errors import (
     CapExceededError,
     DomainError,
@@ -47,6 +52,7 @@ from .landscape import (
     count_overlap_tuples_exact,
 )
 from .mvn import (
+    CovarianceSpec,
     box_probability_equicorrelated,
     box_probability_general,
     box_probability_upper_bound,
@@ -72,10 +78,7 @@ from .experiments import (
     stable_replica_parameters,
     universality_gap,
 )
-from .thresholds import (
-    scan_negativity,
-    write_scan_csv,
-)
+from .thresholds import scan_negativity
 
 EXIT_OK = 0
 EXIT_NEGATIVE_RESULT = 2
@@ -92,17 +95,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write(path: str, content) -> None:
+    if isinstance(content, DisorderMatrix):
+        dump_matrix(content, path)
+    elif isinstance(content, dict):
+        text = json.dumps(content, indent=2, sort_keys=True, allow_nan=False)
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        header, rows = content
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:
@@ -113,62 +118,54 @@ def _fields(obj, names: str) -> dict:
     return {k: getattr(obj, k) for k in names.split()}
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
+def cmd_thresholds(args: argparse.Namespace) -> tuple[dict, str, int]:
     result = scan_negativity(args.which, args.alpha, lo=args.lo, hi=args.hi, step=args.step)
-    stem = os.path.join(args.out_dir, f"scan_{result.which}_alpha{_fmt(result.alpha)}")
-    write_scan_csv(stem + ".csv", result)
+    stem = f"scan_{result.which}_alpha{_fmt(result.alpha)}"
+    header = ["abscissa", "value", "counting_part", "probability_part", "prob_error"]
     summary = _fields(result, "which alpha argmin_abscissa min_value has_negative n_negative "
                               "negative_interval")
-    _write_json(stem + "_summary.json", summary | {"n_points": len(result.points)})
-    print(
-        f"{result.which} alpha={_fmt(result.alpha)}: argmin={result.argmin_abscissa:.6g} "
-        f"min={result.min_value:.6g} negative_points={result.n_negative}"
-    )
+    files = {
+        stem + ".csv": (header, [[repr(getattr(p, k)) for k in header] for p in result.points]),
+        stem + "_summary.json": summary | {"n_points": len(result.points)},
+    }
+    text = (f"{result.which} alpha={_fmt(result.alpha)}: argmin={result.argmin_abscissa:.6g} "
+            f"min={result.min_value:.6g} negative_points={result.n_negative}\n")
     if not result.has_negative:
-        print("no certified-negative point on the grid")
-        return EXIT_NEGATIVE_RESULT
+        return files, text + "no certified-negative point on the grid", EXIT_NEGATIVE_RESULT
     lo, hi = result.negative_interval
-    print(f"negative interval: [{lo:.6g}, {hi:.6g}]")
-    return EXIT_OK
+    return files, text + f"negative interval: [{lo:.6g}, {hi:.6g}]", EXIT_OK
 
 
-def cmd_mvn(args: argparse.Namespace) -> int:
+def cmd_mvn(args: argparse.Namespace) -> tuple[dict, str, int]:
     if args.quadrant is not None:
-        print(repr(quadrant_probability(args.quadrant)))
-        return EXIT_OK
-    if args.conditional_mean is not None:
-        print(repr(conditional_mean(args.conditional_mean)))
-        return EXIT_OK
-    if args.cdf is not None:
-        print(repr(std_normal_cdf(args.cdf)))
-        return EXIT_OK
-    if args.upper_bound:
-        from .mvn import CovarianceSpec
-
+        text = repr(quadrant_probability(args.quadrant))
+    elif args.conditional_mean is not None:
+        text = repr(conditional_mean(args.conditional_mean))
+    elif args.cdf is not None:
+        text = repr(std_normal_cdf(args.cdf))
+    elif args.upper_bound:
         spec = CovarianceSpec(dim=args.m, beta=args.beta)
-        print(repr(box_probability_upper_bound(spec, args.kappa)))
-        return EXIT_OK
-    if args.box:
+        text = repr(box_probability_upper_bound(spec, args.kappa))
+    elif args.box:
         if args.general:
-            from .mvn import CovarianceSpec
-
             spec = CovarianceSpec(dim=args.m, beta=args.beta)
             res = box_probability_general(spec, args.kappa, budget=args.budget)
         else:
             res = box_probability_equicorrelated(args.m, args.beta, args.kappa)
-        print(f"{res.value!r} (abs error <= {res.abs_error_estimate:.3g}, {res.method})")
-        return EXIT_OK
-    raise UsageError("choose one of --quadrant, --conditional-mean, --cdf, --box, --upper-bound")
+        text = f"{res.value!r} (abs error <= {res.abs_error_estimate:.3g}, {res.method})"
+    else:
+        raise UsageError("choose one of --quadrant, --conditional-mean, --cdf, --box, "
+                         "--upper-bound")
+    return {}, text, EXIT_OK
 
 
 def _signs_string(sv) -> str:
     return "".join("+" if s > 0 else "-" for s in sv.signs())
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    out = args.out_dir
+def cmd_solve(args: argparse.Namespace) -> tuple[dict, str, int]:
     mat = sample_disorder(args.n, args.alpha, args.dist, args.seed)
-    trace_payload = None
+    files = {}
     if args.algo == "majority":
         sv = majority_solve(mat)
         feasible = None
@@ -176,7 +173,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sched = kim_roche_schedule(args.n, args.c_rounds, (args.d1, args.power))
         sv, trace = kim_roche_solve(mat, sched, collect_trace=True)
         feasible = None
-        trace_payload = {
+        files["trace.json"] = {
             "schedule": {
                 "rounds": sched.rounds,
                 "f": list(sched.f),
@@ -197,17 +194,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif args.algo in ("online-greedy", "online-exp"):
         strategy = "greedy_minimax" if args.algo == "online-greedy" else "exp_potential"
         sv, feasible, trace = online_solve(mat, args.kappa, strategy, collect_trace=True)
-        trace_payload = {
+        files["trace.json"] = {
             "per_step_max_abs_margin": [s.max_abs_margin for s in trace],
         }
-    elif args.algo == "exhaustive":
+    else:  # exhaustive, the last of the parser's choices
         sv = exhaustive_solve(mat, args.kappa, symmetric=not args.asymmetric, n_cap=args.n_cap)
         if sv is None:
-            print("no satisfying configuration")
-            return EXIT_NEGATIVE_RESULT
+            return files, "no satisfying configuration", EXIT_NEGATIVE_RESULT
         feasible = True
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown algorithm {args.algo}")
 
     margins = mat.entries @ sv.signs().astype(np.float64)
     payload = {
@@ -224,27 +218,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     if feasible is not None:
         payload["reported_feasible"] = feasible
-    _write_json(os.path.join(out, "solution.json"), payload)
-    if trace_payload is not None:
-        _write_json(os.path.join(out, "trace.json"), trace_payload)
+    files["solution.json"] = payload
     if args.dump_matrix:
-        dump_matrix(mat, os.path.join(out, "matrix.bin"))
-    print(
-        f"{args.algo} n={args.n} alpha={_fmt(args.alpha)}: "
-        f"max|margin|/sqrt(n)={payload['max_abs_margin_over_sqrt_n']:.4f}"
-    )
-    return EXIT_OK
+        files["matrix.bin"] = mat
+    text = (f"{args.algo} n={args.n} alpha={_fmt(args.alpha)}: "
+            f"max|margin|/sqrt(n)={payload['max_abs_margin_over_sqrt_n']:.4f}")
+    return files, text, EXIT_OK
 
 
 def _stem(name: str, n: int, alpha: float, kappa: float, seed: int) -> str:
     return f"{name}_n{n}_alpha{_fmt(alpha)}_kappa{_fmt(kappa)}_seed{seed}"
 
 
-# Experiment runners return ({file name: (CSV header, rows) or JSON payload},
-# console line); each reads only the flags its EXPERIMENTS entry lists.
+# Each experiment runner reads only the flags its EXPERIMENTS entry lists.
 
 
-def _majority_stability(a: argparse.Namespace) -> tuple[dict, str]:
+def _majority_stability(a: argparse.Namespace) -> tuple[dict, str, int]:
     """majority-vote Hamming distance under ensemble rotation"""
     s = majority_stability_trial(a.n, a.k_rows, a.tau, a.trials, a.seed)
     stem = _stem("majority_stability", a.n, s.alpha, 0, a.seed)
@@ -254,10 +243,10 @@ def _majority_stability(a: argparse.Namespace) -> tuple[dict, str]:
                         [[i, int(d)] for i, d in enumerate(s.per_trial)]),
         stem + "_summary.json": _fields(s, "experiment n alpha trials seed mean std_error")
         | {"tau": a.tau, "expected_mean": expected},
-    }, f"majority stability: mean d_H = {s.mean:.2f} (expected {expected:.2f})"
+    }, f"majority stability: mean d_H = {s.mean:.2f} (expected {expected:.2f})", EXIT_OK
 
 
-def _kim_roche_stability(a: argparse.Namespace) -> tuple[dict, str]:
+def _kim_roche_stability(a: argparse.Namespace) -> tuple[dict, str, int]:
     """coupled Kim-Roche runs under ensemble rotation"""
     res = kim_roche_stability_trial(a.n, a.alpha, a.tau, a.trials, a.seed, threshold=a.threshold)
     # The experiment has no margin; a literal kappa1 keeps its file names unchanged.
@@ -273,10 +262,10 @@ def _kim_roche_stability(a: argparse.Namespace) -> tuple[dict, str]:
         stem + ".csv": (["trial", "final_hamming", "round_disagreements",
                          "vote_set_agreements"], rows),
         stem + "_summary.json": summary | {"fraction_below_threshold": res.fraction_below},
-    }, f"kim-roche stability: median d_H/n = {res.median_final_ratio:.4f}"
+    }, f"kim-roche stability: median d_H/n = {res.median_final_ratio:.4f}", EXIT_OK
 
 
-def _trajectory(a: argparse.Namespace) -> tuple[dict, str]:
+def _trajectory(a: argparse.Namespace) -> tuple[dict, str, int]:
     """replica overlaps along an interpolation path"""
     traj = overlap_trajectory(a.n, a.alpha, a.kappa, a.solver, a.replicas, a.q_steps, a.seed)
     stem = _stem(f"trajectory_{a.solver}", a.n, a.alpha, a.kappa, a.seed)
@@ -290,10 +279,10 @@ def _trajectory(a: argparse.Namespace) -> tuple[dict, str]:
         stem + ".csv": (["i", "j", "k", "tau", "overlap"], rows),
         stem + "_summary.json": _fields(traj, "solver n alpha kappa seed tau_grid")
         | {"feasible": traj.feasible.tolist(), "mean_offdiagonal_final": final},
-    }, f"trajectory ({a.solver}): wrote {stem}.csv"
+    }, f"trajectory ({a.solver}): wrote {stem}.csv", EXIT_OK
 
 
-def _census(a: argparse.Namespace) -> tuple[dict, str]:
+def _census(a: argparse.Namespace) -> tuple[dict, str, int]:
     """close solution pairs under column resampling"""
     res = online_failure_census(a.n, a.alpha, a.delta, a.trials, a.seed, a.kappa)
     stem = _stem("census", a.n, a.alpha, a.kappa, a.seed)
@@ -303,10 +292,10 @@ def _census(a: argparse.Namespace) -> tuple[dict, str]:
         stem + "_summary.json": _fields(res, "n alpha delta kappa trials seed successes fraction")
         | {"wilson95": [res.wilson_lo, res.wilson_hi]},
     }, (f"census: close-pair fraction {res.fraction:.3f} "
-        f"[{res.wilson_lo:.3f}, {res.wilson_hi:.3f}]")
+        f"[{res.wilson_lo:.3f}, {res.wilson_hi:.3f}]"), EXIT_OK
 
 
-def _two_stage(a: argparse.Namespace) -> tuple[dict, str]:
+def _two_stage(a: argparse.Namespace) -> tuple[dict, str, int]:
     """online solver run twice across a column resample"""
     res = online_two_stage_trial(a.n, a.alpha, a.delta, a.trials, a.seed,
                                  strategy=a.strategy, kappa=a.kappa)
@@ -314,10 +303,10 @@ def _two_stage(a: argparse.Namespace) -> tuple[dict, str]:
     summary = _fields(res, "n alpha delta kappa strategy trials seed successes fraction")
     return {
         stem + "_summary.json": summary | {"wilson95": [res.wilson_lo, res.wilson_hi]},
-    }, f"two-stage ({res.strategy}): success fraction {res.fraction:.3f}"
+    }, f"two-stage ({res.strategy}): success fraction {res.fraction:.3f}", EXIT_OK
 
 
-def _universality(a: argparse.Namespace) -> tuple[dict, str]:
+def _universality(a: argparse.Namespace) -> tuple[dict, str, int]:
     """gaussian-vs-rademacher box probability gaps"""
     try:
         sizes = tuple(int(x) for x in a.sizes.split(","))
@@ -333,15 +322,15 @@ def _universality(a: argparse.Namespace) -> tuple[dict, str]:
                          "trials"], rows),
         stem + "_summary.json": _fields(res, "kappa m beta trials seed slope slope_std_error")
         | {"gaps": [r.gap for r in res.rows]},
-    }, f"universality: gaps {[f'{r.gap:.5f}' for r in res.rows]} slope {slope}"
+    }, f"universality: gaps {[f'{r.gap:.5f}' for r in res.rows]} slope {slope}", EXIT_OK
 
 
-def _stable_params(a: argparse.Namespace) -> tuple[dict, str]:
+def _stable_params(a: argparse.Namespace) -> tuple[dict, str, int]:
     """stable-replica hardness parameters"""
     p = stable_replica_parameters(a.kappa, a.alpha, a.m, a.eta, a.sensitivity)
-    return {"stable_params.json": asdict(p)}, (
-        f"stability rate {p.stability_rate:.3e}, angle steps {p.q_steps:.3e}, "
-        f"log2 log2 T = {p.log2_log2_t:.3e}")
+    text = (f"stability rate {p.stability_rate:.3e}, angle steps {p.q_steps:.3e}, "
+            f"log2 log2 T = {p.log2_log2_t:.3e}")
+    return {"stable_params.json": asdict(p)}, text, EXIT_OK
 
 
 #: Every experiment flag with its argparse settings; ``k_rows`` is ``--k-rows``.
@@ -378,34 +367,18 @@ EXPERIMENTS = {
 }
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    run, _ = EXPERIMENTS[args.experiment]
-    files, line = run(args)
-    for name, content in files.items():
-        path = os.path.join(args.out_dir, name)
-        if isinstance(content, dict):
-            _write_json(path, content)
-        else:
-            _write_csv(path, *content)
-    print(line)
-    return EXIT_OK
-
-
-def cmd_count_tuples(args: argparse.Namespace) -> int:
+def cmd_count_tuples(args: argparse.Namespace) -> tuple[dict, str, int]:
     t0 = time.monotonic()
     if args.method == "exact":
         count = count_overlap_tuples_exact(args.n, args.m, args.beta, args.eta)
     else:
         count = count_overlap_tuples_bruteforce(args.n, args.m, args.beta, args.eta)
     seconds = time.monotonic() - t0
-    _write_csv(
-        os.path.join(args.out_dir, f"tuple_counts_n{args.n}_m{args.m}.csv"),
+    return {f"tuple_counts_n{args.n}_m{args.m}.csv": (
         ["n", "m", "beta", "eta", "kappa", "tau_set_id", "count", "seconds"],
         [[args.n, args.m, repr(args.beta), repr(args.eta), repr(0.0), "none", count,
           repr(seconds)]],
-    )
-    print(f"{count} tuples ({args.method}, {seconds:.3f}s)")
-    return EXIT_OK
+    )}, f"{count} tuples ({args.method}, {seconds:.3f}s)", EXIT_OK
 
 
 @functools.cache
@@ -462,7 +435,7 @@ def build_parser() -> _Parser:
         for flag in flags.split():
             q.add_argument("--" + flag.replace("_", "-"), **_EXPERIMENT_FLAGS[flag])
         q.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_experiment)
+        q.set_defaults(func=run)
 
     p = sub.add_parser("count-tuples", help="overlap-band tuple counts")
     p.add_argument("--n", required=True, type=int)
@@ -479,14 +452,19 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        files, text, code = args.func(args)
         if "out_dir" in args:
             args.out_dir = args.out_dir or os.environ.get("MARGINLAB_OUT_DIR") or "."
-            os.makedirs(args.out_dir, exist_ok=True)
-        code = args.func(args)
-        if "out_dir" in args and code in (EXIT_OK, EXIT_NEGATIVE_RESULT):
             params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-            _write_json(os.path.join(args.out_dir, "config.json"),
-                        {"command": args.command, "version": __version__, "parameters": params})
+            for k, v in params.items():
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise DomainError(f"{k} must be finite, got {v}")
+            files["config.json"] = {"command": args.command, "version": __version__,
+                                    "parameters": params}
+            os.makedirs(args.out_dir, exist_ok=True)
+            for name, content in files.items():
+                _write(os.path.join(args.out_dir, name), content)
+        print(text)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -322,6 +322,8 @@ def load_matrix(path: str) -> DisorderMatrix:
         raise DomainError(f"{path}: truncated header")
     _, rows, cols, tag, seed, *rest = header.unpack_from(blob)
     stream, alpha = rest if rest else (0, rows / cols)
+    if not math.isfinite(alpha):
+        raise DomainError(f"{path}: alpha must be finite, got {alpha}")
     if tag >= len(_DISTS):
         raise DomainError(f"{path}: unknown distribution tag {tag}")
     expected = header.size + 8 * rows * cols

@@ -492,6 +492,9 @@ def _universality_tuple(n: int, m: int, beta: float | None) -> np.ndarray:
                 f"pairwise overlap beta needs an even flip count, got {d}"
             )
         half = d // 2
+        if d + half > n:  # the third vector's flips would run past coordinate n
+            raise DomainError(f"three vectors with pairwise overlap beta need beta >= -1/3, "
+                              f"got {beta}")
         sigs[2, :half] = -1.0
         sigs[2, d:d + half] = -1.0
     elif m > 3:
@@ -629,7 +632,13 @@ def stable_replica_parameters(
         raise DomainError("kappa, alpha, eta, and sensitivity must all be positive")
     if m < 2:
         raise DomainError(f"tuple size must be at least 2, got {m}")
-    q = 4800.0 * sensitivity * math.pi * math.sqrt(alpha) / (eta * eta)
+    eta2 = eta * eta  # 0 once eta is below about 1e-162
+    q = 4800.0 * sensitivity * math.pi * math.sqrt(alpha) / eta2 if eta2 > 0.0 else math.inf
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"these inputs give q_steps = {q}; it must be positive and finite")
+    log2_log2_t = 4.0 * m * q * math.log2(q)
+    if not math.isfinite(log2_log2_t):
+        raise DomainError(f"these inputs give log2 log2 T = {log2_log2_t}; it must be finite")
     return StableReplicaParameters(
         kappa=kappa,
         alpha=alpha,
@@ -639,7 +648,7 @@ def stable_replica_parameters(
         stability_rate=eta * eta / 1600.0,
         q_steps=q,
         rho_step=math.cos(math.pi / (2.0 * q)),
-        log2_log2_t=4.0 * m * q * math.log2(q),
+        log2_log2_t=log2_log2_t,
         eta_compatible=eta < kappa * kappa,
         beta_floor=1.0 - 5.0 * kappa * kappa + eta,
     )

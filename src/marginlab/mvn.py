@@ -106,9 +106,12 @@ def std_normal_cdf(x):
     """Standard normal CDF via the complementary error function.
 
     Accurate to better than 1e-12 in absolute terms over the whole real line,
-    including the far tails where naive 0.5*(1 + erf) loses all precision.
+    including the far tails where naive 0.5*(1 + erf) loses all precision;
+    x = -inf and inf give the limits 0 and 1.
     """
     x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise DomainError("the normal CDF is undefined at NaN")
     out = 0.5 * erfc(-x / _SQRT2)
     return float(out) if out.ndim == 0 else out
 
@@ -182,6 +185,13 @@ def _factor_integrals(m: int, betas: np.ndarray, kappa: float, order: int) -> np
     return out
 
 
+def _check_kappa(kappa: float) -> None:
+    if not kappa >= 0.0:
+        raise DomainError(f"kappa must be nonnegative, got {kappa}")
+    if kappa == math.inf:
+        raise DomainError("kappa must be finite, got inf")
+
+
 def box_probabilities_equicorrelated(m: int, betas: list[float], kappa: float) -> list[ProbResult]:
     """P(|Z_i| <= kappa for i <= m) under (1-beta)*I + beta*J, for each beta.
 
@@ -198,8 +208,7 @@ def box_probabilities_equicorrelated(m: int, betas: list[float], kappa: float) -
                               "one-factor reduction breaks down")
         if not beta >= 0.0:
             raise DomainError(f"beta must be nonnegative, got {beta}")
-    if not kappa >= 0.0:
-        raise DomainError(f"kappa must be nonnegative, got {kappa}")
+    _check_kappa(kappa)
     if kappa == 0.0:
         return [ProbResult(0.0, 0.0, "analytic")] * len(betas)
     out = [ProbResult(float(erf(kappa / _SQRT2)) ** m, 1e-14 * m, "analytic")] * len(betas)
@@ -277,8 +286,7 @@ def box_probability_general(cov, kappa: float, budget: int | None = None) -> Pro
     ``budget`` is the Monte Carlo sample count (default 200000).
     """
     sigma = _as_sigma(cov)
-    if not kappa >= 0.0:
-        raise DomainError(f"kappa must be nonnegative, got {kappa}")
+    _check_kappa(kappa)
     m = sigma.shape[0]
     if kappa == 0.0:
         return ProbResult(0.0, 0.0, "analytic")
@@ -319,8 +327,7 @@ def box_probability_upper_bound(cov, kappa: float) -> float:
     at most the peak density times the box volume.  Exact at kappa -> 0.
     """
     sigma = _as_sigma(cov)
-    if not kappa >= 0.0:
-        raise DomainError(f"kappa must be nonnegative, got {kappa}")
+    _check_kappa(kappa)
     chol = _cholesky_or_raise(sigma)
     m = sigma.shape[0]
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))

@@ -109,9 +109,9 @@ def kim_roche_schedule(
     if n < 2:
         raise SizingError(f"schedule needs n >= 2, got n={n}")
     d1, power = divisors
-    if d1 <= 0.0 or power <= 0.0:
+    if not (0.0 < d1 < math.inf and 0.0 < power < math.inf):
         raise DomainError(f"divisors must be positive, got {divisors}")
-    if c_rounds < 0.0:
+    if not 0.0 <= c_rounds < math.inf:
         raise DomainError(f"c_rounds must be nonnegative, got {c_rounds}")
     loglog = math.log10(math.log10(n)) if n > 10 else 0.0
     target = max(0, math.ceil(c_rounds * loglog)) if loglog > 0.0 else 0

@@ -16,7 +16,6 @@ ever asserted with the error bar included.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ __all__ = [
     "psi_upper_bound",
     "scan_negativity",
     "upsilon",
-    "write_scan_csv",
 ]
 
 _LN2 = math.log(2.0)
@@ -498,16 +496,4 @@ def necessity_scan(kappa: float, c_grid: tuple[float, ...] | None = None) -> lis
             raise DomainError(f"scan grid must use C > 1, got {c}")
         rows.append(necessity_terms(kappa, c))
     return rows
-
-
-def write_scan_csv(path: str, result: ScanResult) -> None:
-    """Per-point CSV: abscissa, value, counting_part, probability_part, prob_error."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["abscissa", "value", "counting_part", "probability_part", "prob_error"])
-        for p in result.points:
-            writer.writerow(
-                [repr(p.abscissa), repr(p.value), repr(p.counting_part),
-                 repr(p.probability_part), repr(p.prob_error)]
-            )
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -201,13 +202,98 @@ def _digests(out_dir, stdout: str | None) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("case", list(GOLDEN_RUNS))
+# Runs that exit 2 with a clean negative result, pinned the same way.
+NEGATIVE_RUNS = {
+    "thresholds-negative": (
+        ["thresholds", "--which", "f3", "--alpha", "1.5"],
+        {
+            "scan_f3_alpha1.5.csv":
+                "e543cf7a666a21f51b269ae59b9baaa572fc9a3473152d1288b90d4ea06ddc23",
+            "scan_f3_alpha1.5_summary.json":
+                "7c6e3d1ec4e489bb67691f9d52d6d9ab8aacb0c2b64e64523671b787dbb1d619",
+            "stdout":
+                "db48d524f809abd7c5fc2986b41d561a15ba4feb125abd14a37536962e4e8e91",
+        },
+    ),
+    "solve-exhaustive-none": (
+        ["solve", "--algo", "exhaustive", "--n", "12", "--alpha", "2", "--kappa", "0.05"],
+        {
+            "stdout":  # "no satisfying configuration\n"
+                "18efed276c8c87d2e3b95acb3a721ef5e77c853f5f424a27aceec14025b43949",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_RUNS | NEGATIVE_RUNS))
 def test_outputs_golden_digest(tmp_path, capsys, case):
-    argv, want = GOLDEN_RUNS[case]
+    argv, want = (GOLDEN_RUNS | NEGATIVE_RUNS)[case]
     capsys.readouterr()
-    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+    code = EXIT_NEGATIVE_RESULT if case in NEGATIVE_RUNS else EXIT_OK
+    assert main(argv + ["--out-dir", str(tmp_path)]) == code
+    assert (tmp_path / "config.json").exists()
     stdout = capsys.readouterr().out
     assert _digests(tmp_path, None if argv[0] == "count-tuples" else stdout) == want
+
+
+# SHA-256 of config.json for every run above.  Each runs in its own directory
+# with ``--out-dir out``, so the file holds no absolute path, and the package
+# version is blanked before hashing, so a release does not re-pin them.
+CONFIG_DIGESTS = {
+    "majority-stability": "2847da23a5809a13ae335a0d151660ba1f7e4738d640824579a721edff97d9dd",
+    "kim-roche-stability": "e11a80e8a33d7972c8cc500a5b168b2e79ce3540884b78a6727cefd46b5513f7",
+    "trajectory-kim_roche": "f7d5ab623662f8a071f6b734d8616ddac3e529166494cb69a53931e06b8bf6fb",
+    "trajectory-online_greedy":
+        "077c206416327a1d8deb47fa17c9e07ceb30493ed3c09c94805c7b7d6309f2ff",
+    "census": "12a0080cb058f6d7a161f5e34d06156139836a77c66a02754742836e62ec4fc1",
+    "two-stage": "473cf68b59b9519b6615b33163100b05335ea33dccfbdb582bbad0ea5612cd14",
+    "universality-m1": "265fa32ef8db56b15a6bd7ddb07d0061e10ea2efe247a1eb7212d82aeee8f9b7",
+    "universality-m2": "c09e565512ebe7d3206dda1e6b19fc2c4412be5529df068f96916bb34b9eaf4c",
+    "stable-params": "2e2857aad7db3a20ae08dc6f216a3a554446c3fd3211d87f3368a173e53228b3",
+    "thresholds": "6570f5a2c80a18199cd2161e00024d09a52cf63be1d188e2d8f1e0a6ab60e3d6",
+    "solve-kim-roche": "545b2ff8d176dfb207897e6031b898ccbb224e6223857ad33635e1223b0e2348",
+    "solve-online-greedy": "ac55cffc87e74f8ef2dda8666669e9cae842fca285e894f1db1b1ec2f4f701f2",
+    "solve-exhaustive": "eebf42ca46adbc903066ea1af4974820191589dea77e84e1d354b752637a1b67",
+    "count-tuples": "b5d541b38260968d84e8b2e3ae1b533e2aaea94e6cda35ee59efacdf61c4866d",
+    "thresholds-negative": "1135a4877fb3c014608b26f00c1e38336420f8fa0c927cf6fcffd8cf50e6b913",
+    "solve-exhaustive-none": "9467676716ebd45947ba3ae45a057ca4c060d7fe9c8addb0eb93934242ecb655",
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_DIGESTS))
+def test_config_json_golden_digest(tmp_path, monkeypatch, capsys, case):
+    argv = (GOLDEN_RUNS | NEGATIVE_RUNS)[case][0]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out-dir", "out"]) in (EXIT_OK, EXIT_NEGATIVE_RESULT)
+    capsys.readouterr()
+    data = (tmp_path / "out" / "config.json").read_bytes()
+    data = data.replace(f'"version": "{marginlab.__version__}"'.encode(), b'"version": ""')
+    assert hashlib.sha256(data).hexdigest() == CONFIG_DIGESTS[case]
+
+
+# SHA-256 of the stdout of each mvn operation; mvn writes no files.
+MVN_STDOUT_DIGESTS = {
+    "quadrant": (["--quadrant", "0.3"],
+                 "3242ef6b8c86dad145217af4deee6e0d679b91d7ff1f2274beda92eb05c20942"),
+    "conditional-mean": (["--conditional-mean", "-0.4"],
+                         "9aab0674256dfd169d0661b6c02c5a87af3e67f6628cdadca59fa3745d20394e"),
+    "cdf": (["--cdf", "1.5"],
+            "d053f8fadf218745c539095eae4ef54a4b09c3606bdddffb4d472291c46229f9"),
+    "box": (["--box", "--m", "3", "--beta", "0.978", "--kappa", "1.0"],
+            "65c7c0d22641aba21c85c7984e639be18002f64935b9941b0cb6427f06d3dcc5"),
+    "box-general": (["--box", "--general", "--m", "3", "--beta", "0.5", "--kappa", "1.0"],
+                    "ae61da3b9b878a700cd0d4fdbcbda43c3c7d5364ea2ecde02bd30bc6a4da6d47"),
+    "upper-bound": (["--upper-bound", "--m", "3", "--beta", "0.5", "--kappa", "0.2"],
+                    "60df31acef7a66bf5cc0540a7a17ccdf89997d9a8997fb08f60970604c366072"),
+}
+
+
+@pytest.mark.parametrize("case", list(MVN_STDOUT_DIGESTS))
+def test_mvn_stdout_golden_digest(capsys, case):
+    argv, want = MVN_STDOUT_DIGESTS[case]
+    capsys.readouterr()
+    assert main(["mvn", *argv]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_thresholds_success_writes_outputs(tmp_path, capsys):
@@ -547,30 +633,90 @@ def test_solvers_reject_non_finite_margins_and_alpha(tmp_path, capsys, argv, mes
     assert list(tmp_path.iterdir()) == []
 
 
-# Small valid values of every flag an experiment reads, so each non-finite
-# case below fails on its own flag.
-SMALL_EXPERIMENT_ARGS = {
-    "majority-stability": ["--n", "60", "--k-rows", "3", "--trials", "2"],
-    "kim-roche-stability": ["--n", "200", "--alpha", "0.02", "--trials", "1"],
-    "trajectory": ["--n", "60", "--alpha", "0.1", "--replicas", "2", "--q-steps", "1"],
-    "census": ["--n", "10", "--alpha", "0.2", "--trials", "1"],
-    "two-stage": ["--n", "40", "--alpha", "0.25", "--trials", "1"],
-    "universality": ["--sizes", "10", "--trials", "100"],
-    "stable-params": ["--m", "2"],
+def _leaf_parsers(parser, path=()):
+    """Yield (subcommand path, parser) for every subcommand that takes flags."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+LEAF_PARSERS = dict(_leaf_parsers(cli.build_parser()))
+
+
+def _leaf(argv: list[str]) -> argparse.ArgumentParser:
+    (parser,) = [p for path, p in LEAF_PARSERS.items() if tuple(argv[:len(path)]) == path]
+    return parser
+
+
+def _writes_files(parser: argparse.ArgumentParser) -> bool:
+    return any(a.dest == "out_dir" for a in parser._actions)
+
+
+# Small valid arguments for every subcommand, one entry per mode whose float
+# flags reach different code, so each non-finite case below fails on its own
+# flag.  An experiment's entry is keyed by its name alone.
+VALID_ARGS = {
+    "thresholds": ["thresholds", "--which", "f2", "--alpha", "1.7"],
+    "mvn-box": ["mvn", "--box", "--m", "3"],
+    "mvn-general": ["mvn", "--box", "--general", "--m", "3"],
+    "mvn-upper-bound": ["mvn", "--upper-bound", "--m", "3"],
+    "solve-majority": ["solve", "--algo", "majority", "--n", "200", "--alpha", "0.02"],
+    "solve-kim-roche": ["solve", "--algo", "kim-roche", "--n", "200", "--alpha", "0.02"],
+    "solve-online-greedy": ["solve", "--algo", "online-greedy", "--n", "40", "--alpha", "0.25"],
+    "solve-exhaustive": ["solve", "--algo", "exhaustive", "--n", "12", "--alpha", "0.25"],
+    "solve-exhaustive-one-sided": ["solve", "--algo", "exhaustive", "--n", "12", "--alpha",
+                                   "0.25", "--asymmetric"],
+    "count-tuples": ["count-tuples", "--n", "10", "--m", "2", "--beta", "0.6", "--eta", "0.2"],
+    "majority-stability": ["experiment", "majority-stability", "--n", "60", "--k-rows", "3",
+                           "--trials", "2"],
+    "kim-roche-stability": ["experiment", "kim-roche-stability", "--n", "200", "--alpha",
+                            "0.02", "--trials", "1"],
+    "trajectory": ["experiment", "trajectory", "--n", "60", "--alpha", "0.1", "--replicas",
+                   "2", "--q-steps", "1"],
+    "census": ["experiment", "census", "--n", "10", "--alpha", "0.2", "--trials", "1"],
+    "two-stage": ["experiment", "two-stage", "--n", "40", "--alpha", "0.25", "--trials", "1"],
+    "universality": ["experiment", "universality", "--sizes", "10", "--trials", "100"],
+    "stable-params": ["experiment", "stable-params", "--m", "2"],
+}
+# Non-finite values a subcommand accepts, with the stdout they give; README
+# documents each one.
+NON_FINITE_ALLOWED = {
+    ("mvn", "--cdf", "inf"): "1.0\n",
+    ("mvn", "--cdf", "-inf"): "0.0\n",
 }
 NON_FINITE_FLAGS = [
-    (name, flag, value)
-    for name, (_, flags) in cli.EXPERIMENTS.items()
-    for flag in flags.split() if cli._EXPERIMENT_FLAGS[flag].get("type") is float
+    (label, action.option_strings[0], action.dest, value)
+    for label, argv in VALID_ARGS.items()
+    for action in _leaf(argv)._actions if action.type is float
     for value in ("nan", "inf", "-inf")
 ]
 
 
-@pytest.mark.parametrize("name,flag,value", NON_FINITE_FLAGS,
-                         ids=[f"{n}-{f}-{v}" for n, f, v in NON_FINITE_FLAGS])
-def test_experiments_reject_non_finite_flags(tmp_path, capsys, name, flag, value):
-    argv = ["experiment", name, *SMALL_EXPERIMENT_ARGS[name],
-            f"--{flag.replace('_', '-')}={value}", "--out-dir", str(tmp_path)]
-    assert main(argv) in (EXIT_USAGE, EXIT_DOMAIN)
-    assert "Traceback" not in capsys.readouterr().err
+def test_valid_args_cover_every_subcommand(tmp_path, capsys):
+    assert sorted({id(_leaf(argv)) for argv in VALID_ARGS.values()}) == \
+        sorted(id(p) for p in LEAF_PARSERS.values())
+    for argv in VALID_ARGS.values():
+        out = ["--out-dir", str(tmp_path)] if _writes_files(_leaf(argv)) else []
+        assert main(argv + out) in (EXIT_OK, EXIT_NEGATIVE_RESULT), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("label,option,dest,value", NON_FINITE_FLAGS,
+                         ids=[f"{label}-{d}-{v}" for label, _, d, v in NON_FINITE_FLAGS])
+def test_experiments_reject_non_finite_flags(tmp_path, capsys, label, option, dest, value):
+    argv = [*VALID_ARGS[label], f"{option}={value}"]
+    if _writes_files(_leaf(argv)):
+        argv += ["--out-dir", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    allowed = NON_FINITE_ALLOWED.get((argv[0], option, value))
+    if allowed is not None:
+        assert (code, captured.out) == (EXIT_OK, allowed)
+        return
+    assert code in (EXIT_USAGE, EXIT_DOMAIN)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []

@@ -249,6 +249,17 @@ def test_load_reads_version_one_files(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_load_rejects_non_finite_alpha(tmp_path, alpha):
+    # A PDM2 header can carry any float64 alpha; the sampler never writes one.
+    mat = sample_disorder(20, 0.5, seed=1)
+    path = tmp_path / "m.bin"
+    header = struct.pack("<4sQQQqQd", b"PDM2", mat.rows, mat.cols, 0, 1, 0, alpha)
+    path.write_bytes(header + mat.entries.astype("<f8").tobytes())
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        load_matrix(path)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=300),

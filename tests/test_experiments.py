@@ -175,6 +175,16 @@ def test_universality_validation():
     assert universality_gap((100,), 1.0, trials=100, seed=-(1 << 63)).seed == -(1 << 63)
 
 
+def test_universality_triple_needs_beta_at_least_minus_one_third():
+    # Three sign vectors with pairwise overlap beta exist only for beta >= -1/3.
+    sigs = experiments._universality_tuple(6, 3, -1.0 / 3.0)
+    assert np.array_equal(sigs @ sigs.T, np.array([[6, -2, -2], [-2, 6, -2], [-2, -2, 6]]))
+    with pytest.raises(DomainError, match="beta >= -1/3"):
+        experiments._universality_tuple(8, 3, -0.5)
+    with pytest.raises(DomainError, match="beta >= -1/3"):
+        universality_gap((8,), 1.0, m=3, beta=-0.5, trials=100)
+
+
 def test_stable_replica_parameter_arithmetic():
     p = stable_replica_parameters(0.01, 0.001, 2, 1e-5, 1.0)
     assert p.stability_rate == pytest.approx(1e-10 / 1600.0, rel=1e-12)
@@ -188,6 +198,17 @@ def test_stable_replica_parameter_arithmetic():
     assert tighter.q_steps == pytest.approx(2.0 * p.q_steps, rel=1e-12)
     loose = stable_replica_parameters(0.001, 0.001, 2, 1e-5, 1.0)
     assert not loose.eta_compatible  # eta above kappa^2 breaks the scheme
+
+
+@pytest.mark.parametrize("eta,sensitivity,what", [
+    (1e-170, 1.0, "q_steps = inf"),  # eta * eta underflows to 0
+    (1e-4, 1e300, "q_steps = inf"),
+    (1e200, 1.0, "q_steps = 0.0"),  # eta * eta overflows
+    (1e-4, 1e295, "log2 log2 T = inf"),
+])
+def test_stable_replica_parameters_reject_unbounded_step_counts(eta, sensitivity, what):
+    with pytest.raises(DomainError, match=what):
+        stable_replica_parameters(0.01, 0.001, 2, eta, sensitivity)
 
 
 def _record_calls(monkeypatch, name):

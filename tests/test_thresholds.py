@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginlab.cli import main
 from marginlab.errors import DomainError
 from marginlab.landscape import TupleQuery
 from marginlab.mvn import box_probability_equicorrelated
@@ -27,12 +28,12 @@ from marginlab.thresholds import (
     psi_upper_bound,
     scan_negativity,
     upsilon,
-    write_scan_csv,
 )
 
-# SHA-256 of the write_scan_csv bytes of the criterion-2 scans: f1 at and
-# 0.15 below its threshold on the criterion grid, f2 and f3 likewise on the
-# default grids.  Any change to a value's last bit changes the digest.
+# SHA-256 of the scan CSV that ``marginlab thresholds`` writes for each
+# criterion-2 scan: f1 at and 0.15 below its threshold on the criterion grid,
+# f2 and f3 likewise on the default grids.  Any change to a value's last bit
+# changes the digest.
 F1_CRITERION_GRID = dict(lo=1e-5, hi=0.1, step=1e-4)
 GOLDEN_SCAN_DIGESTS = [
     ("f1", 1.77, F1_CRITERION_GRID,
@@ -151,9 +152,12 @@ def test_scan_points_equal_one_point_functionals(which, fn, alpha, grid):
 
 @pytest.mark.parametrize("which,alpha,grid,digest", GOLDEN_SCAN_DIGESTS,
                          ids=[f"{w}-{a:g}" for w, a, _, _ in GOLDEN_SCAN_DIGESTS])
-def test_scan_csv_golden_digest(tmp_path, which, alpha, grid, digest):
-    path = tmp_path / "scan.csv"
-    write_scan_csv(str(path), scan_negativity(which, alpha, **grid))
+def test_scan_csv_golden_digest(tmp_path, capsys, which, alpha, grid, digest):
+    flags = [x for k, v in grid.items() for x in (f"--{k}", repr(v))]
+    main(["thresholds", "--which", which, "--alpha", repr(alpha), *flags,
+          "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    (path,) = tmp_path.glob("scan_*.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
