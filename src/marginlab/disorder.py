@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import DomainError, SizingError
+from .errors import DomainError, SizingError, check_float_range
 
 __all__ = [
     "DisorderMatrix",
@@ -61,6 +61,7 @@ _HEADERS = {b"PDM1": struct.Struct("<4sQQQq"), _MAGIC: struct.Struct("<4sQQQqQd"
 def _floor_count(x: float, n: int) -> int:
     # floor(x*n) with a one-ulp guard so decimal inputs like 0.3 round the
     # intended way instead of tripping on binary representation slop.
+    check_float_range("n", n)
     return int(math.floor(x * n + 1e-9))
 
 
@@ -217,22 +218,18 @@ def resample_columns(
 
 
 def correlated_pair(
-    n: int,
-    alpha: float,
-    rho: float,
-    seed: int,
-    streams: tuple[int, int] = (0, 1),
+    n: int, alpha: float, rho: float, seed: int
 ) -> tuple[DisorderMatrix, DisorderMatrix]:
     """Sample a pair of gaussian matrices with entrywise correlation ``rho``.
 
-    Realized as a rotation by arccos(rho) of the base toward an independent
-    replica, so rho=1 returns two bit-identical matrices and rho=0 two
-    independent ones.
+    Realized as a rotation by arccos(rho) of the base (stream 0) toward an
+    independent replica (stream 1), so rho=1 returns two bit-identical
+    matrices and rho=0 two independent ones.
     """
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho}")
-    base = sample_disorder(n, alpha, "gaussian", seed, stream=streams[0])
-    replica = sample_disorder(n, alpha, "gaussian", seed, stream=streams[1])
+    base = sample_disorder(n, alpha, "gaussian", seed, stream=0)
+    replica = sample_disorder(n, alpha, "gaussian", seed, stream=1)
     return base, interpolate(base, replica, math.acos(rho))
 
 

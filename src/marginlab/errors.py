@@ -7,6 +7,8 @@ exit codes without string matching.
 
 from __future__ import annotations
 
+import sys
+
 
 class MarginlabError(Exception):
     """Base class for all package-specific errors."""
@@ -30,3 +32,9 @@ class CapExceededError(MarginlabError):
 
 class UsageError(MarginlabError):
     """Command line was malformed (unknown flag, missing argument)."""
+
+
+def check_float_range(name: str, value: int) -> None:
+    """Reject an integer size that would overflow the first float it meets."""
+    if value > sys.float_info.max:
+        raise DomainError(f"{name} exceeds the float range")

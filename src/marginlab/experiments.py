@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .disorder import (
-    DisorderMatrix,
     RESAMPLE_STREAM,
     _resampled_columns,
     interpolate,
@@ -37,15 +36,9 @@ from .disorder import (
     sample_ensemble,
     uniform_tau_grid,
 )
-from .errors import DomainError, SizingError
+from .errors import DomainError, SizingError, check_float_range
 from .landscape import _scan_masks, hamming, is_solution
-from .solvers import (
-    KimRocheSchedule,
-    kim_roche_schedule,
-    kim_roche_solve,
-    majority_solve,
-    online_solve,
-)
+from .solvers import kim_roche_schedule, kim_roche_solve, majority_solve, online_solve
 
 __all__ = [
     "CensusResult",
@@ -68,6 +61,7 @@ __all__ = [
 ]
 
 TRAJECTORY_SOLVERS = ("majority", "kim_roche", "online_greedy", "online_exp")
+_CENSUS_CAP = 14  # the census enumerates the 2^n cube twice per trial
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,6 @@ class TrialSummary:
     """Mean and spread of one scalar statistic over independent trials."""
 
     experiment: str
-    statistic: str
     n: int
     alpha: float
     trials: int
@@ -85,13 +78,13 @@ class TrialSummary:
     per_trial: tuple[float, ...]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial fraction."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96) for a binomial fraction."""
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     if not (0 <= successes <= trials):
         raise DomainError(f"successes {successes} outside [0, {trials}]")
-    p = successes / trials
+    p, z = successes / trials, 1.96
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -160,13 +153,13 @@ def majority_stability_trial(
     """
     if k_rows < 1:
         raise SizingError(f"need at least one voting row, got {k_rows}")
+    check_float_range("k_rows", k_rows)
     alpha = k_rows / n
     pairs = _coupled_solutions(n, alpha, trials, seed, majority_solve, tau=tau, min_trials=2)
     dists = [float(hamming(a, b)) for a, b in pairs]
     arr = np.array(dists)
     return TrialSummary(
         experiment="majority_stability",
-        statistic="hamming_distance",
         n=n,
         alpha=alpha,
         trials=trials,
@@ -206,7 +199,6 @@ def kim_roche_stability_trial(
     tau: float,
     trials: int,
     seed: int,
-    schedule: KimRocheSchedule | None = None,
     threshold: float = 0.05,
 ) -> KimRocheStabilityResult:
     """Run the multi-stage solver on coupled instances and compare traces.
@@ -220,8 +212,7 @@ def kim_roche_stability_trial(
     """
     if not 0.0 <= threshold < math.inf:
         raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
-    sched = schedule if schedule is not None else kim_roche_schedule(n)
-    solve = functools.partial(kim_roche_solve, schedule=sched, collect_trace=True)
+    solve = functools.partial(kim_roche_solve, schedule=kim_roche_schedule(n), collect_trace=True)
     finals: list[int] = []
     per_round: list[tuple[int, ...]] = []
     agreements: list[tuple[float, ...]] = []
@@ -274,10 +265,11 @@ class OverlapTrajectory:
         return self.values.shape[0]
 
 
-def _trajectory_solver(name: str, kappa: float, schedule: KimRocheSchedule | None):
+def _trajectory_solver(name: str, kappa: float, n: int):
     if name == "majority":
         return lambda mat: majority_solve(mat)
     if name == "kim_roche":
+        schedule = kim_roche_schedule(n)
         return lambda mat: kim_roche_solve(mat, schedule)[0]
     if name == "online_greedy":
         return lambda mat: online_solve(mat, kappa, "greedy_minimax")[0]
@@ -294,15 +286,11 @@ def overlap_trajectory(
     n_replicas: int,
     q_steps: int,
     seed: int,
-    schedule: KimRocheSchedule | None = None,
 ) -> OverlapTrajectory:
     """Solve every interpolated instance and tabulate pairwise output overlaps."""
     if n_replicas < 2:
         raise SizingError(f"need at least two replicas, got {n_replicas}")
-    sched = schedule
-    if solver == "kim_roche" and sched is None:
-        sched = kim_roche_schedule(n)
-    solve = _trajectory_solver(solver, kappa, sched)
+    solve = _trajectory_solver(solver, kappa, n)
     ensemble = sample_ensemble(n, alpha, n_replicas, uniform_tau_grid(q_steps), seed)
     signs = np.empty((n_replicas, q_steps + 1, n), dtype=np.int8)
     feasible = np.zeros((n_replicas, q_steps + 1), dtype=bool)
@@ -355,7 +343,6 @@ def online_failure_census(
     trials: int,
     seed: int,
     kappa: float = 1.0,
-    n_cap: int = 14,
 ) -> CensusResult:
     """Exhaustively decide, per coupled pair, whether close solution pairs exist.
 
@@ -364,10 +351,10 @@ def online_failure_census(
     leaves any room for an algorithm whose output moves slowly under the
     resampling.
     """
-    if n > n_cap:
-        raise SizingError(f"census enumerates 2^n cube twice; needs n <= {n_cap}")
+    if n > _CENSUS_CAP:
+        raise SizingError(f"census enumerates 2^n cube twice; needs n <= {_CENSUS_CAP}")
     d_max = _resampled_columns(delta, n)
-    scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True, n_cap=n_cap)
+    scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True, n_cap=_CENSUS_CAP)
     hits = []
     for a, b in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
         b = np.array(b, dtype=np.uint64)
@@ -632,6 +619,7 @@ def stable_replica_parameters(
         raise DomainError("kappa, alpha, eta, and sensitivity must all be positive")
     if m < 2:
         raise DomainError(f"tuple size must be at least 2, got {m}")
+    check_float_range("m", m)
     eta2 = eta * eta  # 0 once eta is below about 1e-162
     q = 4800.0 * sensitivity * math.pi * math.sqrt(alpha) / eta2 if eta2 > 0.0 else math.inf
     if not 0.0 < q < math.inf:

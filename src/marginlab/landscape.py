@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderMatrix, InterpolatedEnsemble
-from .errors import CapExceededError, DomainError, SizingError
+from .errors import CapExceededError, DomainError, SizingError, check_float_range
 
 __all__ = [
     "SignVector",
@@ -215,15 +215,16 @@ def enumerate_solutions(
     return [SignVector(mat.cols, m) for m in masks]
 
 
-def discrepancy(mat: DisorderMatrix, n_cap: int = DEFAULT_ENUM_CAP) -> tuple[float, SignVector]:
+def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
     """Exhaustive minimax margin min over sigma of max_i |row_i . sigma|.
 
-    Scans only configurations with coordinate 0 equal to +1: negating sigma
-    leaves the objective unchanged, so half the cube suffices.  Returns the
-    optimum value and one optimizer (its coordinate 0 is +1).
+    Refuses n > DEFAULT_ENUM_CAP.  Scans only configurations with coordinate
+    0 equal to +1: negating sigma leaves the objective unchanged, so half the
+    cube suffices.  Returns the optimum value and one optimizer (its
+    coordinate 0 is +1).
     """
     best, best_mask = math.inf, 0
-    for base, worst in _worst_margins(mat, True, n_cap):
+    for base, worst in _worst_margins(mat, True, DEFAULT_ENUM_CAP):
         b = int(np.argmin(worst))
         if worst.flat[b] < best:
             best = float(worst.flat[b])
@@ -240,6 +241,7 @@ def overlap_band(n: int, beta: float, eta: float) -> tuple[int, int]:
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    check_float_range("n", n)
     if not (0.0 < eta < beta <= 1.0):
         raise DomainError(f"need 0 < eta < beta <= 1, got beta={beta}, eta={eta}")
     bn = beta * n
@@ -298,9 +300,7 @@ def _grid_index(ensemble: InterpolatedEnsemble, tau: float) -> int:
 
 
 def enumerate_forbidden_tuples(
-    query: TupleQuery,
-    ensemble: InterpolatedEnsemble,
-    n_cap: int | None = None,
+    query: TupleQuery, ensemble: InterpolatedEnsemble
 ) -> list[tuple[SignVector, ...]]:
     """All ordered m-tuples with every pairwise overlap inside the band.
 
@@ -308,10 +308,10 @@ def enumerate_forbidden_tuples(
     instances interpolated toward replica i at the angles in ``tau_set``.
     Band membership is tested in exact integer arithmetic on Hamming
     distances.  Tuples are emitted in lexicographic order of their packed
-    component masks.
+    component masks.  Refuses n > 14 (n > 12 for m > 3).
     """
     n = ensemble.base.cols
-    cap = n_cap if n_cap is not None else (14 if query.m <= 3 else 12)
+    cap = 14 if query.m <= 3 else 12
     if n > cap:
         raise CapExceededError(f"tuple enumeration needs n <= {cap}, got n={n}")
     if ensemble.n_replicas < query.m:

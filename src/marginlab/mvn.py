@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, erfc
 
-from .errors import DomainError, NotPositiveDefiniteError
+from .errors import DomainError, NotPositiveDefiniteError, check_float_range
 
 __all__ = [
     "CovarianceSpec",
@@ -42,6 +42,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 Method = Literal["analytic", "factor_quadrature", "tensor_quadrature", "monte_carlo"]
 
@@ -72,10 +73,11 @@ class CovarianceSpec:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be at least 1, got {self.dim}")
+        check_float_range("dim", self.dim)
         if not (0.0 <= self.beta < 1.0):
             raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.eta_bound < 0.0:
-            raise DomainError(f"eta_bound must be nonnegative, got {self.eta_bound}")
+        if not 0.0 <= self.eta_bound < math.inf:
+            raise DomainError(f"eta_bound must be nonnegative and finite, got {self.eta_bound}")
         if self.perturbation is not None:
             e = np.asarray(self.perturbation, dtype=np.float64)
             if e.shape != (self.dim, self.dim):
@@ -202,6 +204,7 @@ def box_probabilities_equicorrelated(m: int, betas: list[float], kappa: float) -
     """
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
+    check_float_range("m", m)
     for beta in betas:
         if beta >= 1.0:
             raise DomainError(f"beta={beta} >= 1: covariance is singular or invalid and the "
@@ -242,9 +245,10 @@ def _as_sigma(cov) -> np.ndarray:
     return s
 
 
-def _cholesky_or_raise(sigma: np.ndarray) -> np.ndarray:
+def _linalg_or_raise(op, sigma: np.ndarray) -> np.ndarray:
+    # inv also catches a singular matrix whose rounded Cholesky factor came out positive
     try:
-        return np.linalg.cholesky(sigma)
+        return op(sigma)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             "covariance is not positive definite; for an equicorrelated matrix "
@@ -290,11 +294,11 @@ def box_probability_general(cov, kappa: float, budget: int | None = None) -> Pro
     m = sigma.shape[0]
     if kappa == 0.0:
         return ProbResult(0.0, 0.0, "analytic")
-    chol = _cholesky_or_raise(sigma)
+    chol = _linalg_or_raise(np.linalg.cholesky, sigma)
     if m <= 3:
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         log_norm = -0.5 * (m * math.log(2.0 * math.pi) + logdet)
-        sigma_inv = np.linalg.inv(sigma)
+        sigma_inv = _linalg_or_raise(np.linalg.inv, sigma)
         coarse = _tensor_integral(sigma_inv, log_norm, kappa, 40)
         fine = _tensor_integral(sigma_inv, log_norm, kappa, 80)
         err = abs(fine - coarse) + 1e-15
@@ -302,6 +306,8 @@ def box_probability_general(cov, kappa: float, budget: int | None = None) -> Pro
             finer = _tensor_integral(sigma_inv, log_norm, kappa, 160)
             err = abs(finer - fine) + 1e-15
             fine = finer
+        if not math.isfinite(fine + err):
+            raise DomainError(f"the tensor quadrature is not finite at kappa={kappa}")
         return ProbResult(fine, err, "tensor_quadrature")
     n_samples = 200_000 if budget is None else int(budget)
     if n_samples < 100:
@@ -328,7 +334,7 @@ def box_probability_upper_bound(cov, kappa: float) -> float:
     """
     sigma = _as_sigma(cov)
     _check_kappa(kappa)
-    chol = _cholesky_or_raise(sigma)
+    chol = _linalg_or_raise(np.linalg.cholesky, sigma)
     m = sigma.shape[0]
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_bound = (
@@ -338,4 +344,6 @@ def box_probability_upper_bound(cov, kappa: float) -> float:
         if kappa > 0.0
         else -math.inf
     )
+    if not log_bound <= _LOG_FLOAT_MAX:
+        raise DomainError(f"the bound overflows at kappa={kappa}")
     return math.exp(log_bound)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .disorder import DisorderMatrix
-from .errors import DomainError, SizingError
+from .errors import DomainError, SizingError, check_float_range
 from .landscape import SignVector, _scan_masks
 
 __all__ = [
@@ -56,7 +56,6 @@ class KimRocheSchedule:
     f: tuple[float, ...]
     k: tuple[int, ...]
     n_blocks: tuple[int, ...]
-    total_fraction: float
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -108,6 +107,7 @@ def kim_roche_schedule(
     """
     if n < 2:
         raise SizingError(f"schedule needs n >= 2, got n={n}")
+    check_float_range("n", n)
     d1, power = divisors
     if not (0.0 < d1 < math.inf and 0.0 < power < math.inf):
         raise DomainError(f"divisors must be positive, got {divisors}")
@@ -155,7 +155,6 @@ def kim_roche_schedule(
         f=tuple(float(fr) for fr in fracs),
         k=tuple(k),
         n_blocks=tuple(blocks),
-        total_fraction=float(sum(fracs)),
     )
 
 

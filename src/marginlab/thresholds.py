@@ -61,6 +61,13 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def _finite(name: str, x: float) -> float:
+    # NaN fails the comparison, so it is rejected together with +-inf
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x
+
+
 def _margin_prob(kappa: float) -> float:
     return float(erf(kappa / _SQRT2))
 
@@ -83,17 +90,13 @@ def alpha_c(kappa: float) -> float:
     return -1.0 / math.log2(p)
 
 
-def alpha_ogp(kappa: float, log_base: str = "e") -> float:
-    """Structure-onset density -1/log P(|Z| <= kappa).
+def alpha_ogp(kappa: float) -> float:
+    """Structure-onset density -1/ln P(|Z| <= kappa), in natural log.
 
-    The natural-log convention ("e") is the form this constant is usually
-    displayed in; base "2" matches the bits-per-coordinate convention of
-    :func:`alpha_c` exactly.  The two differ by a factor ln 2.
+    This is the form the constant is usually displayed in; it is
+    :func:`alpha_c` (bits per coordinate) divided by ln 2.
     """
-    if log_base not in ("e", "2"):
-        raise DomainError(f"log_base must be 'e' or '2', got {log_base!r}")
-    base2 = alpha_c(kappa)
-    return base2 / _LN2 if log_base == "e" else base2
+    return alpha_c(kappa) / _LN2
 
 
 def critical_kappa() -> float:
@@ -151,8 +154,7 @@ def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
     split = [parts(x) for x in xs]
     if alpha < 0.0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    _finite("alpha", alpha)
     probs = box_probabilities_equicorrelated(m, [beta for beta, _ in split], 1.0)
     points = []
     for x, (beta, counting), res in zip(xs, split, probs):
@@ -160,7 +162,8 @@ def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
             raise DomainError(f"box probability vanished at beta={beta}")
         prob = alpha * math.log2(res.value)
         err = abs(alpha) * res.abs_error_estimate / (res.value * _LN2)
-        points.append(FreeEnergyPoint(x, alpha, counting + prob, counting, prob, err))
+        value = _finite("value", counting + prob)
+        points.append(FreeEnergyPoint(x, alpha, value, counting, prob, err))
     return points
 
 
@@ -265,26 +268,22 @@ def scan_negativity(
     )
 
 
-def negativity_onset(
-    which: str,
-    alpha_lo: float,
-    alpha_hi: float,
-    tol: float = 1e-3,
-    step: float | None = None,
-) -> float:
+def negativity_onset(which: str, alpha_lo: float, alpha_hi: float) -> float:
     """Bisect for the smallest alpha whose scan has a certified-negative point.
 
+    Each scan uses the default grid of :func:`scan_negativity`; bisection
+    stops once the bracket is at most 1e-3 wide and returns its upper end.
     Requires the bracket to straddle the onset: no negative point at
     ``alpha_lo``, at least one at ``alpha_hi``.
     """
-    if not scan_negativity(which, alpha_hi, step=step).has_negative:
+    if not scan_negativity(which, alpha_hi).has_negative:
         raise DomainError(f"no negative point at alpha_hi={alpha_hi}; bracket too low")
-    if scan_negativity(which, alpha_lo, step=step).has_negative:
+    if scan_negativity(which, alpha_lo).has_negative:
         raise DomainError(f"negative point already at alpha_lo={alpha_lo}; bracket too high")
     lo, hi = alpha_lo, alpha_hi
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if scan_negativity(which, mid, step=step).has_negative:
+        if scan_negativity(which, mid).has_negative:
             hi = mid
         else:
             lo = mid
@@ -328,12 +327,13 @@ def upsilon(beta: float, alpha: float, kappa: float) -> float:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    return (
+    _finite("alpha", alpha)
+    return _finite("upsilon", (
         binary_entropy((1.0 - beta) / 2.0)
         - 0.5 * alpha * _LOG2_2PI
         + alpha * math.log2(2.0 * kappa)
         - 0.5 * alpha * math.log2(1.0 - beta)
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -350,6 +350,17 @@ class PsiPoint:
     probability_part: float
 
 
+def _check_psi(c: float, beta: float, m: int, alpha: float, kappa: float) -> None:
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
+    if not (0.0 <= beta < 1.0):
+        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"kappa must be positive, got {kappa}")
+    _finite("c", c)
+    _finite("alpha", alpha)
+
+
 def psi_free_energy(c: float, beta: float, m: int, alpha: float, kappa: float) -> PsiPoint:
     """Rate of the expected number of m-tuples clustered at overlap beta.
 
@@ -362,19 +373,14 @@ def psi_free_energy(c: float, beta: float, m: int, alpha: float, kappa: float) -
         -(alpha m / 2) log2(2 pi) + alpha m log2(2 kappa)
         - (alpha/2) [log2(1-beta+beta*m) + (m-1) log2(1-beta)].
     """
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    if not 0.0 < kappa < math.inf:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    _check_psi(c, beta, m, alpha, kappa)
     counting = 1.0 + c * m + m * binary_entropy((1.0 - beta) / 2.0)
     prob = (
         -0.5 * alpha * m * _LOG2_2PI
         + alpha * m * math.log2(2.0 * kappa)
         - 0.5 * alpha * (math.log2(1.0 - beta + beta * m) + (m - 1) * math.log2(1.0 - beta))
     )
-    return PsiPoint(c, beta, m, alpha, kappa, counting + prob, counting, prob)
+    return PsiPoint(c, beta, m, alpha, kappa, _finite("value", counting + prob), counting, prob)
 
 
 def psi_upper_bound(c: float, beta: float, m: int, alpha: float, kappa: float) -> float:
@@ -383,32 +389,26 @@ def psi_upper_bound(c: float, beta: float, m: int, alpha: float, kappa: float) -
     Equals 1 - (alpha/2) log2(1-beta+beta*m) + m*(c + Upsilon(beta, alpha,
     kappa)); exceeds the exact rate by exactly -(alpha/2) log2(1-beta) >= 0.
     """
-    return (
+    _check_psi(c, beta, m, alpha, kappa)
+    return _finite("bound", (
         1.0
         - 0.5 * alpha * math.log2(1.0 - beta + beta * m)
         + m * (c + upsilon(beta, alpha, kappa))
-    )
+    ))
 
 
-def find_negative_psi(
-    kappa: float,
-    alpha: float,
-    beta: float | None = None,
-    c: float = 1e-4,
-    m_max_log2: int = 40,
-) -> PsiPoint | None:
+def find_negative_psi(kappa: float, alpha: float) -> PsiPoint | None:
     """Search replica counts m = 2^k for a negative replicated rate.
 
-    Defaults beta to 1 - 4*kappa^2, the overlap where the margin window and
-    correlation gap match scales.  Returns the first negative point, or None
-    if no power of two up to 2^m_max_log2 works.
+    Evaluates at beta = 1 - 4*kappa^2, the overlap where the margin window
+    and correlation gap match scales, with slack c = 1e-4.  Returns the first
+    negative point, or None if no power of two up to 2^40 works.
     """
-    if beta is None:
-        beta = 1.0 - 4.0 * kappa * kappa
+    beta = 1.0 - 4.0 * kappa * kappa
     if not (0.0 <= beta < 1.0):
-        raise DomainError(f"derived beta={beta} outside [0, 1); pass beta explicitly")
-    for k in range(0, m_max_log2 + 1):
-        point = psi_free_energy(c, beta, 1 << k, alpha, kappa)
+        raise DomainError(f"derived beta={beta} outside [0, 1)")
+    for k in range(41):
+        point = psi_free_energy(1e-4, beta, 1 << k, alpha, kappa)
         if point.value < 0.0:
             return point
     return None
@@ -428,7 +428,9 @@ def chaos_exponent(kappa: float, alpha: float, m: int) -> float:
     x = 2.5 * kappa * kappa
     if x >= 1.0:
         raise DomainError(f"5 kappa^2 / 2 = {x} must be below 1")
-    return 1.0 / m + binary_entropy(x) + alpha * math.log2(2.0 * kappa / math.sqrt(2.0 * math.pi))
+    _finite("alpha", alpha)
+    return _finite("exponent", 1.0 / m + binary_entropy(x)
+                   + alpha * math.log2(2.0 * kappa / math.sqrt(2.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -467,6 +469,8 @@ def necessity_terms(kappa: float, c: float) -> NecessityRow:
         raise DomainError(f"log2(pi*C)/2 = {log_factor} must be positive")
     alpha_implied = entropy / log_factor
     floor3 = 3.0 * kappa * kappa * math.log2(1.0 / kappa)
+    if not floor3 > 0.0:  # kappa^2 underflowed to 0
+        raise DomainError(f"kappa={kappa} underflows the floor 3 kappa^2 log2(1/kappa)")
     return NecessityRow(
         c=c,
         delta=delta,
@@ -476,24 +480,17 @@ def necessity_terms(kappa: float, c: float) -> NecessityRow:
         asym_kappa_term=2.0 * delta * math.log2(1.0 / kappa),
         asym_c_term=delta * math.log2(1.0 / c),
         floor3=floor3,
-        ratio_to_floor=alpha_implied / floor3 if floor3 > 0.0 else math.inf,
+        ratio_to_floor=alpha_implied / floor3,
     )
 
 
-def necessity_scan(kappa: float, c_grid: tuple[float, ...] | None = None) -> list[NecessityRow]:
-    """Implied-density table over a grid of overlap-scale constants C > 1.
+def necessity_scan(kappa: float) -> list[NecessityRow]:
+    """Implied-density table over the overlap-scale constants C.
 
-    Default grid: powers of two from 2 to 1024, filtered to C*kappa^2 < 1.
+    The grid is the powers of two from 2 to 1024, filtered to C*kappa^2 < 1.
     """
-    if c_grid is None:
-        c_grid = tuple(float(1 << k) for k in range(1, 11))
-        c_grid = tuple(c for c in c_grid if c * kappa * kappa < 1.0)
-        if not c_grid:
-            raise DomainError(f"no admissible C for kappa={kappa}")
-    rows = []
-    for c in c_grid:
-        if c <= 1.0:
-            raise DomainError(f"scan grid must use C > 1, got {c}")
-        rows.append(necessity_terms(kappa, c))
-    return rows
+    c_grid = [float(1 << k) for k in range(1, 11) if (1 << k) * kappa * kappa < 1.0]
+    if not c_grid:
+        raise DomainError(f"no admissible C for kappa={kappa}")
+    return [necessity_terms(kappa, c) for c in c_grid]
 

@@ -720,3 +720,35 @@ def test_experiments_reject_non_finite_flags(tmp_path, capsys, label, option, de
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# Integer size flags that each overflowed the first float product they met.
+# Only values beyond the float range are fed: a large representable size would
+# allocate, and a huge --trials, --replicas, --q-steps or --budget would start
+# unbounded work.
+HUGE_INT_FLAGS = [
+    ("stable-params", "--m"),
+    ("solve-majority", "--n"),
+    ("trajectory", "--n"),
+    ("two-stage", "--n"),
+    ("kim-roche-stability", "--n"),
+    ("majority-stability", "--k-rows"),
+    ("count-tuples", "--n"),
+    ("mvn-box", "--m"),
+    ("mvn-upper-bound", "--m"),
+    ("mvn-general", "--m"),
+]
+
+
+@pytest.mark.parametrize("label,option", HUGE_INT_FLAGS,
+                         ids=[f"{label}{option}" for label, option in HUGE_INT_FLAGS])
+def test_integer_flags_beyond_float_range_are_domain_errors(tmp_path, capsys, label, option):
+    argv = [*VALID_ARGS[label], f"{option}={10**400}"]
+    if _writes_files(_leaf(argv)):
+        argv += ["--out-dir", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert "exceeds the float range" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -261,6 +261,9 @@ def test_covariance_spec_validation():
 def test_not_positive_definite_rejected():
     with pytest.raises(NotPositiveDefiniteError):
         box_probability_general(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+    # singular, yet its rounded Cholesky factor has a positive last pivot
+    with pytest.raises(NotPositiveDefiniteError):
+        box_probability_general(np.array([[2.0, 2.0], [2.0, 2.0]]), 1.0)
     pert = np.zeros((2, 2))
     pert[0, 1] = pert[1, 0] = -0.02
     spec = CovarianceSpec(dim=2, beta=0.99, perturbation=pert, eta_bound=0.03)

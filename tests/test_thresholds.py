@@ -73,11 +73,8 @@ def test_alpha_c_monotone_in_kappa():
 
 
 def test_alpha_ogp_log_conventions():
-    # the two conventions differ exactly by a factor ln 2
-    assert alpha_ogp(1.0, "2") == pytest.approx(alpha_c(1.0), abs=1e-15)
-    assert alpha_ogp(1.0, "e") == pytest.approx(alpha_c(1.0) / math.log(2.0), abs=1e-12)
-    with pytest.raises(DomainError):
-        alpha_ogp(1.0, "10")
+    # the natural-log and base-2 (alpha_c) conventions differ exactly by a factor ln 2
+    assert alpha_ogp(1.0) == pytest.approx(alpha_c(1.0) / math.log(2.0), abs=1e-12)
 
 
 def test_free_energy_frozen_points():
@@ -162,7 +159,7 @@ def test_scan_csv_golden_digest(tmp_path, capsys, which, alpha, grid, digest):
 
 
 def test_negativity_onset_frozen():
-    onset = negativity_onset("f3", 1.5, 1.7, tol=1e-3)
+    onset = negativity_onset("f3", 1.5, 1.7)
     assert onset == pytest.approx(1.6672, abs=2e-3)
     # alpha below onset scans empty; above scans nonempty
     assert not scan_negativity("f3", onset - 0.01).has_negative
