@@ -62,7 +62,10 @@ def _floor_count(x: float, n: int) -> int:
     # floor(x*n) with a one-ulp guard so decimal inputs like 0.3 round the
     # intended way instead of tripping on binary representation slop.
     check_float_range("n", n)
-    return int(math.floor(x * n + 1e-9))
+    product = x * n
+    if not abs(product) < math.inf:
+        raise DomainError(f"{x} * n exceeds the float range")
+    return int(math.floor(product + 1e-9))
 
 
 def _resampled_columns(delta: float, n: int) -> int:

@@ -139,7 +139,10 @@ def kim_roche_schedule(
     k: list[int] = []
     for j in range(1, rounds + 1):
         if j == 1:
-            kj = 2 * math.floor(n / (2.0 * d1)) + 1
+            half = n / (2.0 * d1)
+            if not half < math.inf:
+                raise DomainError(f"n / (2 * d1) exceeds the float range at d1={d1}")
+            kj = 2 * math.floor(half) + 1
         else:
             if float(power).is_integer():
                 x = Fraction(n) * _block_fraction(j) ** int(power)

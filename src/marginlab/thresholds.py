@@ -198,6 +198,9 @@ def f3(beta: float, alpha: float) -> FreeEnergyPoint:
     return _evaluate("f3", [beta], alpha)[0]
 
 
+#: Most abscissas one scan evaluates; a finer grid is rejected before it is built.
+_MAX_GRID_POINTS = 10**6
+
 _DEFAULT_GRIDS = {
     "f1": (1e-5, 0.1, 1e-4),
     "f2": (0.9, 0.999, 1e-3),
@@ -237,7 +240,8 @@ def scan_negativity(
     """Evaluate a functional on a grid and locate its certified-negative set.
 
     Grid defaults: f1 over delta in [1e-5, 0.1] step 1e-4, f2 and f3 over
-    beta in [0.9, 0.999] step 1e-3.  A point counts as negative only when
+    beta in [0.9, 0.999] step 1e-3; a grid of more than 10**6 points is
+    rejected before it is built.  A point counts as negative only when
     value + prob_error < 0.  All grid points share one batched quadrature
     call; each point equals the one-point functional at its abscissa.
     """
@@ -250,6 +254,8 @@ def scan_negativity(
     if not (step > 0.0 and lo <= hi and math.isfinite((hi - lo) / step)):
         raise DomainError(f"bad grid: lo={lo}, hi={hi}, step={step}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > _MAX_GRID_POINTS:
+        raise DomainError(f"grid of {count} points exceeds the limit of {_MAX_GRID_POINTS}")
     grid = [lo + i * step for i in range(count)]
     points = tuple(_evaluate(which, grid, alpha))
     best = min(points, key=lambda p: p.value)

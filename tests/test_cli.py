@@ -135,9 +135,9 @@ GOLDEN_RUNS = {
          "0.999", "--step", "0.001"],
         {
             "scan_f3_alpha1.667.csv":
-                "fb4bbcf41f7b3a6a730af5e05fed5331d0ab4f6bf00de105bd8b264aab1fe2bb",
+                "3a9cb52bfe0ecebf3cd7d50fe4c779374b5650e3910587a1b0ac43ae3a5a5343",
             "scan_f3_alpha1.667_summary.json":
-                "276299052beaba823f9f937a4829142c7acdfc401ad7b319b5aacf651cd3fe22",
+                "a34471d991a180f7505570c6ba3edf98f262bc39f53d1fcebbf78e8d188c7ab2",
             "stdout":
                 "c7c60ac4fca60ea0e87e0c3f9625b4ce6c0311e896482de1b2befd2c4da470ae",
         },
@@ -208,9 +208,9 @@ NEGATIVE_RUNS = {
         ["thresholds", "--which", "f3", "--alpha", "1.5"],
         {
             "scan_f3_alpha1.5.csv":
-                "e543cf7a666a21f51b269ae59b9baaa572fc9a3473152d1288b90d4ea06ddc23",
+                "a9d3ec938c7e0a2e492dd86812af7fabd8e8a9ab5ba070f9c54b86c1532848f6",
             "scan_f3_alpha1.5_summary.json":
-                "7c6e3d1ec4e489bb67691f9d52d6d9ab8aacb0c2b64e64523671b787dbb1d619",
+                "bea3958e5d16f9fab4330767b698115ff68c11356dbcd6b114af71c7ba8afc80",
             "stdout":
                 "db48d524f809abd7c5fc2986b41d561a15ba4feb125abd14a37536962e4e8e91",
         },
@@ -280,7 +280,7 @@ MVN_STDOUT_DIGESTS = {
     "cdf": (["--cdf", "1.5"],
             "d053f8fadf218745c539095eae4ef54a4b09c3606bdddffb4d472291c46229f9"),
     "box": (["--box", "--m", "3", "--beta", "0.978", "--kappa", "1.0"],
-            "65c7c0d22641aba21c85c7984e639be18002f64935b9941b0cb6427f06d3dcc5"),
+            "e70573473aaea3183a84b3237e8d2ea9ab9437da97a99d2fa8b5c5aa4e1fad57"),
     "box-general": (["--box", "--general", "--m", "3", "--beta", "0.5", "--kappa", "1.0"],
                     "ae61da3b9b878a700cd0d4fdbcbda43c3c7d5364ea2ecde02bd30bc6a4da6d47"),
     "upper-bound": (["--upper-bound", "--m", "3", "--beta", "0.5", "--kappa", "0.2"],
@@ -398,7 +398,7 @@ def test_mvn_box_output(capsys):
     assert main(["mvn", "--box", "--m", "3", "--beta", "0.978",
                  "--kappa", "1.0"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out.startswith("0.62046698887924")
+    assert out.startswith("0.62046698887923")
     assert "factor_quadrature" in out
 
 
@@ -566,7 +566,10 @@ def test_scan_certified_sets_are_frozen(tmp_path, capsys, which, alpha, grid, wa
     (["thresholds", "--which", "f2", "--alpha", "1.7", "--hi", "nan"], "bad grid"),
     (["thresholds", "--which", "f1", "--alpha", "1.7", "--lo=-inf"], "bad grid"),
     (["thresholds", "--which", "f1", "--alpha", "1.7", "--hi", "inf"], "bad grid"),
-], ids=["alpha-nan", "alpha-inf", "step-nan", "lo-nan", "hi-nan", "lo-minus-inf", "hi-inf"])
+    (["thresholds", "--which", "f2", "--alpha", "1.7", "--step", "1e-12"],
+     "grid of 99000000000 points exceeds the limit of 1000000"),
+], ids=["alpha-nan", "alpha-inf", "step-nan", "lo-nan", "hi-nan", "lo-minus-inf", "hi-inf",
+        "step-1e-12"])
 def test_thresholds_rejects_non_finite_inputs(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_DOMAIN
     assert f"domain error: {message}" in capsys.readouterr().err
@@ -750,5 +753,24 @@ def test_integer_flags_beyond_float_range_are_domain_errors(tmp_path, capsys, la
     captured = capsys.readouterr()
     assert code == EXIT_DOMAIN
     assert "exceeds the float range" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# Sizes inside the float range whose product with another flag is not.
+OVERFLOWING_PRODUCTS = [
+    (["solve", "--algo", "majority", "--n", str(10**200), "--alpha", "1e200"],
+     "1e+200 * n exceeds the float range"),
+    (["solve", "--algo", "kim-roche", "--n", "1000", "--alpha", "0.01", "--d1", "1e-306"],
+     "n / (2 * d1) exceeds the float range at d1=1e-306"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OVERFLOWING_PRODUCTS, ids=["majority", "kim-roche"])
+def test_finite_flags_whose_product_overflows_are_domain_errors(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert f"domain error: {message}" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []

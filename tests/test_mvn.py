@@ -36,6 +36,77 @@ FROZEN_BOX3 = {
     (0.978, 1.0): 0.6204669888792478,
 }
 
+# Regenerate with tests/oracles/box_mpmath.py (30-digit mpmath integral of the
+# one-factor reduction at the exact double inputs; independent of numpy).
+FROZEN_BOX_MPMATH = {
+    (2, 0.0001, 0.05): 0.0015902239209791408,
+    (2, 0.1, 0.05): 0.0015982217243992944,
+    (2, 0.5, 0.05): 0.0018357228961245772,
+    (2, 0.9, 0.05): 0.0036353277587100586,
+    (2, 0.978, 0.05): 0.007486618328469991,
+    (2, 0.999, 0.05): 0.02581628234740246,
+    (2, 0.999999, 0.05): 0.039428015827445276,
+    (2, 0.0001, 0.5): 0.14663149692816185,
+    (2, 0.1, 0.5): 0.14725517936290253,
+    (2, 0.5, 0.5): 0.16508526069133217,
+    (2, 0.9, 0.5): 0.2581073853084553,
+    (2, 0.978, 0.5): 0.3239200015418877,
+    (2, 0.999, 0.5): 0.3703615724661953,
+    (2, 0.999999, 0.5): 0.382527659343014,
+    (2, 0.0001, 1.0): 0.4660649438453889,
+    (2, 0.1, 1.0): 0.4672398543601861,
+    (2, 0.5, 1.0): 0.497971777839208,
+    (2, 0.9, 1.0): 0.5963599497277655,
+    (2, 0.978, 1.0): 0.64219214550791,
+    (2, 0.999, 1.0): 0.6740553761447126,
+    (2, 0.999999, 1.0): 0.6824164574124876,
+    (2, 0.0001, 2.0): 0.9110697464551234,
+    (2, 0.1, 2.0): 0.9113031477825323,
+    (2, 0.5, 2.0): 0.9171118526196426,
+    (2, 0.9, 2.0): 0.9357219844613217,
+    (2, 0.978, 2.0): 0.9455133369780979,
+    (2, 0.999, 2.0): 0.9525736860885533,
+    (2, 0.999999, 2.0): 0.9544388138370464,
+    (3, 0.0001, 0.05): 6.341433263290085e-05,
+    (3, 0.1, 0.05): 6.431973427137553e-05,
+    (3, 0.5, 0.05): 8.96254212072199e-05,
+    (3, 0.9, 0.05): 0.0003762497837416005,
+    (3, 0.978, 0.05): 0.0016166951314124823,
+    (3, 0.999, 0.05): 0.018966455647039422,
+    (3, 0.999999, 0.05): 0.039203212410952086,
+    (3, 0.0001, 0.5): 0.05614885507890931,
+    (3, 0.1, 0.5): 0.05682929549507662,
+    (3, 0.5, 0.5): 0.0749680991909164,
+    (3, 0.9, 0.5): 0.1925671374327965,
+    (3, 0.978, 0.5): 0.2933409601649628,
+    (3, 0.999, 0.5): 0.3640313529362278,
+    (3, 0.999999, 0.5): 0.38232897921454245,
+    (3, 0.0001, 1.0): 0.31817764141544885,
+    (3, 0.1, 1.0): 0.32048558761216406,
+    (3, 0.5, 1.0): 0.3756674897364701,
+    (3, 0.9, 1.0): 0.5463347412439332,
+    (3, 0.978, 1.0): 0.6204669888792392,
+    (3, 0.999, 1.0): 0.6696715968886648,
+    (3, 0.999999, 1.0): 0.6822798733474438,
+    (3, 0.0001, 2.0): 0.8696158330085992,
+    (3, 0.1, 2.0): 0.8702733077933636,
+    (3, 0.5, 2.0): 0.8850862207854345,
+    (3, 0.9, 2.0): 0.9234013646283319,
+    (3, 0.978, 2.0): 0.9403673064992998,
+    (3, 0.999, 2.0): 0.9515808984388278,
+    (3, 0.999999, 2.0): 0.9544083229369731,
+}
+
+
+def test_error_bar_covers_the_mpmath_reference():
+    misses = []
+    for (m, beta, kappa), ref in FROZEN_BOX_MPMATH.items():
+        res = box_probability_equicorrelated(m, beta, kappa)
+        assert res.method == "factor_quadrature"
+        if not abs(res.value - ref) <= res.abs_error_estimate:
+            misses.append((m, beta, kappa, abs(res.value - ref), res.abs_error_estimate))
+    assert misses == []
+
 
 def test_cdf_against_erf_identity():
     for x in (-3.0, -1.0, 0.0, 0.5, 2.0):
@@ -120,6 +191,11 @@ def _kernel(m, beta, kappa, order):
     return float(mvn._factor_integrals(m, np.array([beta]), kappa, order)[0])
 
 
+def _error(reference, value):
+    # Order gap + discarded tails + QUADPACK's roundoff floor 50*eps*value.
+    return abs(value - reference) + 1.3e-15 + 50.0 * np.finfo(np.float64).eps * value
+
+
 # 14 betas: more than one quadrature block and not a multiple of its size;
 # the first block mixes betas with one (beta <= 0.5), two (0.6) and three
 # half-line panels.
@@ -133,44 +209,44 @@ def test_batched_quadrature_equals_one_beta_loop():
             batch = box_probabilities_equicorrelated(m, BATCH_BETAS, kappa)
             assert batch == [box_probability_equicorrelated(m, b, kappa) for b in BATCH_BETAS]
             for beta, res in zip(BATCH_BETAS[1:], batch[1:]):
-                coarse, fine = _kernel(m, beta, kappa, 201), _kernel(m, beta, kappa, 402)
-                assert res == ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
-                assert abs(coarse - _factor_integral_loop(m, beta, kappa, 201)) <= 2e-15
-                assert abs(fine - _factor_integral_loop(m, beta, kappa, 402)) <= 2e-15
+                coarse, fine = _kernel(m, beta, kappa, 101), _kernel(m, beta, kappa, 202)
+                assert res == ProbResult(fine, _error(coarse, fine), "factor_quadrature")
+                assert abs(coarse - _factor_integral_loop(m, beta, kappa, 101)) <= 2e-15
+                assert abs(fine - _factor_integral_loop(m, beta, kappa, 202)) <= 2e-15
             assert batch[0].method == "analytic"
 
 
 def test_refinement_applies_only_to_betas_that_need_it(monkeypatch):
-    # No grid in the suite reaches the 801-node rule, so push one beta's
+    # No grid in the suite reaches the 404-node rule, so push one beta's
     # coarse estimate 1e-6 off and check that only that beta is refined.
     real = mvn._factor_integrals
 
     def coarse_off(m, betas, kappa, order):
         out = real(m, betas, kappa, order)
-        if order == 201:
+        if order == 101:
             out[betas == 0.9] += 1e-6
         return out
 
     expected = {}
     for beta in (0.5, 0.9, 0.978):
-        coarse, fine, finer = (_kernel(3, beta, 1.0, n) for n in (201, 402, 801))
+        coarse, fine, finer = (_kernel(3, beta, 1.0, n) for n in (101, 202, 404))
         if beta == 0.9:
-            expected[beta] = ProbResult(finer, abs(finer - fine) + 1e-15, "factor_quadrature")
-            reference = _factor_integral_loop(3, beta, 1.0, 801)
+            expected[beta] = ProbResult(finer, _error(fine, finer), "factor_quadrature")
+            reference = _factor_integral_loop(3, beta, 1.0, 404)
         else:
-            expected[beta] = ProbResult(fine, abs(fine - coarse) + 1e-15, "factor_quadrature")
-            reference = _factor_integral_loop(3, beta, 1.0, 402)
+            expected[beta] = ProbResult(fine, _error(coarse, fine), "factor_quadrature")
+            reference = _factor_integral_loop(3, beta, 1.0, 202)
         assert abs(expected[beta].value - reference) <= 2e-15
     monkeypatch.setattr(mvn, "_factor_integrals", coarse_off)
     assert box_probabilities_equicorrelated(3, list(expected), 1.0) == list(expected.values())
 
 
 def test_default_scan_builds_only_the_rules_it_uses(monkeypatch):
-    # No default grid needs the 801-node refinement; building that rule anyway
-    # (an 801 x 801 companion matrix) raises the peak memory of every scan.
+    # No default grid needs the 404-node refinement; building that rule anyway
+    # (a 404 x 404 companion matrix) raises the peak memory of every scan.
     monkeypatch.setattr(mvn, "_GL_CACHE", {})
     scan_negativity("f3", 1.667)
-    assert sorted(mvn._GL_CACHE) == [201, 402]
+    assert sorted(mvn._GL_CACHE) == [101, 202]
 
 
 def test_batch_validation_and_degenerate_cases():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,14 +38,14 @@ from marginlab.thresholds import (
 F1_CRITERION_GRID = dict(lo=1e-5, hi=0.1, step=1e-4)
 GOLDEN_SCAN_DIGESTS = [
     ("f1", 1.77, F1_CRITERION_GRID,
-     "d7922b3f259d598693de1cf5507b2a998e7784e2e4ef0f16fd83f44ce9765e1a"),
+     "716bae407650d9d9cbb373bfa636a816d2706c2b3753ac8e96888cf085d58e57"),
     ("f1", 1.62, F1_CRITERION_GRID,
-     "9c9de25f2a461c0b58273528d3fdf461228348bf871c549992121721ca255645"),
-    ("f2", 1.71, {}, "324d2964adee4b9d667a6ea28a2de6805ec2710e9e1a3335e33e5cd03a93e4a3"),
-    ("f2", 1.56, {}, "9ab417d9d2b1464afa146df502e4ae7ed0d2572ed28cdc68d5fecc7c0f2e4bc6"),
-    ("f3", 1.667, {}, "fb4bbcf41f7b3a6a730af5e05fed5331d0ab4f6bf00de105bd8b264aab1fe2bb"),
+     "4f4a715c65b6fd7d715c0aea1a26b77abc4a0f8fd23713c33a6b222165eec0d9"),
+    ("f2", 1.71, {}, "36472b48f946e8e857b8fdcae63428400d9ce818b13a883ee23fd37afb669d4a"),
+    ("f2", 1.56, {}, "e748884f258e9cc84b8f757a34a2ba365cef5685970b99703e459901a2d4c40d"),
+    ("f3", 1.667, {}, "3a9cb52bfe0ecebf3cd7d50fe4c779374b5650e3910587a1b0ac43ae3a5a5343"),
     ("f3", 1.667 - 0.15, {},
-     "848313728c58d78ba8612a81d682b6d2b38e540ff24d6dd91c7afda44e2cf198"),
+     "fecc2a33cf5b1ef5ec0183cc28e537b5ff0a6e1dfa210ca208f1f0b9c68a937d"),
 ]
 
 
@@ -131,6 +132,19 @@ def test_scan_certifies_negativity_with_error_budget():
         # anything not certified negative must not be in the negative set
         assert not (lo <= pt.abscissa <= hi and pt.value < 0.0 and
                     pt.value + pt.prob_error < 0.0)
+
+
+def test_scan_rejects_a_grid_above_its_point_limit():
+    # 1,000,001 abscissas: refused from the count alone, before any list of
+    # the grid exists.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="grid of 1000001 points exceeds the limit"):
+            scan_negativity("f2", 1.7, lo=0.0, hi=1.0, step=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("which,fn,alpha,grid", [
