@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .disorder import (
     DisorderMatrix,
     InterpolatedEnsemble,
-    correlated_pair,
     dump_matrix,
     interpolate,
     load_matrix,
@@ -84,6 +83,7 @@ from .thresholds import (
 )
 from .experiments import (
     kim_roche_stability_trial,
+    majority_stability_curve,
     majority_stability_trial,
     online_failure_census,
     online_two_stage_trial,
@@ -100,7 +100,7 @@ __all__ = [
     "CapExceededError", "UsageError",
     # disorder
     "DisorderMatrix", "InterpolatedEnsemble", "sample_disorder", "interpolate",
-    "resample_columns", "correlated_pair", "sample_ensemble", "uniform_tau_grid",
+    "resample_columns", "sample_ensemble", "uniform_tau_grid",
     "dump_matrix", "load_matrix",
     # mvn
     "ProbResult", "CovarianceSpec", "std_normal_cdf", "quadrant_probability",
@@ -120,7 +120,8 @@ __all__ = [
     "KimRocheSchedule", "kim_roche_schedule", "majority_solve", "kim_roche_solve",
     "online_solve", "exhaustive_solve",
     # experiments
-    "majority_stability_trial", "kim_roche_stability_trial", "overlap_trajectory",
+    "majority_stability_curve", "majority_stability_trial", "kim_roche_stability_trial",
+    "overlap_trajectory",
     "online_failure_census", "online_two_stage_trial", "universality_gap",
     "stable_replica_parameters", "wilson_interval",
 ]

@@ -15,7 +15,7 @@ column window draws only its own blocks.  That purity makes coupled
 resampling and replica constructions reproducible without state.
 
     stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
-    2t, 2t + 1            base and replica of experiment trial t
+    2t, 2t + 1            base and replica of experiment trial t (``sample_ensemble``)
     RESAMPLE_STREAM + t   fresh columns of trial t (RESAMPLE_STREAM = 2^62)
     base_stream + 1 + i   replica i of ``sample_ensemble``
 """
@@ -36,7 +36,6 @@ __all__ = [
     "DisorderMatrix",
     "InterpolatedEnsemble",
     "RESAMPLE_STREAM",
-    "correlated_pair",
     "dump_matrix",
     "interpolate",
     "load_matrix",
@@ -49,6 +48,7 @@ __all__ = [
 _DISTS = ("gaussian", "rademacher")
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1 << 15  # entries of one sampler chunk (256 KiB of raw draws)
+_MAX_ENTRIES = 1 << 27  # largest matrix sampled (1 GiB of float64)
 
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
 RESAMPLE_STREAM = 1 << 62
@@ -167,6 +167,8 @@ def sample_disorder(
     m = _floor_count(alpha, n)
     if m < 1:
         raise SizingError(f"floor(alpha*n) = {m}, no rows to sample")
+    if m * n > _MAX_ENTRIES:
+        raise SizingError(f"{m} x {n} matrix exceeds the limit of {_MAX_ENTRIES} entries")
     entries = np.empty((m, n), dtype=np.float64)
     _rows(philox_key(seed, stream), entries, 0, dist)
     return DisorderMatrix(
@@ -220,20 +222,15 @@ def resample_columns(
     )
 
 
-def correlated_pair(
-    n: int, alpha: float, rho: float, seed: int
-) -> tuple[DisorderMatrix, DisorderMatrix]:
-    """Sample a pair of gaussian matrices with entrywise correlation ``rho``.
-
-    Realized as a rotation by arccos(rho) of the base (stream 0) toward an
-    independent replica (stream 1), so rho=1 returns two bit-identical
-    matrices and rho=0 two independent ones.
-    """
-    if not (0.0 <= rho <= 1.0):
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
-    base = sample_disorder(n, alpha, "gaussian", seed, stream=0)
-    replica = sample_disorder(n, alpha, "gaussian", seed, stream=1)
-    return base, interpolate(base, replica, math.acos(rho))
+def _check_angles(name: str, taus: tuple[float, ...]) -> None:
+    """Reject an empty ``taus``, an angle outside [0, pi/2] or a step that does not increase."""
+    if not taus:
+        raise DomainError(f"{name} must be nonempty")
+    for tau in taus:
+        if not 0.0 <= tau <= math.pi / 2.0:
+            raise DomainError(f"tau must lie in [0, pi/2], got {tau}")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise DomainError(f"{name} must increase strictly, got {taus}")
 
 
 def uniform_tau_grid(q: int) -> tuple[float, ...]:
@@ -261,13 +258,7 @@ class InterpolatedEnsemble:
                 raise SizingError("replica shape differs from base")
             if rep.dist != self.base.dist:
                 raise DomainError("replica distribution differs from base")
-        if not self.tau_grid:
-            raise DomainError("empty angle grid")
-        prev = -1.0
-        for tau in self.tau_grid:
-            if not (0.0 <= tau <= math.pi / 2.0) or tau <= prev:
-                raise DomainError("angle grid must increase strictly within [0, pi/2]")
-            prev = tau
+        _check_angles("angle grid", self.tau_grid)
 
     @property
     def n_replicas(self) -> int:

@@ -3,9 +3,10 @@
 The four coupled experiments (majority and Kim-Roche stability under
 rotation, the census and the online two-stage trial under column
 resampling) draw trial t through one runner, ``_coupled_solutions``: the
-base on stream 2t, rotated toward a replica on stream 2t + 1 or resampled on
-stream RESAMPLE_STREAM + t.  Trial t is thus pure in (seed, t), and trials
-are independent.  Summaries carry per-trial statistics plus a standard
+base on stream 2t, rotated toward a replica on stream 2t + 1 by every angle
+of a grid (one ``sample_ensemble`` per trial) or resampled on stream
+RESAMPLE_STREAM + t.  Trial t is thus pure in (seed, t), and trials are
+independent.  Summaries carry per-trial statistics plus a standard
 error; binomial fractions also get a Wilson interval, which stays honest at
 the extremes where the normal approximation collapses.
 
@@ -29,7 +30,6 @@ from scipy.special import ndtri
 from .disorder import (
     RESAMPLE_STREAM,
     _resampled_columns,
-    interpolate,
     philox_key,
     resample_columns,
     sample_disorder,
@@ -51,6 +51,7 @@ __all__ = [
     "UniversalityRow",
     "expected_majority_flip_probability",
     "kim_roche_stability_trial",
+    "majority_stability_curve",
     "majority_stability_trial",
     "online_failure_census",
     "online_two_stage_trial",
@@ -104,25 +105,27 @@ def _coupled_solutions(
     trials: int,
     seed: int,
     solve: Callable,
-    tau: float | None = None,
+    taus: tuple[float, ...] | None = None,
     delta: float | None = None,
     min_trials: int = 1,
 ) -> Iterator[tuple]:
-    """Yield (solve(base), solve(partner)) for each trial.
+    """Yield (solve(base), [solve(partner), ...]) for each trial.
 
-    The partner is the base rotated by ``tau`` or, given ``delta``, the base
-    with its last columns resampled; the module docstring gives the streams.
+    The partners are the base rotated by each angle of ``taus`` (the base is
+    solved once for all of them) or, given ``delta``, the one base with its
+    last columns resampled; the module docstring gives the streams.
     """
     if trials < min_trials:
         raise SizingError(f"need at least {min_trials} trial(s), got {trials}")
     for t in range(trials):
-        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
         if delta is None:
-            replica = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t + 1)
-            partner = interpolate(base, replica, tau)
+            # solve each rotation as it is built: a trial holds base, replica and one rotation
+            ens = sample_ensemble(n, alpha, 1, taus, seed, base_stream=2 * t)
+            yield solve(ens.base), [solve(ens.instance(0, k)) for k in range(len(taus))]
         else:
+            base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
             partner = resample_columns(base, delta, seed, stream=RESAMPLE_STREAM + t)
-        yield solve(base), solve(partner)
+            yield solve(base), [solve(partner)]
 
 
 def expected_majority_flip_probability(tau: float) -> float:
@@ -138,36 +141,35 @@ def expected_majority_flip_probability(tau: float) -> float:
     return tau / math.pi
 
 
-def majority_stability_trial(
-    n: int,
-    k_rows: int,
-    tau: float,
-    trials: int,
-    seed: int,
-) -> TrialSummary:
-    """Hamming distance between majority outputs of a base and its rotation.
+def majority_stability_curve(
+    n: int, k_rows: int, taus: tuple[float, ...], trials: int, seed: int
+) -> tuple[TrialSummary, ...]:
+    """Hamming distances between majority outputs of a base and its rotations, per angle.
 
-    Trial t solves the base and its rotation by tau toward an independent
-    replica.  Each coordinate flips independently with probability tau/pi,
-    so the distance is Binomial(n, tau/pi) exactly.
+    Trial t solves the base once, and its rotation toward one independent
+    replica by each angle of the strictly increasing grid ``taus``.  Each
+    coordinate flips independently with probability tau/pi, so the distance
+    at angle tau is Binomial(n, tau/pi) exactly.
     """
     if k_rows < 1:
         raise SizingError(f"need at least one voting row, got {k_rows}")
     check_float_range("k_rows", k_rows)
     alpha = k_rows / n
-    pairs = _coupled_solutions(n, alpha, trials, seed, majority_solve, tau=tau, min_trials=2)
-    dists = [float(hamming(a, b)) for a, b in pairs]
-    arr = np.array(dists)
-    return TrialSummary(
-        experiment="majority_stability",
-        n=n,
-        alpha=alpha,
-        trials=trials,
-        seed=seed,
-        mean=float(arr.mean()),
-        std_error=float(arr.std(ddof=1) / math.sqrt(trials)),
-        per_trial=tuple(dists),
+    solved = _coupled_solutions(n, alpha, trials, seed, majority_solve, taus=taus, min_trials=2)
+    dists = [[float(hamming(a, b)) for b in bs] for a, bs in solved]
+    return tuple(
+        TrialSummary(experiment="majority_stability", n=n, alpha=alpha, trials=trials, seed=seed,
+                     mean=float(np.mean(col)), per_trial=col,
+                     std_error=float(np.std(col, ddof=1) / math.sqrt(trials)))
+        for col in zip(*dists)
     )
+
+
+def majority_stability_trial(
+    n: int, k_rows: int, tau: float, trials: int, seed: int
+) -> TrialSummary:
+    """The one-angle :func:`majority_stability_curve`."""
+    return majority_stability_curve(n, k_rows, (tau,), trials, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,7 @@ def kim_roche_stability_trial(
     finals: list[int] = []
     per_round: list[tuple[int, ...]] = []
     agreements: list[tuple[float, ...]] = []
-    for (sv_a, tr_a), (sv_b, tr_b) in _coupled_solutions(n, alpha, trials, seed, solve, tau=tau):
+    for (sv_a, tr_a), [(sv_b, tr_b)] in _coupled_solutions(n, alpha, trials, seed, solve, (tau,)):
         finals.append(hamming(sv_a, sv_b))
         # flips[i]: disagreements among the first i + 1 coordinates
         flips = np.cumsum(sv_a.signs() != sv_b.signs())
@@ -356,7 +358,7 @@ def online_failure_census(
     d_max = _resampled_columns(delta, n)
     scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True, n_cap=_CENSUS_CAP)
     hits = []
-    for a, b in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
+    for a, [b] in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
         b = np.array(b, dtype=np.uint64)
         hits.append(b.size > 0 and any(np.bitwise_count(b ^ m).min() <= d_max for m in a))
     return CensusResult(
@@ -409,7 +411,7 @@ def online_two_stage_trial(
     solve = functools.partial(online_solve, kappa=kappa, strategy=strategy)
     pairs = _coupled_solutions(n, alpha, trials, seed, solve, delta=delta)
     successes = 0
-    for t, ((sv_a, ok_a, _), (sv_b, ok_b, _)) in enumerate(pairs):
+    for t, ((sv_a, ok_a, _), [(sv_b, ok_b, _)]) in enumerate(pairs):
         if not np.array_equal(sv_a.signs()[:n - b], sv_b.signs()[:n - b]):
             raise AssertionError(
                 f"online prefix property violated at trial {t}: decisions on a "
@@ -627,6 +629,12 @@ def stable_replica_parameters(
     log2_log2_t = 4.0 * m * q * math.log2(q)
     if not math.isfinite(log2_log2_t):
         raise DomainError(f"these inputs give log2 log2 T = {log2_log2_t}; it must be finite")
+    angle = math.pi / (2.0 * q)  # inf once q is below about 1e-308
+    if not angle < math.inf:
+        raise DomainError(f"these inputs give pi / (2 q_steps) = {angle}; it must be finite")
+    beta_floor = 1.0 - 5.0 * kappa * kappa + eta
+    if not -math.inf < beta_floor:
+        raise DomainError(f"these inputs give beta_floor = {beta_floor}; it must be finite")
     return StableReplicaParameters(
         kappa=kappa,
         alpha=alpha,
@@ -635,8 +643,8 @@ def stable_replica_parameters(
         sensitivity=sensitivity,
         stability_rate=eta * eta / 1600.0,
         q_steps=q,
-        rho_step=math.cos(math.pi / (2.0 * q)),
+        rho_step=math.cos(angle),
         log2_log2_t=log2_log2_t,
         eta_compatible=eta < kappa * kappa,
-        beta_floor=1.0 - 5.0 * kappa * kappa + eta,
+        beta_floor=beta_floor,
     )

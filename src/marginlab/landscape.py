@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderMatrix, InterpolatedEnsemble
+from .disorder import DisorderMatrix, InterpolatedEnsemble, _check_angles
 from .errors import CapExceededError, DomainError, SizingError, check_float_range
 
 __all__ = [
@@ -283,13 +283,7 @@ class TupleQuery:
             )
         if not 0.0 < self.kappa < math.inf:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if not self.tau_set:
-            raise DomainError("tau_set must be nonempty")
-        prev = -1.0
-        for tau in self.tau_set:
-            if not (0.0 <= tau <= math.pi / 2.0) or tau <= prev:
-                raise DomainError("tau_set must increase strictly within [0, pi/2]")
-            prev = tau
+        _check_angles("tau_set", self.tau_set)
 
 
 def _grid_index(ensemble: InterpolatedEnsemble, tau: float) -> int:

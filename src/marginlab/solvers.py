@@ -114,7 +114,12 @@ def kim_roche_schedule(
     if not 0.0 <= c_rounds < math.inf:
         raise DomainError(f"c_rounds must be nonnegative, got {c_rounds}")
     loglog = math.log10(math.log10(n)) if n > 10 else 0.0
-    target = max(0, math.ceil(c_rounds * loglog)) if loglog > 0.0 else 0
+    # Rounds past the first j with n * f_j <= 1/2 are always truncated below:
+    # the last round r keeps a slot, so block r - 1 needs n * f_(r-1) > 1/2.
+    cap = 1
+    while n * _block_fraction(cap) > Fraction(1, 2):
+        cap += 1
+    target = math.ceil(c_rounds * loglog) if c_rounds * loglog < cap else cap
     fracs = [_block_fraction(j) for j in range(target + 1)]
 
     # Drop trailing rounds until every block is nonempty.  Cutting just the
@@ -143,12 +148,13 @@ def kim_roche_schedule(
             if not half < math.inf:
                 raise DomainError(f"n / (2 * d1) exceeds the float range at d1={d1}")
             kj = 2 * math.floor(half) + 1
+        elif power * 2**j > math.log10(n) + 1:
+            kj = 1  # n * f_j^p < 1/10, so the power need not be built
+        elif float(power).is_integer():
+            x = Fraction(n) * _block_fraction(j) ** int(power)
+            kj = 2 * int(x // 2) + 1
         else:
-            if float(power).is_integer():
-                x = Fraction(n) * _block_fraction(j) ** int(power)
-                kj = 2 * int(x // 2) + 1
-            else:
-                kj = 2 * math.floor(n * float(_block_fraction(j)) ** power / 2.0) + 1
+            kj = 2 * math.floor(n * float(_block_fraction(j)) ** power / 2.0) + 1
         if kj < 1:
             raise SizingError(f"vote size for round {j} came out {kj}")
         k.append(kj)

@@ -279,8 +279,10 @@ def negativity_onset(which: str, alpha_lo: float, alpha_hi: float) -> float:
 
     Each scan uses the default grid of :func:`scan_negativity`; bisection
     stops once the bracket is at most 1e-3 wide and returns its upper end.
-    Requires the bracket to straddle the onset: no negative point at
-    ``alpha_lo``, at least one at ``alpha_hi``.
+    While alpha_hi exceeds twice max(alpha_lo, 1) the bracket is split at its
+    geometric midpoint, so a bracket up to the largest float takes tens of
+    scans, not about 1,000.  Requires the bracket to straddle the onset: no
+    negative point at ``alpha_lo``, at least one at ``alpha_hi``.
     """
     if not scan_negativity(which, alpha_hi).has_negative:
         raise DomainError(f"no negative point at alpha_hi={alpha_hi}; bracket too low")
@@ -288,7 +290,9 @@ def negativity_onset(which: str, alpha_lo: float, alpha_hi: float) -> float:
         raise DomainError(f"negative point already at alpha_lo={alpha_lo}; bracket too high")
     lo, hi = alpha_lo, alpha_hi
     while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
+        floor = max(lo, 1.0)
+        # sqrt(floor) * sqrt(hi) lies strictly inside (floor, hi) and cannot overflow
+        mid = math.sqrt(floor) * math.sqrt(hi) if hi > 2.0 * floor else 0.5 * (lo + hi)
         if scan_negativity(which, mid).has_negative:
             hi = mid
         else:

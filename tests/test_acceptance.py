@@ -15,7 +15,7 @@ import pytest
 from marginlab.disorder import resample_columns, sample_disorder
 from marginlab.experiments import (
     kim_roche_stability_trial,
-    majority_stability_trial,
+    majority_stability_curve,
     universality_gap,
 )
 from marginlab.landscape import (
@@ -129,8 +129,8 @@ def test_criterion_05_majority_stability_law(capsys):
     t0 = time.monotonic()
     stats = []
     ok = True
-    for tau in (0.05, 0.1, 0.3):
-        res = majority_stability_trial(n, k, tau, trials, seed)
+    taus = (0.05, 0.1, 0.3)
+    for tau, res in zip(taus, majority_stability_curve(n, k, taus, trials, seed)):
         expected = n * tau / math.pi
         z = abs(res.mean - expected) / res.std_error
         var = float(np.var(res.per_trial, ddof=1))

@@ -763,10 +763,16 @@ OVERFLOWING_PRODUCTS = [
      "1e+200 * n exceeds the float range"),
     (["solve", "--algo", "kim-roche", "--n", "1000", "--alpha", "0.01", "--d1", "1e-306"],
      "n / (2 * d1) exceeds the float range at d1=1e-306"),
+    (["experiment", "stable-params", "--m", "2", "--kappa", "1e308"],
+     "these inputs give beta_floor = -inf; it must be finite"),
+    (["experiment", "stable-params", "--m", "2", "--sensitivity", "5e-324"],
+     "these inputs give pi / (2 q_steps) = inf; it must be finite"),
 ]
 
 
-@pytest.mark.parametrize("argv,message", OVERFLOWING_PRODUCTS, ids=["majority", "kim-roche"])
+@pytest.mark.parametrize("argv,message", OVERFLOWING_PRODUCTS,
+                         ids=["majority", "kim-roche", "stable-params-kappa",
+                              "stable-params-sensitivity"])
 def test_finite_flags_whose_product_overflows_are_domain_errors(tmp_path, capsys, argv, message):
     code = main(argv + ["--out-dir", str(tmp_path)])
     captured = capsys.readouterr()

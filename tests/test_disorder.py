@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from marginlab.disorder import (
     RESAMPLE_STREAM,
     DisorderMatrix,
-    correlated_pair,
     dump_matrix,
     interpolate,
     load_matrix,
@@ -32,6 +31,12 @@ def test_row_count_is_floor_of_alpha_n():
 def test_zero_rows_rejected():
     with pytest.raises(SizingError):
         sample_disorder(100, 0.001)
+
+
+def test_oversized_matrix_rejected_before_allocation():
+    # 4e18 entries; numpy would refuse the shape with a plain ValueError
+    with pytest.raises(SizingError, match="exceeds the limit"):
+        sample_disorder(40, 1e17)
 
 
 def test_deterministic_given_seed():
@@ -181,7 +186,8 @@ def test_resample_keeps_prefix_and_refreshes_suffix():
 
 
 def test_correlated_pair_statistics():
-    a, b = correlated_pair(20000, 0.01, rho=0.6, seed=6)
+    ens = sample_ensemble(20000, 0.01, 1, (math.acos(0.6),), seed=6)
+    a, b = ens.base, ens.instance(0, 0)
     c = float(np.corrcoef(a.entries.ravel(), b.entries.ravel())[0, 1])
     assert abs(c - 0.6) < 0.01
 

@@ -9,6 +9,7 @@ from marginlab.errors import DomainError, SizingError
 from marginlab.experiments import (
     expected_majority_flip_probability,
     kim_roche_stability_trial,
+    majority_stability_curve,
     majority_stability_trial,
     online_failure_census,
     online_two_stage_trial,
@@ -62,6 +63,20 @@ def test_majority_stability_validation():
         majority_stability_trial(100, 10, 0.1, 1, seed=0)
     with pytest.raises(DomainError):
         majority_stability_trial(100, 10, -0.1, 5, seed=0)
+
+
+def test_majority_stability_curve_equals_one_angle_calls():
+    taus = (0.05, 0.1, 0.4)
+    curve = majority_stability_curve(300, 6, taus, 5, 9)
+    assert len(curve) == len(taus)
+    for summary, tau in zip(curve, taus):
+        assert summary == majority_stability_trial(300, 6, tau, 5, 9)
+
+
+@pytest.mark.parametrize("taus", [(0.1, 0.1), (0.4, 0.1), ()])
+def test_majority_stability_curve_needs_a_strictly_increasing_grid(taus):
+    with pytest.raises(DomainError):
+        majority_stability_curve(300, 6, taus, 5, 9)
 
 
 def test_kim_roche_stability_zero_angle():
@@ -205,10 +220,16 @@ def test_stable_replica_parameter_arithmetic():
     (1e-4, 1e300, "q_steps = inf"),
     (1e200, 1.0, "q_steps = 0.0"),  # eta * eta overflows
     (1e-4, 1e295, "log2 log2 T = inf"),
+    (1e-5, 5e-324, r"pi / \(2 q_steps\) = inf"),  # q_steps is a subnormal
 ])
 def test_stable_replica_parameters_reject_unbounded_step_counts(eta, sensitivity, what):
     with pytest.raises(DomainError, match=what):
         stable_replica_parameters(0.01, 0.001, 2, eta, sensitivity)
+
+
+def test_stable_replica_parameters_reject_an_infinite_beta_floor():
+    with pytest.raises(DomainError, match="beta_floor = -inf"):
+        stable_replica_parameters(1e308, 0.001, 2, 1e-5, 1.0)
 
 
 def _record_calls(monkeypatch, name):

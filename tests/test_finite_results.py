@@ -1,5 +1,6 @@
-"""Every public function of ``thresholds`` and ``mvn`` that takes a float
-either returns finite numbers or raises a ``MarginlabError``.
+"""Every public function of ``thresholds``, ``mvn``, ``disorder``, ``solvers``,
+``landscape`` and ``experiments`` that takes a float either returns finite
+numbers or raises a ``MarginlabError``.
 
 Each case is a valid call; its float arguments are the ones replaced.  The
 first test swaps one argument at a time for each special value (NaN, both
@@ -7,7 +8,8 @@ infinities, signed zeros, the smallest subnormals and the largest finite
 floats).  The second draws every float argument at once from the whole float
 line or the special values.  ``std_normal_cdf(+-inf)`` gives the finite
 limits 1 and 0, which the CLI documents as ``mvn --cdf +-inf``;
-``find_negative_psi`` may return None, but only for finite inputs.
+``find_negative_psi`` and ``exhaustive_solve`` may return None, but only for
+finite inputs.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginlab import mvn, thresholds
+from marginlab import disorder, experiments, landscape, mvn, solvers, thresholds
 from marginlab.errors import MarginlabError
 
 # numpy warns on the overflow that extreme inputs cause before the check that rejects them
@@ -36,6 +38,11 @@ def _spec(dim, beta, eta_bound):
 
 def _pair(a, b, r):
     return [[a, r], [r, b]]
+
+
+_MAT = disorder.sample_disorder(10, 0.3, seed=1)  # 3 x 10
+_REPLICA = disorder.sample_disorder(10, 0.3, seed=1, stream=1)
+_SIGMA = landscape.SignVector(10, 0)
 
 
 #: name -> (function, a valid positional argument tuple)
@@ -76,21 +83,88 @@ CASES = {
         lambda a, b, r, kappa: mvn.box_probability_upper_bound(_pair(a, b, r), kappa),
         (1.0, 2.0, 0.3, 1.0)),
     "CovarianceSpec": (_spec, (2, 0.5, 0.1)),
+    "DisorderMatrix": (
+        lambda alpha: disorder.DisorderMatrix(3, 10, np.zeros((3, 10)), "gaussian", 0, alpha),
+        (0.3,)),
+    "sample_disorder": (disorder.sample_disorder, (10, 0.3)),
+    "interpolate": (lambda tau: disorder.interpolate(_MAT, _REPLICA, tau), (0.4,)),
+    "resample_columns": (lambda delta: disorder.resample_columns(_MAT, delta, 1), (0.2,)),
+    "InterpolatedEnsemble": (
+        lambda t0, t1: disorder.InterpolatedEnsemble(_MAT, (_REPLICA,), (t0, t1)), (0.0, 0.4)),
+    "sample_ensemble": (
+        lambda alpha, t0, t1: disorder.sample_ensemble(10, alpha, 1, (t0, t1), 1),
+        (0.3, 0.0, 0.4)),
+    "kim_roche_schedule": (
+        lambda c, d1, power: solvers.kim_roche_schedule(1000, c, (d1, power)),
+        (4.0, 1000.0, 3.0)),
+    "online_solve": (lambda kappa: solvers.online_solve(_MAT, kappa), (1.0,)),
+    "online_solve/exp_potential": (
+        lambda kappa: solvers.online_solve(_MAT, kappa, "exp_potential"), (1.0,)),
+    "exhaustive_solve": (lambda kappa: solvers.exhaustive_solve(_MAT, kappa), (1.0,)),
+    "is_solution": (lambda kappa: landscape.is_solution(_MAT, _SIGMA, kappa), (1.0,)),
+    "enumerate_solutions": (lambda kappa: landscape.enumerate_solutions(_MAT, kappa), (1.0,)),
+    "overlap_band": (landscape.overlap_band, (10, 0.5, 0.2)),
+    "TupleQuery": (
+        lambda beta, eta, kappa, tau: landscape.TupleQuery(2, beta, eta, kappa, (tau,)),
+        (0.5, 0.1, 1.0, 0.0)),
+    "count_overlap_tuples_exact": (landscape.count_overlap_tuples_exact, (10, 3, 0.6, 0.2)),
+    "count_overlap_tuples_bruteforce": (
+        landscape.count_overlap_tuples_bruteforce, (5, 2, 0.6, 0.4)),
+    "expected_majority_flip_probability": (
+        experiments.expected_majority_flip_probability, (0.3,)),
+    "majority_stability_trial": (
+        lambda tau: experiments.majority_stability_trial(20, 3, tau, 2, 0), (0.3,)),
+    "majority_stability_curve": (
+        lambda t0, t1: experiments.majority_stability_curve(20, 3, (t0, t1), 2, 0), (0.1, 0.3)),
+    "kim_roche_stability_trial": (
+        lambda alpha, tau, threshold: experiments.kim_roche_stability_trial(
+            100, alpha, tau, 2, 0, threshold), (0.1, 0.3, 0.05)),
+    "overlap_trajectory": (
+        lambda alpha, kappa: experiments.overlap_trajectory(12, alpha, kappa, "online_exp", 2,
+                                                            1, 0), (0.25, 1.0)),
+    "online_failure_census": (
+        lambda alpha, delta, kappa: experiments.online_failure_census(8, alpha, delta, 1, 0,
+                                                                      kappa), (0.5, 0.25, 0.5)),
+    "online_two_stage_trial": (
+        lambda alpha, delta, kappa: experiments.online_two_stage_trial(
+            20, alpha, delta, 1, 0, kappa=kappa), (0.25, 0.2, 1.0)),
+    "universality_gap": (
+        lambda kappa, beta: experiments.universality_gap((4,), kappa, 2, beta, 100, 0),
+        (1.0, 0.5)),
+    "stable_replica_parameters": (
+        lambda kappa, alpha, eta, sensitivity: experiments.stable_replica_parameters(
+            kappa, alpha, 2, eta, sensitivity), (0.01, 0.001, 1e-5, 1.0)),
 }
 
 # A scan grid holds (hi - lo) / step points, built before any point is
-# checked, and the onset bisection runs log2((alpha_hi - alpha_lo) / 1e-3)
-# scans.  A tiny positive step would build a grid without bound, and a bracket
-# up to the largest float takes about 1,000 scans, so these arguments take
-# only the special values that are not positive and finite values from a
-# bounded range.
+# checked, and a tiny positive step would build a grid without bound.  The
+# onset bisection takes tens of scans for a bracket up to the largest float,
+# too slow for 60 draws.  A density or resampled fraction sets a matrix size.
+# So these arguments take only the special values that are not positive and
+# finite values from a bounded range.
 BOUNDED = {
     ("scan_negativity", 2): st.floats(0.0, 1.0),
     ("scan_negativity", 3): st.floats(0.0, 1.0),
     ("scan_negativity", 4): st.floats(0.01, 1.0),
     ("negativity_onset", 1): st.floats(1.5, 1.8),
     ("negativity_onset", 2): st.floats(1.5, 1.8),
+    ("sample_disorder", 1): st.floats(0.0, 1.0),
+    ("sample_ensemble", 0): st.floats(0.0, 1.0),
+    ("resample_columns", 0): st.floats(0.0, 1.0),
+    ("kim_roche_stability_trial", 0): st.floats(0.0, 1.0),
+    ("overlap_trajectory", 0): st.floats(0.0, 1.0),
+    ("online_failure_census", 0): st.floats(0.0, 1.0),
+    ("online_failure_census", 1): st.floats(0.0, 1.0),
+    ("online_two_stage_trial", 0): st.floats(0.0, 1.0),
+    ("online_two_stage_trial", 1): st.floats(0.0, 1.0),
 }
+
+#: Functions whose None result is an answer (no negative point, no solution).
+NONE_ANSWERS = {"find_negative_psi", "exhaustive_solve"}
+
+#: Records that the functions under test build and return.
+RECORDS = {"KimRocheSchedule", "OverlapTrajectory", "StableReplicaParameters", "StepRecord",
+           "TrialSummary"}
 
 
 def _call(name, args):
@@ -99,8 +173,8 @@ def _call(name, args):
         result = fn(*args)
     except MarginlabError:
         return
-    if result is None:  # no negative point: an answer only for finite inputs
-        assert name == "find_negative_psi" and all(map(math.isfinite, args)), args
+    if result is None:  # no negative point or no solution: an answer only for finite inputs
+        assert name in NONE_ANSWERS and all(map(math.isfinite, args)), args
         return
     _assert_finite(result, args)
 
@@ -155,11 +229,13 @@ def test_all_float_arguments_drawn(name, data):
 
 def test_cases_cover_every_public_function_with_float_parameters():
     covered = {name.split("/")[0] for name in CASES}
-    for module in (thresholds, mvn):
+    for module in (thresholds, mvn, disorder, solvers, landscape, experiments):
         for name in module.__all__:
             obj = getattr(module, name)
-            if name.endswith(("Point", "Row", "Result")):
+            if name.endswith(("Point", "Row", "Result")) or name in RECORDS:
                 continue  # result records, built only by the functions under test
+            if not callable(obj):
+                continue
             params = inspect.signature(obj).parameters.values()
             if any("float" in str(p.annotation) for p in params):
                 assert name in covered, name

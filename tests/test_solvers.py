@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marginlab
 from marginlab.disorder import sample_disorder
 from marginlab.errors import CapExceededError, DomainError, SizingError
 from marginlab.landscape import SignVector, is_solution
@@ -55,6 +60,39 @@ def test_schedule_zero_rounds_small_n():
 def test_schedule_rejects_tiny_n():
     with pytest.raises(SizingError):
         kim_roche_schedule(1, 4.0, (1000.0, 3.0))
+
+
+def _schedule_in_child(args: str) -> str:
+    """repr(kim_roche_schedule(<args>)), computed by a child held to 10 s and 1 GiB.
+
+    A schedule that builds a huge power fails the test instead of hanging it.
+    """
+    src = os.path.dirname(os.path.dirname(marginlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\nfrom marginlab.solvers import kim_roche_schedule\n"
+            f"print(repr(kim_roche_schedule({args})))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_schedule_round_target_stops_at_the_first_negligible_block():
+    # ceil(40 * log10 log10 1000) = 20 rounds would need f_20 = 10^(-2^20),
+    # but n * f_2 = 0.1 already leaves every later round empty.
+    assert _schedule_in_child("1000, 40.0") == repr(kim_roche_schedule(1000, 30.0))
+
+
+def test_schedule_vote_power_is_not_built_when_the_vote_is_one():
+    assert _schedule_in_child("1000, 4.0, (1000.0, 1e308)") == repr(kim_roche_schedule(1000))
+
+
+def test_schedule_accepts_an_infinite_round_target():
+    # c_rounds * log10 log10 n overflows; 2^9 is the first 2^j above log10(2n) = 300.3
+    out = _schedule_in_child("10**300, sys.float_info.max")
+    assert out.startswith(f"KimRocheSchedule(n={10**300}, rounds=9, ")
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,10 +17,6 @@ PACKAGE = ROOT / "src" / "marginlab"
 #: Defaulted public parameters kept although no call in src/ or perfbench/
 #: sets them; an entry leaves the list once some caller sets it.
 KEPT_DEFAULTS = {
-    # The stream layout in the ``disorder`` docstring: replica i of an
-    # ensemble is on stream base_stream + 1 + i, which lets experiment trial t
-    # build its ensemble on streams 2t and 2t + 1.
-    ("sample_ensemble", "base_stream"),
     # The dented m-OGP covariance: pairwise correlations up to eta below beta.
     ("CovarianceSpec", "perturbation"),
     ("CovarianceSpec", "eta_bound"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginlab import thresholds
 from marginlab.cli import main
 from marginlab.errors import DomainError
 from marginlab.landscape import TupleQuery
@@ -178,6 +179,14 @@ def test_negativity_onset_frozen():
     # alpha below onset scans empty; above scans nonempty
     assert not scan_negativity("f3", onset - 0.01).has_negative
     assert scan_negativity("f3", onset + 0.01).has_negative
+
+
+def test_negativity_onset_wide_bracket_takes_few_scans(monkeypatch):
+    real, scans = thresholds.scan_negativity, []
+    monkeypatch.setattr(thresholds, "scan_negativity", lambda *a: scans.append(a) or real(*a))
+    onset = negativity_onset("f3", 1.5, 1.797e308)
+    assert len(scans) <= 40
+    assert abs(onset - negativity_onset("f3", 1.5, 1.7)) <= 1e-3
 
 
 def test_negativity_onset_requires_bracket():
