@@ -41,12 +41,7 @@ import numpy as np
 
 from . import __version__
 from .disorder import DisorderMatrix, dump_matrix, sample_disorder
-from .errors import (
-    CapExceededError,
-    DomainError,
-    MarginlabError,
-    UsageError,
-)
+from .errors import CapExceededError, DomainError, UsageError
 from .landscape import (
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
@@ -474,9 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAP
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except MarginlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

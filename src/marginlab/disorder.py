@@ -23,7 +23,9 @@ resampling and replica constructions reproducible without state.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,8 @@ __all__ = [
 _DISTS = ("gaussian", "rademacher")
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1 << 15  # entries of one sampler chunk (256 KiB of raw draws)
+_BAND = 1 << 18  # entries per transforming thread; below 2 * _BAND, one thread
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MAX_ENTRIES = 1 << 27  # largest matrix sampled (1 GiB of float64)
 
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
@@ -126,24 +130,58 @@ def philox_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed & _MASK64, stream], dtype=np.uint64)
 
 
+def _transform(out: np.ndarray, bits: np.ndarray, dist: str) -> None:
+    """Map raw Philox words ``bits`` to entries in ``out``; ``bits`` may alias ``out``."""
+    if dist == "gaussian":
+        # Top 53 bits give an exactly representable uniform in the open
+        # interval; the offset keeps ndtri away from both endpoints.
+        out[:] = np.right_shift(bits, 11, out=bits)
+        ndtri(np.multiply(np.add(out, 0.5, out=out), 2.0**-53, out=out), out=out)
+    else:
+        out[:] = 1.0 - 2.0 * (bits >> np.uint64(63))
+
+
 def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
-    """Fill ``out`` with rows [0, len(out)), columns from c0 on; no block left of c0 is drawn."""
+    """Fill ``out`` with rows [0, len(out)), columns from c0 on; no block left of c0 is drawn.
+
+    Each entry is a pure function of its own raw word, so on two or more
+    cores a draw of at least 2 * _BAND entries is drawn whole into ``out`` by
+    this thread, the only one that touches Philox, and then transformed in
+    place chunk by chunk by up to one thread per core; the bits do not
+    depend on the thread count.
+    """
     (rows, width), skip = out.shape, c0 % 4
     bg = Philox(key=key, counter=np.array([c0 // 4, 0, 0, 0], dtype=np.uint64))
     step = max(1, _DRAW_BLOCK // width)
-    raw = np.empty((min(step, rows), width), dtype=np.uint64)
-    for r0 in range(0, rows, step):
-        chunk, bits = out[r0:r0 + step], raw[:rows - r0]
+    threads = min(_CORES, out.size // _BAND)
+
+    def draw(bits: np.ndarray) -> None:
         for row in bits:
             row[:] = bg.random_raw(skip + width)[skip:]
             bg.advance((1 << 128) - (skip + width + 3) // 4)  # to row r + 1's first block
-        if dist == "gaussian":
-            # Top 53 bits give an exactly representable uniform in the open
-            # interval; the offset keeps ndtri away from both endpoints.
-            chunk[:] = np.right_shift(bits, 11, out=bits)
-            ndtri(np.multiply(np.add(chunk, 0.5, out=chunk), 2.0**-53, out=chunk), out=chunk)
-        else:
-            chunk[:] = 1.0 - 2.0 * (bits >> np.uint64(63))
+
+    if threads < 2:
+        raw = np.empty((min(step, rows), width), dtype=np.uint64)
+        for r0 in range(0, rows, step):
+            bits = raw[:rows - r0]
+            draw(bits)
+            _transform(out[r0:r0 + step], bits, dist)
+        return
+    raw = out.view(np.uint64)
+    draw(raw)
+    # Shared: each thread takes the next undone chunk.  next() on a range
+    # iterator is one C call under the GIL, so no chunk is taken twice.
+    chunks = iter(range(0, rows, step))
+
+    def work() -> None:
+        for r0 in chunks:
+            _transform(out[r0:r0 + step], raw[r0:r0 + step], dist)
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+    for helper in helpers:
+        helper.result()
 
 
 def sample_disorder(

@@ -255,6 +255,23 @@ class StepRecord:
     max_abs_margin: float
 
 
+def _exp_potential_fallback(lam: float, run: np.ndarray, col: np.ndarray) -> int:
+    """0 if Phi(+1) <= Phi(-1), else 1, for a step whose sinh correlation overflowed.
+
+    log Phi(s) is the log-sum-exp over rows of log cosh(lam * x) for
+    x = run + s*col, with log cosh y = |y| + log1p(e^(-2|y|)) - log 2.  Both
+    sides are shifted by lam * peak, the largest |x| of either sign, so no
+    term overflows, and the shifted sums are compared without the monotone
+    log.  As lam grows this becomes the greedy minimax rule.
+    """
+    x = np.abs([run + col, run - col])
+    peak = x.max()
+    with np.errstate(over="ignore"):  # lam * (x - peak) may round to -inf: e^-inf = 0
+        terms = np.exp(lam * (x - peak)) * (1.0 + np.exp(-2.0 * lam * x))
+    phi = terms.sum(axis=1)
+    return 0 if phi[0] <= phi[1] else 1
+
+
 def online_solve(
     mat: DisorderMatrix,
     kappa: float,
@@ -293,7 +310,11 @@ def online_solve(
             run[:] = cand[k]
         else:
             # Phi(+1) - Phi(-1) = 2 sum sinh(lam*run) sinh(lam*col)
-            k = 0 if np.dot(np.sinh(lam * run), sinh_cols[t]) <= 0.0 else 1
+            dot = float(np.dot(np.sinh(lam * run), sinh_cols[t]))
+            if math.isfinite(dot):
+                k = 0 if dot <= 0.0 else 1
+            else:
+                k = _exp_potential_fallback(lam, run, cols[t])
             (np.subtract if k else np.add)(run, cols[t], out=run)
         signs[t] = s = 1 - 2 * k
         if trace is not None:

@@ -316,8 +316,6 @@ def phi_count(beta: float, eta: float, m: int) -> float:
     delta = (1.0 - beta + eta) / 2.0
     if m == 2:
         return 1.0 + binary_entropy(delta)
-    if delta == 0.0:
-        return 1.0
     return (
         1.0
         + binary_entropy(delta)

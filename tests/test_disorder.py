@@ -1,12 +1,15 @@
 import hashlib
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginlab import disorder
 from marginlab.disorder import (
     RESAMPLE_STREAM,
     DisorderMatrix,
@@ -119,6 +122,103 @@ WINDOW_DIGESTS = [
 def test_unaligned_resample_window_golden_digest(dist, delta, sha):
     base = sample_disorder(100, 0.3, dist, 4, 1)
     assert _sha256(resample_columns(base, delta, 4, stream=6)) == sha
+
+
+# SHA-256 of a 1000 x 4001 sample with its last 800 columns redrawn: the window
+# starts at c0 = 3201 (lane 1) and holds enough entries to be transformed on
+# several threads.
+THREADED_WINDOW_DIGESTS = [
+    ("gaussian", "24dd66197c930ab989e92360bb42c8e2a04a65cb6bc27bd6afab6eff88613373"),
+    ("rademacher", "d49e1bf4d2f024fc21594c01b612f3702b317132dc8346d8a4f6e6c59d197b08"),
+]
+
+
+@pytest.mark.parametrize("dist,sha", THREADED_WINDOW_DIGESTS)
+def test_threaded_resample_window_golden_digest(dist, sha):
+    base = sample_disorder(4001, 0.25, dist, 4, 1)
+    assert _sha256(resample_columns(base, 0.2, 4, stream=6)) == sha
+
+
+# (cores, entries per thread): today's single thread, and thread counts and
+# bands small enough that every digest above is split across threads.
+KERNEL_SPLITS = [(1, 1 << 18), (2, 1 << 10), (3, 1 << 8), (7, 64)]
+
+
+@pytest.fixture(params=KERNEL_SPLITS, ids=lambda split: "cores%d-band%d" % split)
+def kernel_split(request, monkeypatch):
+    cores, band = request.param
+    monkeypatch.setattr(disorder, "_CORES", cores)
+    monkeypatch.setattr(disorder, "_BAND", band)
+    return request.param
+
+
+@pytest.mark.parametrize("seed,stream,n,alpha,dist,sample_sha,resample_sha", SAMPLE_DIGESTS)
+def test_sample_digests_under_every_thread_split(kernel_split, seed, stream, n, alpha, dist,
+                                                 sample_sha, resample_sha):
+    test_sample_and_resample_golden_digest(seed, stream, n, alpha, dist, sample_sha,
+                                           resample_sha)
+
+
+@pytest.mark.parametrize("seed,stream,n,alpha,dist,sha", WIDE_SAMPLE_DIGESTS)
+def test_wide_digests_under_every_thread_split(kernel_split, seed, stream, n, alpha, dist,
+                                               sha):
+    test_wide_sample_golden_digest(seed, stream, n, alpha, dist, sha)
+
+
+@pytest.mark.parametrize("dist,delta,sha", WINDOW_DIGESTS)
+def test_window_digests_under_every_thread_split(kernel_split, dist, delta, sha):
+    test_unaligned_resample_window_golden_digest(dist, delta, sha)
+
+
+@pytest.mark.parametrize("dist,sha", THREADED_WINDOW_DIGESTS)
+def test_threaded_window_digests_under_every_thread_split(kernel_split, dist, sha):
+    test_threaded_resample_window_golden_digest(dist, sha)
+
+
+def test_chunks_are_each_transformed_once_under_frequent_switches(monkeypatch):
+    # Seven threads on a shared chunk iterator, switching every microsecond:
+    # a chunk skipped keeps raw bits and a chunk taken twice is transformed
+    # twice, and either moves the digest.
+    monkeypatch.setattr(disorder, "_CORES", 7)
+    monkeypatch.setattr(disorder, "_BAND", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for dist, sha in THREADED_WINDOW_DIGESTS:
+            test_threaded_resample_window_golden_digest(dist, sha)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_sample_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(disorder, "_CORES", 4)
+    monkeypatch.setattr(disorder, "_BAND", 1 << 10)
+    before = threading.active_count()
+    resample_columns(sample_disorder(4001, 0.25, "gaussian", 4, 1), 0.2, 4, stream=6)
+    assert threading.active_count() == before
+
+
+def test_error_in_a_helper_thread_propagates(monkeypatch):
+    # The calling thread transforms normally but holds its first chunk until
+    # a helper has failed, so the error can only come from the helper.
+    caller, helper_failed = threading.get_ident(), threading.Event()
+    real_ndtri = disorder.ndtri
+
+    def ndtri(*args, **kwargs):
+        if threading.get_ident() == caller:
+            helper_failed.wait(timeout=30)
+            return real_ndtri(*args, **kwargs)
+        helper_failed.set()
+        raise FloatingPointError("ndtri failed in a helper")
+
+    monkeypatch.setattr(disorder, "_CORES", 2)
+    monkeypatch.setattr(disorder, "_BAND", 1 << 10)
+    monkeypatch.setattr(disorder, "ndtri", ndtri)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="ndtri failed in a helper"):
+        sample_disorder(1000, 0.25, "gaussian", 4, 1)
+    assert helper_failed.is_set()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("seed,stream", [

@@ -169,6 +169,15 @@ def test_universality_matches_exact_lattice_marginals():
     assert row.gap_std_error < 0.01
 
 
+def test_universality_repeated_sizes_fit_no_slope():
+    # Equal sizes draw equal rows (the Philox key is (seed, n)), so the fit
+    # has two resolved gaps but no spread in log n.
+    res = universality_gap((100, 100), 0.6745, trials=20_000, seed=4)
+    assert res.rows[0] == res.rows[1]
+    assert res.rows[0].gap >= 0.5 / res.trials
+    assert (res.slope, res.slope_std_error) == (None, None)
+
+
 def test_universality_pair_and_triple_paths():
     r2 = universality_gap((60,), 0.6745, m=2, beta=0.8, trials=4000, seed=1)
     r3 = universality_gap((60,), 1.0, m=3, beta=0.8, trials=4000, seed=1)

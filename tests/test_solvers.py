@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marginlab
+from marginlab import solvers
 from marginlab.disorder import sample_disorder
 from marginlab.errors import CapExceededError, DomainError, SizingError
 from marginlab.landscape import SignVector, is_solution
@@ -49,6 +50,13 @@ def test_schedule_large_n_first_vote_count():
 def test_schedule_round_count_grows_like_log_log():
     for n, rounds in [(1000, 2), (10_000, 2), (100_000, 3)]:
         assert kim_roche_schedule(n, 4.0, (1000.0, 3.0)).rounds == rounds
+
+
+def test_schedule_integer_power_branch_matches_the_float_formula():
+    # p = 1 with p * 2^2 <= log10(n) + 1 builds n * f_2^p exactly as a Fraction
+    s = kim_roche_schedule(100_000, 4.0, (1000.0, 1.0))
+    assert s.k == (101, 11, 1)
+    assert s.k[1] == 2 * math.floor(100_000 * float(Fraction(1, 10**4)) ** 1.0 / 2.0) + 1
 
 
 def test_schedule_zero_rounds_small_n():
@@ -206,11 +214,11 @@ def test_online_feasibility_flag_matches_margins():
             )
 
 
-def _online_sha256(strategy, collect_trace):
+def _online_sha256(strategy, collect_trace, kappa=1.0):
     h = hashlib.sha256()
     for seed in (0, 1, 2):
         mat = sample_disorder(1000, 0.25, seed=seed)
-        sv, feasible, trace = online_solve(mat, 1.0, strategy, collect_trace=collect_trace)
+        sv, feasible, trace = online_solve(mat, kappa, strategy, collect_trace=collect_trace)
         h.update(sv.signs().tobytes())
         h.update(bytes([feasible]))
         for r in trace or ():
@@ -231,6 +239,50 @@ ONLINE_DIGESTS = [
 @pytest.mark.parametrize("strategy,collect_trace,sha", ONLINE_DIGESTS)
 def test_online_golden_digest(strategy, collect_trace, sha):
     assert _online_sha256(strategy, collect_trace) == sha
+
+
+def _count_exp_fallbacks(monkeypatch):
+    steps = []
+    fallback = solvers._exp_potential_fallback
+
+    def counted(*args):
+        steps.append(1)
+        return fallback(*args)
+
+    monkeypatch.setattr(solvers, "_exp_potential_fallback", counted)
+    return steps
+
+
+# The same digest as ONLINE_DIGESTS at kappa = 100, where no sinh overflows.
+EXP_KAPPA_100_DIGESTS = [
+    (False, "0a4e2349ba9292791fd21ca3d3f9f596560bbc5738f7f454d1efc6390075993b"),
+    (True, "b6a19d765ba053a60e6c7c7963ea3c3b9f881c416ce2f3428fddf76b7b5ced21"),
+]
+
+
+@pytest.mark.parametrize("kappa,collect_trace,sha", [
+    *((1.0, trace, sha) for strategy, trace, sha in ONLINE_DIGESTS
+      if strategy == "exp_potential"),
+    *((100.0, trace, sha) for trace, sha in EXP_KAPPA_100_DIGESTS),
+])
+def test_exp_potential_without_overflow_keeps_its_decisions(monkeypatch, kappa,
+                                                            collect_trace, sha):
+    steps = _count_exp_fallbacks(monkeypatch)
+    assert _online_sha256("exp_potential", collect_trace, kappa) == sha
+    assert not steps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exp_potential_at_huge_kappa_is_greedy(monkeypatch, seed):
+    # Every sinh correlation overflows at kappa = 1e6; the log-sum-exp
+    # comparison then follows the lam -> infinity limit of the potential.
+    steps = _count_exp_fallbacks(monkeypatch)
+    mat = sample_disorder(1000, 0.25, seed=seed)
+    greedy = online_solve(mat, 1e6, "greedy_minimax")
+    assert online_solve(mat, 1e6, "exp_potential") == greedy
+    assert len(steps) == 1000
 
 
 @pytest.mark.parametrize("n,alpha", [(200, 0.3), (1000, 0.25), (3000, 0.1)])

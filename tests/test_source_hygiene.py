@@ -3,6 +3,7 @@
 Every module-level import in ``src/marginlab`` is used, and every defaulted
 parameter of a public name is set by some call in ``src/`` or ``perfbench/``,
 so a keyword that no caller passes does not linger as an untested knob.
+Every error the package raises is caught by one of ``cli.main``'s handlers.
 """
 
 import ast
@@ -10,6 +11,7 @@ import inspect
 from pathlib import Path
 
 import marginlab
+from marginlab import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "marginlab"
@@ -98,3 +100,25 @@ def test_every_public_default_is_set_by_a_caller():
                        for callee, positional, keywords, splat in calls):
                 unset.add((name, param.name))
     assert unset == KEPT_DEFAULTS
+
+
+def test_no_bare_marginlab_error_is_raised():
+    # cli.main maps UsageError, CapExceededError and DomainError to exit
+    # codes and has no handler for the base class.
+    bare = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _callee(exc) == "MarginlabError":
+                bare.append(f"{path.name}:{node.lineno}")
+    assert not bare
+
+
+def test_every_error_class_has_a_cli_handler():
+    handled = (errors.UsageError, errors.CapExceededError, errors.DomainError)
+    unhandled = [name for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, errors.MarginlabError)
+                 and cls is not errors.MarginlabError and not issubclass(cls, handled)]
+    assert not unhandled

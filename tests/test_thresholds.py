@@ -110,6 +110,12 @@ def test_f3_counting_part_matches_phi_count():
         assert pt.counting_part == pytest.approx(phi_count(beta, 0.0, 3), abs=1e-14)
 
 
+def test_phi_count_of_a_zero_width_band_at_full_overlap():
+    # delta = 0: every entropy term vanishes, leaving one bit per coordinate
+    assert phi_count(1.0, 0.0, 3) == 1.0
+    assert phi_count(1.0, 0.0, 2) == 1.0
+
+
 def test_domain_guards():
     with pytest.raises(DomainError):
         f1(0.0, 1.77)
