@@ -8,11 +8,12 @@ the counter-based generator Philox:
     entry (r, c)  output c % 4 of Philox set to counter (c // 4, 0, r, 0)
 
 numpy increments the counter before each block, so the block holding entry
-(r, c) encrypts (c // 4 + 1, 0, r, 0); one generator walks all rows, moved
-to row r + 1 by ``advance``.  Entry (r, c) is thus pure in (seed, stream,
-r, c): matrices of different shapes agree on their common entries, and a
-column window draws only its own blocks.  That purity makes coupled
-resampling and replica constructions reproducible without state.
+(r, c) encrypts (c // 4 + 1, 0, r, 0); each chunk of rows gets its own
+generator, set to its first row and moved to the next row by ``advance``.
+Entry (r, c) is thus pure in (seed, stream, r, c): matrices of different
+shapes agree on their common entries, and a column window draws only its
+own blocks.  That purity makes coupled resampling and replica constructions
+reproducible without state.
 
     stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
     2t, 2t + 1            base and replica of experiment trial t (``sample_ensemble``)
@@ -29,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import DomainError, SizingError, check_float_range
@@ -49,8 +50,8 @@ __all__ = [
 
 _DISTS = ("gaussian", "rademacher")
 _MASK64 = (1 << 64) - 1
-_DRAW_BLOCK = 1 << 15  # entries of one sampler chunk (256 KiB of raw draws)
-_BAND = 1 << 18  # entries per transforming thread; below 2 * _BAND, one thread
+_DRAW_BLOCK = 1 << 15  # entries of one sampler or interpolation chunk (256 KiB)
+_BAND = 1 << 18  # entries per sampling thread; below 2 * _BAND, one thread
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MAX_ENTRIES = 1 << 27  # largest matrix sampled (1 GiB of float64)
 
@@ -130,53 +131,45 @@ def philox_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed & _MASK64, stream], dtype=np.uint64)
 
 
-def _transform(out: np.ndarray, bits: np.ndarray, dist: str) -> None:
-    """Map raw Philox words ``bits`` to entries in ``out``; ``bits`` may alias ``out``."""
+def _transform(out: np.ndarray, dist: str) -> None:
+    """Map uniforms k * 2^-53 (k the top 53 bits of a Philox word) in ``out`` to entries."""
     if dist == "gaussian":
-        # Top 53 bits give an exactly representable uniform in the open
-        # interval; the offset keeps ndtri away from both endpoints.
-        out[:] = np.right_shift(bits, 11, out=bits)
-        ndtri(np.multiply(np.add(out, 0.5, out=out), 2.0**-53, out=out), out=out)
+        # (k + 1/2) * 2^-53 lies in the open interval, away from both ndtri poles.
+        ndtri(np.add(out, 2.0**-54, out=out), out=out)
     else:
-        out[:] = 1.0 - 2.0 * (bits >> np.uint64(63))
+        out[:] = np.where(out < 0.5, 1.0, -1.0)  # the sign of the word's top bit
 
 
 def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
     """Fill ``out`` with rows [0, len(out)), columns from c0 on; no block left of c0 is drawn.
 
-    Each entry is a pure function of its own raw word, so on two or more
-    cores a draw of at least 2 * _BAND entries is drawn whole into ``out`` by
-    this thread, the only one that touches Philox, and then transformed in
-    place chunk by chunk by up to one thread per core; the bits do not
+    Each chunk of rows is drawn by its own generator, set to the chunk's
+    first row, and transformed while it is still in cache.  ``random``
+    draws with the GIL released, so on two or more cores a draw of at least
+    2 * _BAND entries runs on up to one thread per core; the bits do not
     depend on the thread count.
     """
     (rows, width), skip = out.shape, c0 % 4
-    bg = Philox(key=key, counter=np.array([c0 // 4, 0, 0, 0], dtype=np.uint64))
     step = max(1, _DRAW_BLOCK // width)
     threads = min(_CORES, out.size // _BAND)
-
-    def draw(bits: np.ndarray) -> None:
-        for row in bits:
-            row[:] = bg.random_raw(skip + width)[skip:]
-            bg.advance((1 << 128) - (skip + width + 3) // 4)  # to row r + 1's first block
-
-    if threads < 2:
-        raw = np.empty((min(step, rows), width), dtype=np.uint64)
-        for r0 in range(0, rows, step):
-            bits = raw[:rows - r0]
-            draw(bits)
-            _transform(out[r0:r0 + step], bits, dist)
-        return
-    raw = out.view(np.uint64)
-    draw(raw)
     # Shared: each thread takes the next undone chunk.  next() on a range
     # iterator is one C call under the GIL, so no chunk is taken twice.
     chunks = iter(range(0, rows, step))
 
     def work() -> None:
         for r0 in chunks:
-            _transform(out[r0:r0 + step], raw[r0:r0 + step], dist)
+            bg = Philox(key=key, counter=[c0 // 4, 0, r0, 0])
+            gen, block = Generator(bg), out[r0:r0 + step]
+            for row in block:
+                if skip:
+                    bg.random_raw(skip, output=False)
+                gen.random(out=row)
+                bg.advance((1 << 128) - (skip + width + 3) // 4)  # to the next row's first block
+            _transform(block, dist)
 
+    if threads < 2:
+        work()
+        return
     with ThreadPoolExecutor(threads - 1) as pool:
         helpers = [pool.submit(work) for _ in range(threads - 1)]
         work()
@@ -230,7 +223,11 @@ def interpolate(base: DisorderMatrix, replica: DisorderMatrix, tau: float) -> Di
         raise SizingError(f"shape mismatch {base.shape} vs {replica.shape}")
     if not (0.0 <= tau <= math.pi / 2.0):
         raise DomainError(f"tau must lie in [0, pi/2], got {tau}")
-    entries = math.cos(tau) * base.entries + math.sin(tau) * replica.entries
+    # Chunk by chunk: the same two roundings per entry, no matrix-sized temporary.
+    entries, sin_tau = np.multiply(base.entries, math.cos(tau)), math.sin(tau)
+    step = max(1, _DRAW_BLOCK // base.cols)
+    for r0 in range(0, base.rows, step):
+        entries[r0:r0 + step] += sin_tau * replica.entries[r0:r0 + step]
     return DisorderMatrix(
         rows=base.rows, cols=base.cols, entries=entries, dist="gaussian",
         seed=base.seed, alpha=base.alpha, stream=base.stream,

@@ -167,6 +167,9 @@ def _factor_integrals(m: int, betas: np.ndarray, kappa: float, order: int) -> np
     # [-c1, c1] (leggauss is exactly symmetric) and mid + half*x on [c1, c2] and
     # [c2, 8], weights doubled but an odd order's x = 0.  An outer panel empty
     # for a whole block is skipped; one empty for some betas adds exactly 0.
+    # From kappa = 64 on, every g is exactly 1 and c1 = c2 = 8, so the clamp
+    # changes no bit and keeps kappa / s and the erf arguments from overflowing.
+    kappa = min(kappa, 64.0)
     out = np.empty(len(betas))
     for start in range(0, len(betas), _FACTOR_BLOCK):
         block = betas[start:start + _FACTOR_BLOCK, None]

@@ -294,32 +294,36 @@ def online_solve(
     n = mat.cols
     cols = np.ascontiguousarray(mat.entries.T)  # column t as a contiguous row
     lam = kappa / (2.0 * math.sqrt(n))
-    if strategy == "exp_potential":
-        sinh_cols = lam * cols
-        np.sinh(sinh_cols, out=sinh_cols)
-    run = np.zeros(mat.rows, dtype=np.float64)
-    cand = np.empty((2, mat.rows), dtype=np.float64)  # run + col, run - col
-    signs = np.empty(n, dtype=np.int8)
-    trace: list[StepRecord] | None = [] if collect_trace else None
-    for t in range(n):
-        if strategy == "greedy_minimax":
-            np.add(run, cols[t], out=cand[0])
-            np.subtract(run, cols[t], out=cand[1])
-            cost = np.abs(cand).max(axis=1)
-            k = 0 if cost[0] <= cost[1] else 1
-            run[:] = cand[k]
-        else:
-            # Phi(+1) - Phi(-1) = 2 sum sinh(lam*run) sinh(lam*col)
-            dot = float(np.dot(np.sinh(lam * run), sinh_cols[t]))
-            if math.isfinite(dot):
-                k = 0 if dot <= 0.0 else 1
+    # sinh overflows to inf once lam * margin passes ~710, and the correlation
+    # may then be inf or NaN; such a step goes to _exp_potential_fallback.
+    quiet = "ignore" if strategy == "exp_potential" else None
+    with np.errstate(over=quiet, invalid=quiet):
+        if strategy == "exp_potential":
+            sinh_cols = lam * cols
+            np.sinh(sinh_cols, out=sinh_cols)
+        run = np.zeros(mat.rows, dtype=np.float64)
+        cand = np.empty((2, mat.rows), dtype=np.float64)  # run + col, run - col
+        signs = np.empty(n, dtype=np.int8)
+        trace: list[StepRecord] | None = [] if collect_trace else None
+        for t in range(n):
+            if strategy == "greedy_minimax":
+                np.add(run, cols[t], out=cand[0])
+                np.subtract(run, cols[t], out=cand[1])
+                cost = np.abs(cand).max(axis=1)
+                k = 0 if cost[0] <= cost[1] else 1
+                run[:] = cand[k]
             else:
-                k = _exp_potential_fallback(lam, run, cols[t])
-            (np.subtract if k else np.add)(run, cols[t], out=run)
-        signs[t] = s = 1 - 2 * k
-        if trace is not None:
-            worst = cost[k] if strategy == "greedy_minimax" else np.abs(run).max()
-            trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(worst)))
+                # Phi(+1) - Phi(-1) = 2 sum sinh(lam*run) sinh(lam*col)
+                dot = float(np.dot(np.sinh(lam * run), sinh_cols[t]))
+                if math.isfinite(dot):
+                    k = 0 if dot <= 0.0 else 1
+                else:
+                    k = _exp_potential_fallback(lam, run, cols[t])
+                (np.subtract if k else np.add)(run, cols[t], out=run)
+            signs[t] = s = 1 - 2 * k
+            if trace is not None:
+                worst = cost[k] if strategy == "greedy_minimax" else np.abs(run).max()
+                trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(worst)))
     feasible = bool(np.max(np.abs(run)) <= kappa * math.sqrt(n))
     return SignVector.from_signs(signs), feasible, trace
 

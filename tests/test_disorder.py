@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from marginlab import disorder
 from marginlab.disorder import (
@@ -177,8 +179,9 @@ def test_threaded_window_digests_under_every_thread_split(kernel_split, dist, sh
 
 def test_chunks_are_each_transformed_once_under_frequent_switches(monkeypatch):
     # Seven threads on a shared chunk iterator, switching every microsecond:
-    # a chunk skipped keeps raw bits and a chunk taken twice is transformed
-    # twice, and either moves the digest.
+    # a chunk skipped keeps the entries it held before and moves the digest.
+    # A chunk taken twice redraws the same bits, which no digest can see;
+    # test_each_chunk_is_drawn_exactly_once counts the takes instead.
     monkeypatch.setattr(disorder, "_CORES", 7)
     monkeypatch.setattr(disorder, "_BAND", 64)
     interval = sys.getswitchinterval()
@@ -219,6 +222,84 @@ def test_error_in_a_helper_thread_propagates(monkeypatch):
         sample_disorder(1000, 0.25, "gaussian", 4, 1)
     assert helper_failed.is_set()
     assert threading.active_count() == before
+
+
+def test_each_chunk_is_drawn_exactly_once(monkeypatch):
+    # Every chunk builds one generator, set to its first row r0.
+    taken, real_philox = [], disorder.Philox
+
+    def philox(key, counter):
+        taken.append(int(counter[2]))
+        return real_philox(key=key, counter=counter)
+
+    monkeypatch.setattr(disorder, "_CORES", 7)
+    monkeypatch.setattr(disorder, "_BAND", 64)
+    monkeypatch.setattr(disorder, "Philox", philox)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        base = sample_disorder(4001, 0.25, "gaussian", 4, 1)
+        assert sorted(taken) == list(range(0, 1000, disorder._DRAW_BLOCK // 4001))
+        taken.clear()
+        resample_columns(base, 0.2, 4, stream=6)
+        assert sorted(taken) == list(range(0, 1000, disorder._DRAW_BLOCK // 800))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_draw_error_in_a_helper_thread_propagates(monkeypatch):
+    # As above, with the draw rather than the transform failing in the helper.
+    caller, helper_failed = threading.get_ident(), threading.Event()
+    real_generator = disorder.Generator
+
+    class Generator:
+        def __init__(self, bg):
+            self._gen = real_generator(bg)
+
+        def random(self, out):
+            if threading.get_ident() == caller:
+                helper_failed.wait(timeout=30)
+                return self._gen.random(out=out)
+            helper_failed.set()
+            raise RuntimeError("draw failed in a helper")
+
+    monkeypatch.setattr(disorder, "_CORES", 2)
+    monkeypatch.setattr(disorder, "_BAND", 1 << 10)
+    monkeypatch.setattr(disorder, "Generator", Generator)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed in a helper"):
+        sample_disorder(1000, 0.25, "gaussian", 4, 1)
+    assert helper_failed.is_set()
+    assert threading.active_count() == before
+
+
+def _oracle_entries(seed, stream, rows, c0, c1, dist):
+    """Entries (r, c) for c in [c0, c1) straight from Philox's raw words, row by row."""
+    out = np.empty((rows, c1 - c0))
+    for r in range(rows):
+        key = np.array([seed % (1 << 64), stream], dtype=np.uint64)  # a list casts via int64
+        bg = Philox(key=key, counter=[c0 // 4, 0, r, 0])
+        words = bg.random_raw(c0 % 4 + c1 - c0)[c0 % 4:]
+        if dist == "gaussian":
+            out[r] = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        else:
+            out[r] = np.where(words >> np.uint64(63), -1.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("cores,band", KERNEL_SPLITS[1:])
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+def test_entries_match_the_raw_word_oracle(monkeypatch, cores, band, dist):
+    # 500 x 1000, then windows of 200, 199, 198 and 197 columns: c0 % 4 = 0, 1, 2, 3.
+    monkeypatch.setattr(disorder, "_CORES", cores)
+    monkeypatch.setattr(disorder, "_BAND", band)
+    base = sample_disorder(1000, 0.5, dist, -3, 5)
+    assert np.array_equal(base.entries, _oracle_entries(-3, 5, 500, 0, 1000, dist))
+    for width in (200, 199, 198, 197):
+        fresh = resample_columns(base, (width + 0.5) / 1000, 7, stream=(1 << 64) - 1)
+        assert np.array_equal(fresh.entries[:, :1000 - width], base.entries[:, :1000 - width])
+        oracle = _oracle_entries(7, (1 << 64) - 1, 500, 1000 - width, 1000, dist)
+        assert np.array_equal(fresh.entries[:, 1000 - width:], oracle)
 
 
 @pytest.mark.parametrize("seed,stream", [
@@ -263,6 +344,19 @@ def test_interpolation_endpoints_and_variance():
     # correlation with the base equals cos(tau)
     c = float(np.corrcoef(mid.entries.ravel(), base.entries.ravel())[0, 1])
     assert abs(c - math.cos(math.pi / 4)) < 0.01
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, math.pi / 2])
+@pytest.mark.parametrize("n,alpha", [
+    (10_000, 0.01),  # 100 rows, 3 per chunk: the last chunk holds one row
+    (1000, 0.25),  # 250 rows, 32 per chunk: the last chunk holds 26
+    (70_001, 3 / 70_001 + 1e-12),  # each row wider than a chunk
+])
+def test_interpolation_is_bit_identical_to_the_whole_matrix_formula(n, alpha, tau):
+    base = sample_disorder(n, alpha, seed=6, stream=0)
+    rep = sample_disorder(n, alpha, seed=6, stream=1)
+    expected = math.cos(tau) * base.entries + math.sin(tau) * rep.entries
+    assert interpolate(base, rep, tau).entries.tobytes() == expected.tobytes()
 
 
 def test_interpolation_rejects_rademacher():

@@ -9,7 +9,8 @@ floats).  The second draws every float argument at once from the whole float
 line or the special values.  ``std_normal_cdf(+-inf)`` gives the finite
 limits 1 and 0, which the CLI documents as ``mvn --cdf +-inf``;
 ``find_negative_psi`` and ``exhaustive_solve`` may return None, but only for
-finite inputs.
+finite inputs.  An accepted call must also run without a numpy overflow,
+invalid operation or division by zero, outside a commented allow-list.
 """
 
 import dataclasses
@@ -162,6 +163,12 @@ BOUNDED = {
 #: Functions whose None result is an answer (no negative point, no solution).
 NONE_ANSWERS = {"find_negative_psi", "exhaustive_solve"}
 
+#: Cases whose accepted calls may raise a numpy floating-point flag, and why.
+FLOAT_ERRORS_ALLOWED = {
+    # The general integrator is to be deleted (ROADMAP item 1), not mended.
+    "box_probability_general/matrix",
+}
+
 #: Records that the functions under test build and return.
 RECORDS = {"KimRocheSchedule", "OverlapTrajectory", "StableReplicaParameters", "StepRecord",
            "TrialSummary"}
@@ -170,7 +177,14 @@ RECORDS = {"KimRocheSchedule", "OverlapTrajectory", "StableReplicaParameters", "
 def _call(name, args):
     fn, _ = CASES[name]
     try:
-        result = fn(*args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = fn(*args)
+    except FloatingPointError:
+        try:
+            result = fn(*args)
+        except MarginlabError:
+            return  # the flag came before the check that rejects the input
+        assert name in FLOAT_ERRORS_ALLOWED, ("numpy floating-point error", args)
     except MarginlabError:
         return
     if result is None:  # no negative point or no solution: an answer only for finite inputs
