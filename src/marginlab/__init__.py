@@ -26,7 +26,6 @@ from .errors import (
     CapExceededError,
     DomainError,
     MarginlabError,
-    NotPositiveDefiniteError,
     SizingError,
     UsageError,
 )
@@ -48,7 +47,6 @@ from .mvn import (
     ProbResult,
     box_probabilities_equicorrelated,
     box_probability_equicorrelated,
-    box_probability_general,
     box_probability_upper_bound,
     conditional_mean,
     quadrant_probability,
@@ -96,8 +94,7 @@ from .experiments import (
 __all__ = [
     "__version__",
     # errors
-    "MarginlabError", "DomainError", "SizingError", "NotPositiveDefiniteError",
-    "CapExceededError", "UsageError",
+    "MarginlabError", "DomainError", "SizingError", "CapExceededError", "UsageError",
     # disorder
     "DisorderMatrix", "InterpolatedEnsemble", "sample_disorder", "interpolate",
     "resample_columns", "sample_ensemble", "uniform_tau_grid",
@@ -105,7 +102,7 @@ __all__ = [
     # mvn
     "ProbResult", "CovarianceSpec", "std_normal_cdf", "quadrant_probability",
     "conditional_mean", "box_probabilities_equicorrelated", "box_probability_equicorrelated",
-    "box_probability_general", "box_probability_upper_bound",
+    "box_probability_upper_bound",
     # landscape
     "SignVector", "TupleQuery", "hamming", "overlap", "is_solution",
     "enumerate_solutions", "discrepancy", "overlap_band",

@@ -49,7 +49,6 @@ from .landscape import (
 from .mvn import (
     CovarianceSpec,
     box_probability_equicorrelated,
-    box_probability_general,
     box_probability_upper_bound,
     conditional_mean,
     quadrant_probability,
@@ -142,11 +141,7 @@ def cmd_mvn(args: argparse.Namespace) -> tuple[dict, str, int]:
         spec = CovarianceSpec(dim=args.m, beta=args.beta)
         text = repr(box_probability_upper_bound(spec, args.kappa))
     elif args.box:
-        if args.general:
-            spec = CovarianceSpec(dim=args.m, beta=args.beta)
-            res = box_probability_general(spec, args.kappa, budget=args.budget)
-        else:
-            res = box_probability_equicorrelated(args.m, args.beta, args.kappa)
+        res = box_probability_equicorrelated(args.m, args.beta, args.kappa)
         text = f"{res.value!r} (abs error <= {res.abs_error_estimate:.3g}, {res.method})"
     else:
         raise UsageError("choose one of --quadrant, --conditional-mean, --cdf, --box, "
@@ -398,12 +393,9 @@ def build_parser() -> _Parser:
     p.add_argument("--cdf", type=float, default=None, metavar="X")
     p.add_argument("--box", action="store_true")
     p.add_argument("--upper-bound", action="store_true")
-    p.add_argument("--general", action="store_true",
-                   help="use the general-covariance integrator instead of the one-factor form")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_mvn)
 
     p = sub.add_parser("solve", help="run one solver on one sampled instance")

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import DomainError, SizingError, check_float_range
+from .errors import DomainError, SizingError, check_float_range, check_matrix_size
 
 __all__ = [
     "DisorderMatrix",
@@ -53,7 +53,6 @@ _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1 << 15  # entries of one sampler or interpolation chunk (256 KiB)
 _BAND = 1 << 18  # entries per sampling thread; below 2 * _BAND, one thread
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_MAX_ENTRIES = 1 << 27  # largest matrix sampled (1 GiB of float64)
 
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
 RESAMPLE_STREAM = 1 << 62
@@ -198,8 +197,7 @@ def sample_disorder(
     m = _floor_count(alpha, n)
     if m < 1:
         raise SizingError(f"floor(alpha*n) = {m}, no rows to sample")
-    if m * n > _MAX_ENTRIES:
-        raise SizingError(f"{m} x {n} matrix exceeds the limit of {_MAX_ENTRIES} entries")
+    check_matrix_size(m, n)
     entries = np.empty((m, n), dtype=np.float64)
     _rows(philox_key(seed, stream), entries, 0, dist)
     return DisorderMatrix(

@@ -22,10 +22,6 @@ class SizingError(DomainError):
     """A requested size works out to something unusable (zero rows, empty block)."""
 
 
-class NotPositiveDefiniteError(DomainError):
-    """A covariance matrix is not positive definite."""
-
-
 class CapExceededError(MarginlabError):
     """An exhaustive operation was asked to exceed its enumeration cap."""
 
@@ -38,3 +34,12 @@ def check_float_range(name: str, value: int) -> None:
     """Reject an integer size that would overflow the first float it meets."""
     if value > sys.float_info.max:
         raise DomainError(f"{name} exceeds the float range")
+
+
+_MAX_ENTRIES = 1 << 27  # largest matrix built (1 GiB of float64)
+
+
+def check_matrix_size(rows: int, cols: int) -> None:
+    """Reject a rows x cols matrix of more than 2^27 entries before it is allocated."""
+    if rows * cols > _MAX_ENTRIES:
+        raise SizingError(f"{rows} x {cols} matrix exceeds the limit of {_MAX_ENTRIES} entries")

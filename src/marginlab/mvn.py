@@ -1,9 +1,9 @@
 """Multivariate gaussian box and orthant probabilities.
 
 The quantities here are probabilities that a centered gaussian vector with an
-equicorrelated (or nearly equicorrelated) covariance lands in the symmetric box
-[-kappa, kappa]^m.  For exchangeable covariance (1-beta)*I + beta*J the box
-probability collapses to a one-dimensional integral over the shared factor:
+equicorrelated covariance lands in the symmetric box [-kappa, kappa]^m.  For
+exchangeable covariance (1-beta)*I + beta*J the box probability collapses to a
+one-dimensional integral over the shared factor:
 
     P = integral phi(w) * [Phi((kappa - sqrt(beta) w)/sqrt(1-beta))
                            - Phi((-kappa - sqrt(beta) w)/sqrt(1-beta))]^m dw
@@ -13,10 +13,8 @@ they disagree by more than 1e-8) over at most three closed-form panels of
 [0, 8] evaluates it, with the same bits for a beta grid as for one beta at a
 time.  Its error bar adds three terms: the gap between the two orders, the
 discarded tails (below 1.3e-15) and a roundoff floor 50*eps*value, as in
-QUADPACK.  General small covariances go
-through tensor-product quadrature of the density, larger ones through Monte Carlo.
-Every routine reports the value together with an estimate of its absolute
-error and the method that produced it.
+QUADPACK.  Every routine reports the value together with an estimate of its
+absolute error and the method that produced it.
 """
 
 from __future__ import annotations
@@ -29,14 +27,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, erfc
 
-from .errors import DomainError, NotPositiveDefiniteError, check_float_range
+from .errors import DomainError, check_float_range, check_matrix_size
 
 __all__ = [
     "CovarianceSpec",
     "ProbResult",
     "box_probabilities_equicorrelated",
     "box_probability_equicorrelated",
-    "box_probability_general",
     "box_probability_upper_bound",
     "conditional_mean",
     "quadrant_probability",
@@ -47,7 +44,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
-Method = Literal["analytic", "factor_quadrature", "tensor_quadrature", "monte_carlo"]
+Method = Literal["analytic", "factor_quadrature"]
 
 
 @dataclass(frozen=True)
@@ -61,50 +58,27 @@ class ProbResult:
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Equicorrelated covariance (1-beta)*I + beta*J with an optional dent.
+    """Equicorrelated covariance (1-beta)*I + beta*J of dimension ``dim``.
 
-    ``perturbation`` is a symmetric matrix with zero diagonal and entries in
-    [-eta_bound, 0], added to the off-diagonal block.  It models pairwise
-    correlations that each sit up to eta below the common level beta.
+    ``dim`` is refused beyond the package's matrix-size limit before
+    :meth:`sigma` allocates the dim x dim matrix.
     """
 
     dim: int
     beta: float
-    perturbation: np.ndarray | None = None
-    eta_bound: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be at least 1, got {self.dim}")
         check_float_range("dim", self.dim)
+        check_matrix_size(self.dim, self.dim)
         if not (0.0 <= self.beta < 1.0):
             raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 0.0 <= self.eta_bound < math.inf:
-            raise DomainError(f"eta_bound must be nonnegative and finite, got {self.eta_bound}")
-        if self.perturbation is not None:
-            e = np.asarray(self.perturbation, dtype=np.float64)
-            if e.shape != (self.dim, self.dim):
-                raise DomainError(f"perturbation shape {e.shape} != ({self.dim}, {self.dim})")
-            if not np.allclose(e, e.T, atol=0.0):
-                raise DomainError("perturbation must be symmetric")
-            if np.any(np.diag(e) != 0.0):
-                raise DomainError("perturbation must have zero diagonal")
-            if np.any(e > 0.0) or np.any(e < -self.eta_bound):
-                raise DomainError("perturbation entries must lie in [-eta_bound, 0]")
 
     def sigma(self) -> np.ndarray:
         s = np.full((self.dim, self.dim), self.beta, dtype=np.float64)
         np.fill_diagonal(s, 1.0)
-        if self.perturbation is not None:
-            s = s + np.asarray(self.perturbation, dtype=np.float64)
         return s
-
-    def is_positive_definite(self) -> bool:
-        try:
-            np.linalg.cholesky(self.sigma())
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
 
 def std_normal_cdf(x):
@@ -148,12 +122,6 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _GL_CACHE:
         _GL_CACHE[order] = leggauss(order)
     return _GL_CACHE[order]
-
-
-def _gl_nodes(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl_rule(order)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
 
 
 #: Betas per quadrature block: temporaries of at most 8 x 1010 nodes (order 404).
@@ -250,107 +218,18 @@ def box_probability_equicorrelated(m: int, beta: float, kappa: float) -> ProbRes
     return box_probabilities_equicorrelated(m, [beta], kappa)[0]
 
 
-def _as_sigma(cov) -> np.ndarray:
-    if isinstance(cov, CovarianceSpec):
-        return cov.sigma()
-    s = np.asarray(cov, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DomainError(f"covariance must be square, got shape {s.shape}")
-    if not np.allclose(s, s.T, atol=1e-12):
-        raise DomainError("covariance must be symmetric")
-    return s
-
-
-def _linalg_or_raise(op, sigma: np.ndarray) -> np.ndarray:
-    # inv also catches a singular matrix whose rounded Cholesky factor came out positive
-    try:
-        return op(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "covariance is not positive definite; for an equicorrelated matrix "
-            "with pairwise dents this needs eta < (1 - beta)/m"
-        ) from None
-
-
-def _tensor_integral(sigma_inv: np.ndarray, log_norm: float, kappa: float, order: int) -> float:
-    m = sigma_inv.shape[0]
-    x, wt = _gl_nodes(order, -kappa, kappa)
-    if m == 1:
-        q = sigma_inv[0, 0] * x * x
-        return float(np.sum(wt * np.exp(log_norm - 0.5 * q)))
-    if m == 2:
-        q = (
-            sigma_inv[0, 0] * x[:, None] ** 2
-            + sigma_inv[1, 1] * x[None, :] ** 2
-            + 2.0 * sigma_inv[0, 1] * x[:, None] * x[None, :]
-        )
-        return float(wt @ np.exp(log_norm - 0.5 * q) @ wt)
-    q = (
-        sigma_inv[0, 0] * x[:, None, None] ** 2
-        + sigma_inv[1, 1] * x[None, :, None] ** 2
-        + sigma_inv[2, 2] * x[None, None, :] ** 2
-        + 2.0 * sigma_inv[0, 1] * x[:, None, None] * x[None, :, None]
-        + 2.0 * sigma_inv[0, 2] * x[:, None, None] * x[None, None, :]
-        + 2.0 * sigma_inv[1, 2] * x[None, :, None] * x[None, None, :]
-    )
-    vals = np.exp(log_norm - 0.5 * q)
-    return float(np.einsum("i,j,k,ijk->", wt, wt, wt, vals))
-
-
-def box_probability_general(cov, kappa: float, budget: int | None = None) -> ProbResult:
-    """P(|Z_i| <= kappa for all i) for a general positive definite covariance.
-
-    Dimensions up to 3 use tensor-product Gauss-Legendre quadrature of the
-    density with grid-refinement error control; higher dimensions fall back to
-    Monte Carlo (deterministic internal stream) with a 3-sigma error bar.
-    ``budget`` is the Monte Carlo sample count (default 200000).
-    """
-    sigma = _as_sigma(cov)
-    _check_kappa(kappa)
-    m = sigma.shape[0]
-    if kappa == 0.0:
-        return ProbResult(0.0, 0.0, "analytic")
-    chol = _linalg_or_raise(np.linalg.cholesky, sigma)
-    if m <= 3:
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        log_norm = -0.5 * (m * math.log(2.0 * math.pi) + logdet)
-        sigma_inv = _linalg_or_raise(np.linalg.inv, sigma)
-        coarse = _tensor_integral(sigma_inv, log_norm, kappa, 40)
-        fine = _tensor_integral(sigma_inv, log_norm, kappa, 80)
-        err = abs(fine - coarse) + 1e-15
-        if err > 1e-8:
-            finer = _tensor_integral(sigma_inv, log_norm, kappa, 160)
-            err = abs(finer - fine) + 1e-15
-            fine = finer
-        if not math.isfinite(fine + err):
-            raise DomainError(f"the tensor quadrature is not finite at kappa={kappa}")
-        return ProbResult(fine, err, "tensor_quadrature")
-    n_samples = 200_000 if budget is None else int(budget)
-    if n_samples < 100:
-        raise DomainError(f"Monte Carlo budget too small: {n_samples}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([0x0B5E55ED, 0xB0], dtype=np.uint64)))
-    hits = 0
-    remaining = n_samples
-    while remaining > 0:
-        chunk = min(remaining, 65_536)
-        g = rng.standard_normal((chunk, m))
-        z = g @ chol.T
-        hits += int(np.count_nonzero(np.all(np.abs(z) <= kappa, axis=1)))
-        remaining -= chunk
-    p = hits / n_samples
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
-    return ProbResult(p, 3.0 * se, "monte_carlo")
-
-
-def box_probability_upper_bound(cov, kappa: float) -> float:
+def box_probability_upper_bound(cov: CovarianceSpec, kappa: float) -> float:
     """Density-times-volume bound (2*pi)^(-m/2) * det(Sigma)^(-1/2) * (2*kappa)^m.
 
     The gaussian density is maximized at the origin, so the box probability is
     at most the peak density times the box volume.  Exact at kappa -> 0.
     """
-    sigma = _as_sigma(cov)
+    sigma = cov.sigma()
     _check_kappa(kappa)
-    chol = _linalg_or_raise(np.linalg.cholesky, sigma)
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"beta={cov.beta} is numerically singular at dim={cov.dim}") from None
     m = sigma.shape[0]
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_bound = (

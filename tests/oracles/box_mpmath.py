@@ -1,6 +1,6 @@
 """30-digit references for the equicorrelated box probability.
 
-Run directly to regenerate FROZEN_BOX_MPMATH in test_mvn.py (about 20 s):
+Run directly to regenerate FROZEN_BOX_MPMATH in test_mvn.py (about 40 s):
 
     python tests/oracles/box_mpmath.py
 
@@ -22,7 +22,7 @@ import mpmath as mp
 
 mp.mp.dps = 30
 
-MS = (2, 3)
+MS = (2, 3, 5, 10)
 KAPPAS = (0.05, 0.5, 1.0, 2.0)
 BETAS = (1e-4, 0.1, 0.5, 0.9, 0.978, 0.999, 0.999999)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import marginlab
@@ -281,8 +282,6 @@ MVN_STDOUT_DIGESTS = {
             "d053f8fadf218745c539095eae4ef54a4b09c3606bdddffb4d472291c46229f9"),
     "box": (["--box", "--m", "3", "--beta", "0.978", "--kappa", "1.0"],
             "e70573473aaea3183a84b3237e8d2ea9ab9437da97a99d2fa8b5c5aa4e1fad57"),
-    "box-general": (["--box", "--general", "--m", "3", "--beta", "0.5", "--kappa", "1.0"],
-                    "ae61da3b9b878a700cd0d4fdbcbda43c3c7d5364ea2ecde02bd30bc6a4da6d47"),
     "upper-bound": (["--upper-bound", "--m", "3", "--beta", "0.5", "--kappa", "0.2"],
                     "60df31acef7a66bf5cc0540a7a17ccdf89997d9a8997fb08f60970604c366072"),
 }
@@ -580,16 +579,50 @@ def test_thresholds_rejects_non_finite_inputs(tmp_path, capsys, argv, message):
     (["--box", "--m", "3", "--beta", "0.9", "--kappa", "nan"],
      "kappa must be nonnegative, got nan"),
     (["--box", "--m", "3", "--beta", "nan"], "beta must be nonnegative, got nan"),
-    (["--box", "--general", "--m", "3", "--beta", "0.9", "--kappa", "nan"],
-     "kappa must be nonnegative, got nan"),
     (["--upper-bound", "--m", "3", "--beta", "0.9", "--kappa", "nan"],
      "kappa must be nonnegative, got nan"),
-], ids=["box-kappa", "box-beta", "general-kappa", "upper-bound-kappa"])
+], ids=["box-kappa", "box-beta", "upper-bound-kappa"])
 def test_mvn_rejects_nan_inputs(capsys, argv, message):
     assert main(["mvn", *argv]) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"domain error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--box", "--general", "--m", "3"],
+    ["--box", "--budget", "5"],
+], ids=["general", "budget"])
+def test_mvn_general_integrator_flags_are_gone(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MARGINLAB_OUT_DIR", str(tmp_path))
+    assert main(["mvn", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mvn_upper_bound_refuses_a_matrix_beyond_the_size_limit(capsys, monkeypatch):
+    # 11586^2 is the first square above 2^27; nothing may be allocated.
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "full", no_alloc)
+    assert main(["mvn", "--upper-bound", "--m", "11586"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("domain error: 11586 x 11586 matrix exceeds the limit of 134217728 entries"
+            in captured.err)
+
+
+def test_mvn_upper_bound_names_a_numerically_singular_beta(capsys):
+    beta = "0.9999999999999999"
+    assert main(["mvn", "--upper-bound", "--m", "8", "--beta", beta, "--kappa", "0.2"]) \
+        == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"domain error: beta={beta} is numerically singular at dim=8" in captured.err
 
 
 def test_main_parses_cleanly_after_usage_errors(tmp_path, capsys):
@@ -664,7 +697,6 @@ def _writes_files(parser: argparse.ArgumentParser) -> bool:
 VALID_ARGS = {
     "thresholds": ["thresholds", "--which", "f2", "--alpha", "1.7"],
     "mvn-box": ["mvn", "--box", "--m", "3"],
-    "mvn-general": ["mvn", "--box", "--general", "--m", "3"],
     "mvn-upper-bound": ["mvn", "--upper-bound", "--m", "3"],
     "solve-majority": ["solve", "--algo", "majority", "--n", "200", "--alpha", "0.02"],
     "solve-kim-roche": ["solve", "--algo", "kim-roche", "--n", "200", "--alpha", "0.02"],
@@ -727,7 +759,7 @@ def test_experiments_reject_non_finite_flags(tmp_path, capsys, label, option, de
 
 # Integer size flags that each overflowed the first float product they met.
 # Only values beyond the float range are fed: a large representable size would
-# allocate, and a huge --trials, --replicas, --q-steps or --budget would start
+# allocate, and a huge --trials, --replicas or --q-steps would start
 # unbounded work.
 HUGE_INT_FLAGS = [
     ("stable-params", "--m"),
@@ -739,7 +771,6 @@ HUGE_INT_FLAGS = [
     ("count-tuples", "--n"),
     ("mvn-box", "--m"),
     ("mvn-upper-bound", "--m"),
-    ("mvn-general", "--m"),
 ]
 
 

@@ -10,7 +10,7 @@ line or the special values.  ``std_normal_cdf(+-inf)`` gives the finite
 limits 1 and 0, which the CLI documents as ``mvn --cdf +-inf``;
 ``find_negative_psi`` and ``exhaustive_solve`` may return None, but only for
 finite inputs.  An accepted call must also run without a numpy overflow,
-invalid operation or division by zero, outside a commented allow-list.
+invalid operation or division by zero.
 """
 
 import dataclasses
@@ -31,14 +31,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 BIG = sys.float_info.max
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, BIG, -BIG]
-
-
-def _spec(dim, beta, eta_bound):
-    return mvn.CovarianceSpec(dim, beta, None, eta_bound)
-
-
-def _pair(a, b, r):
-    return [[a, r], [r, b]]
 
 
 _MAT = disorder.sample_disorder(10, 0.3, seed=1)  # 3 x 10
@@ -71,19 +63,11 @@ CASES = {
         lambda m, b1, b2, kappa: mvn.box_probabilities_equicorrelated(m, [b1, b2], kappa),
         (3, 0.5, 0.9, 1.0)),
     "box_probability_equicorrelated": (mvn.box_probability_equicorrelated, (3, 0.9, 1.0)),
-    "box_probability_general": (
-        lambda dim, beta, kappa: mvn.box_probability_general(_spec(dim, beta, 0.0), kappa),
-        (3, 0.5, 1.0)),
-    "box_probability_general/matrix": (
-        lambda a, b, r, kappa: mvn.box_probability_general(_pair(a, b, r), kappa),
-        (1.0, 2.0, 0.3, 1.0)),
     "box_probability_upper_bound": (
-        lambda dim, beta, kappa: mvn.box_probability_upper_bound(_spec(dim, beta, 0.0), kappa),
+        lambda dim, beta, kappa: mvn.box_probability_upper_bound(mvn.CovarianceSpec(dim, beta),
+                                                                 kappa),
         (3, 0.5, 1.0)),
-    "box_probability_upper_bound/matrix": (
-        lambda a, b, r, kappa: mvn.box_probability_upper_bound(_pair(a, b, r), kappa),
-        (1.0, 2.0, 0.3, 1.0)),
-    "CovarianceSpec": (_spec, (2, 0.5, 0.1)),
+    "CovarianceSpec": (mvn.CovarianceSpec, (2, 0.5)),
     "DisorderMatrix": (
         lambda alpha: disorder.DisorderMatrix(3, 10, np.zeros((3, 10)), "gaussian", 0, alpha),
         (0.3,)),
@@ -163,12 +147,6 @@ BOUNDED = {
 #: Functions whose None result is an answer (no negative point, no solution).
 NONE_ANSWERS = {"find_negative_psi", "exhaustive_solve"}
 
-#: Cases whose accepted calls may raise a numpy floating-point flag, and why.
-FLOAT_ERRORS_ALLOWED = {
-    # The general integrator is to be deleted (ROADMAP item 1), not mended.
-    "box_probability_general/matrix",
-}
-
 #: Records that the functions under test build and return.
 RECORDS = {"KimRocheSchedule", "OverlapTrajectory", "StableReplicaParameters", "StepRecord",
            "TrialSummary"}
@@ -184,7 +162,7 @@ def _call(name, args):
             result = fn(*args)
         except MarginlabError:
             return  # the flag came before the check that rejects the input
-        assert name in FLOAT_ERRORS_ALLOWED, ("numpy floating-point error", args)
+        pytest.fail(f"numpy floating-point error at {args}")
     except MarginlabError:
         return
     if result is None:  # no negative point or no solution: an answer only for finite inputs

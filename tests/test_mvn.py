@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
+import marginlab
 from marginlab import mvn
-from marginlab.errors import DomainError, NotPositiveDefiniteError
+from marginlab.errors import DomainError, SizingError
 from marginlab.mvn import (
     CovarianceSpec,
     ProbResult,
     box_probabilities_equicorrelated,
     box_probability_equicorrelated,
-    box_probability_general,
     box_probability_upper_bound,
     conditional_mean,
     quadrant_probability,
@@ -95,6 +95,62 @@ FROZEN_BOX_MPMATH = {
     (3, 0.978, 2.0): 0.9403673064992998,
     (3, 0.999, 2.0): 0.9515808984388278,
     (3, 0.999999, 2.0): 0.9544083229369731,
+    (5, 0.0001, 0.05): 1.008429917051134e-07,
+    (5, 0.1, 0.05): 1.0521264992446641e-07,
+    (5, 0.5, 0.05): 2.3256390569950336e-07,
+    (5, 0.9, 0.05): 4.633501883425741e-06,
+    (5, 0.978, 0.05): 8.738954721534301e-05,
+    (5, 0.999, 0.05): 0.011713517813016126,
+    (5, 0.999999, 0.05): 0.03895084346992332,
+    (5, 0.0001, 0.5): 0.008233190879754835,
+    (5, 0.1, 0.5): 0.008537538391710951,
+    (5, 0.5, 0.5): 0.016709628228160894,
+    (5, 0.9, 0.5): 0.12053963641999267,
+    (5, 0.978, 0.5): 0.25826679634013466,
+    (5, 0.999, 0.5): 0.356888080915393,
+    (5, 0.999999, 0.5): 0.3821059027601422,
+    (5, 0.0001, 1.0): 0.14829144681418385,
+    (5, 0.1, 1.0): 0.15162098844186248,
+    (5, 0.5, 1.0): 0.22596766901235932,
+    (5, 0.9, 1.0): 0.4848219570364268,
+    (5, 0.978, 1.0): 0.5949277457199494,
+    (5, 0.999, 1.0): 0.6646983481016709,
+    (5, 0.999999, 1.0): 0.6821264918429482,
+    (5, 0.0001, 2.0): 0.7922806777091995,
+    (5, 0.1, 2.0): 0.7942157604512098,
+    (5, 0.5, 2.0): 0.8317593859775745,
+    (5, 0.9, 2.0): 0.906720898133184,
+    (5, 0.978, 2.0): 0.9340248947125754,
+    (5, 0.999, 2.0): 0.9504426491068874,
+    (5, 0.999999, 2.0): 0.9543740705782477,
+    (10, 0.0001, 0.05): 1.0169310244070628e-14,
+    (10, 0.1, 0.05): 1.1850266635334564e-14,
+    (10, 0.5, 0.05): 9.778346110860585e-14,
+    (10, 0.9, 0.05): 1.0311103156457465e-10,
+    (10, 0.978, 0.05): 7.927517775150446e-08,
+    (10, 0.999, 0.05): 0.004591076497537393,
+    (10, 0.999999, 0.05): 0.03865136433873301,
+    (10, 0.0001, 0.5): 6.778543921973034e-05,
+    (10, 0.1, 0.5): 7.73905367184629e-05,
+    (10, 0.5, 0.5): 0.0004748062653939323,
+    (10, 0.9, 0.5): 0.04777134973850084,
+    (10, 0.978, 0.5): 0.21575594224289174,
+    (10, 0.999, 0.5): 0.3483626692450703,
+    (10, 0.999999, 0.5): 0.3818411382573347,
+    (10, 0.0001, 1.0): 0.021990354578740094,
+    (10, 0.1, 1.0): 0.023915708932506666,
+    (10, 0.5, 1.0): 0.07362996343705909,
+    (10, 0.9, 1.0): 0.40492819853032574,
+    (10, 0.978, 1.0): 0.5630848025025998,
+    (10, 0.999, 1.0): 0.6587267231021678,
+    (10, 0.999999, 1.0): 0.6819444116317332,
+    (10, 0.0001, 2.0): 0.6277086762874076,
+    (10, 0.1, 2.0): 0.6341357335635252,
+    (10, 0.5, 2.0): 0.7340935645165332,
+    (10, 0.9, 2.0): 0.8823977326714236,
+    (10, 0.978, 2.0): 0.9256711159742744,
+    (10, 0.999, 2.0): 0.9490593204541404,
+    (10, 0.999999, 2.0): 0.9543333936952849,
 }
 
 
@@ -140,16 +196,6 @@ def test_frozen_three_dim_box():
     for (beta, kappa), expected in FROZEN_BOX3.items():
         res = box_probability_equicorrelated(3, beta, kappa)
         assert res.value == pytest.approx(expected, abs=5e-13)
-
-
-def test_equicorrelated_matches_general_integrator():
-    for m, beta, kappa in [(2, 0.3, 1.0), (2, 0.9, 0.5), (3, 0.6, 1.2), (3, 0.978, 1.0)]:
-        a = box_probability_equicorrelated(m, beta, kappa)
-        spec = CovarianceSpec(dim=m, beta=beta)
-        b = box_probability_general(spec, kappa)
-        assert a.value == pytest.approx(b.value, abs=1e-6)
-        assert a.method == "factor_quadrature"
-        assert b.method == "tensor_quadrature"
 
 
 def test_independence_factorization():
@@ -306,44 +352,21 @@ def test_zero_kappa():
     assert box_probability_upper_bound(CovarianceSpec(dim=2, beta=0.5), 0.0) == 0.0
 
 
-def test_monte_carlo_path():
-    spec = CovarianceSpec(dim=5, beta=0.4)
-    res = box_probability_general(spec, 1.0, budget=120_000)
-    assert res.method == "monte_carlo"
-    direct = box_probability_equicorrelated(5, 0.4, 1.0)
-    assert abs(res.value - direct.value) < 4.0 * max(res.abs_error_estimate, 1e-4)
-    again = box_probability_general(spec, 1.0, budget=120_000)
-    assert res.value == again.value
-
-
 def test_covariance_spec_validation():
     with pytest.raises(DomainError):
         CovarianceSpec(dim=0, beta=0.5)
     with pytest.raises(DomainError):
         CovarianceSpec(dim=2, beta=-1.2)
-    pert = np.zeros((2, 2))
-    pert[0, 1] = pert[1, 0] = -0.01
-    spec = CovarianceSpec(dim=2, beta=0.5, perturbation=pert, eta_bound=0.02)
-    sig = spec.sigma()
-    assert sig[0, 1] == pytest.approx(0.49)
-    with pytest.raises(DomainError):
-        CovarianceSpec(dim=2, beta=0.5, perturbation=pert, eta_bound=0.001)
-    bad = np.zeros((2, 2))
-    bad[0, 1] = bad[1, 0] = 0.01  # positive entries not allowed
-    with pytest.raises(DomainError):
-        CovarianceSpec(dim=2, beta=0.5, perturbation=bad, eta_bound=0.02)
+    # 11585^2 <= 2^27 < 11586^2; the check runs before sigma() allocates
+    assert CovarianceSpec(dim=11585, beta=0.5).dim == 11585
+    with pytest.raises(SizingError, match="11586 x 11586 matrix exceeds the limit"):
+        CovarianceSpec(dim=11586, beta=0.5)
 
 
-def test_not_positive_definite_rejected():
-    with pytest.raises(NotPositiveDefiniteError):
-        box_probability_general(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
-    # singular, yet its rounded Cholesky factor has a positive last pivot
-    with pytest.raises(NotPositiveDefiniteError):
-        box_probability_general(np.array([[2.0, 2.0], [2.0, 2.0]]), 1.0)
-    pert = np.zeros((2, 2))
-    pert[0, 1] = pert[1, 0] = -0.02
-    spec = CovarianceSpec(dim=2, beta=0.99, perturbation=pert, eta_bound=0.03)
-    assert spec.is_positive_definite()
+def test_general_integrator_is_not_exported():
+    for module in (marginlab, mvn):
+        assert "box_probability_general" not in module.__all__
+        assert "NotPositiveDefiniteError" not in module.__all__
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,9 +19,6 @@ PACKAGE = ROOT / "src" / "marginlab"
 #: Defaulted public parameters kept although no call in src/ or perfbench/
 #: sets them; an entry leaves the list once some caller sets it.
 KEPT_DEFAULTS = {
-    # The dented m-OGP covariance: pairwise correlations up to eta below beta.
-    ("CovarianceSpec", "perturbation"),
-    ("CovarianceSpec", "eta_bound"),
     # The same window and cap flags as ``exhaustive_solve``, which the CLI sets.
     ("enumerate_solutions", "symmetric"),
     ("enumerate_solutions", "n_cap"),
