@@ -8,8 +8,8 @@ the counter-based generator Philox:
     entry (r, c)  output c % 4 of Philox set to counter (c // 4, 0, r, 0)
 
 numpy increments the counter before each block, so the block holding entry
-(r, c) encrypts (c // 4 + 1, 0, r, 0); each chunk of rows gets its own
-generator, set to its first row and moved to the next row by ``advance``.
+(r, c) encrypts (c // 4 + 1, 0, r, 0); each sampling thread owns one
+generator and resets its state to that counter before each row.
 Entry (r, c) is thus pure in (seed, stream, r, c): matrices of different
 shapes agree on their common entries, and a column window draws only its
 own blocks.  That purity makes coupled resampling and replica constructions
@@ -142,11 +142,12 @@ def _transform(out: np.ndarray, dist: str) -> None:
 def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
     """Fill ``out`` with rows [0, len(out)), columns from c0 on; no block left of c0 is drawn.
 
-    Each chunk of rows is drawn by its own generator, set to the chunk's
-    first row, and transformed while it is still in cache.  ``random``
-    draws with the GIL released, so on two or more cores a draw of at least
-    2 * _BAND entries runs on up to one thread per core; the bits do not
-    depend on the thread count.
+    Each thread owns one generator and, before each row r, resets its state
+    to a fresh one at counter (c0 // 4, 0, r, 0).  A chunk of rows is
+    transformed while it is still in cache.  ``random`` draws with the GIL
+    released, so on two or more cores a draw of at least 2 * _BAND entries
+    runs on up to one thread per core; the bits do not depend on the thread
+    count.
     """
     (rows, width), skip = out.shape, c0 % 4
     step = max(1, _DRAW_BLOCK // width)
@@ -156,14 +157,17 @@ def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
     chunks = iter(range(0, rows, step))
 
     def work() -> None:
+        bg = Philox(key=key, counter=[c0 // 4, 0, 0, 0])
+        gen, fresh = Generator(bg), bg.state  # fresh: an empty buffer (buffer_pos 4)
+        counter = fresh["state"]["counter"]
         for r0 in chunks:
-            bg = Philox(key=key, counter=[c0 // 4, 0, r0, 0])
-            gen, block = Generator(bg), out[r0:r0 + step]
-            for row in block:
+            block = out[r0:r0 + step]
+            for r, row in enumerate(block, r0):
+                counter[2] = r
+                bg.state = fresh
                 if skip:
                     bg.random_raw(skip, output=False)
                 gen.random(out=row)
-                bg.advance((1 << 128) - (skip + width + 3) // 4)  # to the next row's first block
             _transform(block, dist)
 
     if threads < 2:

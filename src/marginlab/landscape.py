@@ -98,6 +98,22 @@ class SignVector:
         return -1 if (self.bits >> (self.n - 1 - j)) & 1 else 1
 
 
+def _trusted_sign_vectors(n: int, masks: list[int]) -> list[SignVector]:
+    """``[SignVector(n, m) for m in masks]`` without the range checks.
+
+    For masks a cube scan produced, which lie in [0, 2^n) by construction;
+    the frozen dataclass's __init__ and __post_init__ take about a third of
+    an n = 20 enumeration.
+    """
+    new, put, out = object.__new__, object.__setattr__, []
+    for m in masks:
+        sv = new(SignVector)
+        put(sv, "n", n)
+        put(sv, "bits", m)
+        out.append(sv)
+    return out
+
+
 def hamming(a: SignVector, b: SignVector) -> int:
     """Number of coordinates where the two configurations differ (exact)."""
     if a.n != b.n:
@@ -211,8 +227,7 @@ def enumerate_solutions(
     window the result is closed under global negation, so it has even size
     whenever it is nonempty and no margin lands exactly on the boundary.
     """
-    masks = _scan_masks(mat, kappa, symmetric, n_cap)
-    return [SignVector(mat.cols, m) for m in masks]
+    return _trusted_sign_vectors(mat.cols, _scan_masks(mat, kappa, symmetric, n_cap))
 
 
 def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:

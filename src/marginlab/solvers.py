@@ -10,8 +10,10 @@ rational arithmetic so the blocks always partition the n coordinates.
 
 The online family commits to one coordinate per column, seeing only the
 columns consumed so far; the two built-in step rules either minimize the
-worst running margin, costing run + col and run - col from one reused buffer,
-or a smooth exponential proxy for it, with sinh of every column tabled once.
+worst running margin or a smooth exponential proxy for it.  Columns are
+staged a block at a time as contiguous rows of one reused buffer (with their
+sinh table for the proxy), and each step writes into reused buffers, so no
+matrix-sized temporary is built.
 Exhaustive search over the cube backs everything up at small n.
 """
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 ONLINE_STRATEGIES = ("greedy_minimax", "exp_potential")
+_STAGE_BLOCK = 1 << 15  # entries of one staged column block (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -291,39 +294,51 @@ def online_solve(
         raise DomainError(f"unknown strategy {strategy!r}, expected one of {ONLINE_STRATEGIES}")
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    n = mat.cols
-    cols = np.ascontiguousarray(mat.entries.T)  # column t as a contiguous row
+    n, rows = mat.cols, mat.rows
     lam = kappa / (2.0 * math.sqrt(n))
+    width = max(1, _STAGE_BLOCK // rows)  # columns staged per block
+    block = np.empty((width, rows), dtype=np.float64)
+    run = np.zeros(rows, dtype=np.float64)
+    if strategy == "greedy_minimax":
+        # run + col, run - col into alternating buffers: run is a view of the
+        # other one, so it is never copied
+        cands = np.empty((2, 2, rows), dtype=np.float64)
+        mag, cost = np.empty((2, rows), dtype=np.float64), np.empty(2, dtype=np.float64)
+    else:
+        sinh_block, lrun = np.empty_like(block), np.empty(rows, dtype=np.float64)
+    signs = np.empty(n, dtype=np.int8)
+    trace: list[StepRecord] | None = [] if collect_trace else None
     # sinh overflows to inf once lam * margin passes ~710, and the correlation
     # may then be inf or NaN; such a step goes to _exp_potential_fallback.
     quiet = "ignore" if strategy == "exp_potential" else None
     with np.errstate(over=quiet, invalid=quiet):
-        if strategy == "exp_potential":
-            sinh_cols = lam * cols
-            np.sinh(sinh_cols, out=sinh_cols)
-        run = np.zeros(mat.rows, dtype=np.float64)
-        cand = np.empty((2, mat.rows), dtype=np.float64)  # run + col, run - col
-        signs = np.empty(n, dtype=np.int8)
-        trace: list[StepRecord] | None = [] if collect_trace else None
-        for t in range(n):
-            if strategy == "greedy_minimax":
-                np.add(run, cols[t], out=cand[0])
-                np.subtract(run, cols[t], out=cand[1])
-                cost = np.abs(cand).max(axis=1)
-                k = 0 if cost[0] <= cost[1] else 1
-                run[:] = cand[k]
-            else:
-                # Phi(+1) - Phi(-1) = 2 sum sinh(lam*run) sinh(lam*col)
-                dot = float(np.dot(np.sinh(lam * run), sinh_cols[t]))
-                if math.isfinite(dot):
-                    k = 0 if dot <= 0.0 else 1
+        for t0 in range(0, n, width):
+            w = min(width, n - t0)
+            np.copyto(block[:w], mat.entries[:, t0:t0 + w].T)
+            if strategy == "exp_potential":
+                np.sinh(np.multiply(lam, block[:w], out=sinh_block[:w]), out=sinh_block[:w])
+            for t, col in enumerate(block[:w], t0):
+                if strategy == "greedy_minimax":
+                    cand = cands[t % 2]
+                    np.add(run, col, out=cand[0])
+                    np.subtract(run, col, out=cand[1])
+                    np.maximum.reduce(np.abs(cand, out=mag), axis=1, out=cost)
+                    plus, minus = cost.tolist()
+                    k = 0 if plus <= minus else 1
+                    run = cand[k]
                 else:
-                    k = _exp_potential_fallback(lam, run, cols[t])
-                (np.subtract if k else np.add)(run, cols[t], out=run)
-            signs[t] = s = 1 - 2 * k
-            if trace is not None:
-                worst = cost[k] if strategy == "greedy_minimax" else np.abs(run).max()
-                trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(worst)))
+                    # Phi(+1) - Phi(-1) = 2 sum sinh(lam*run) sinh(lam*col)
+                    np.sinh(np.multiply(lam, run, out=lrun), out=lrun)
+                    dot = float(np.dot(lrun, sinh_block[t - t0]))
+                    if math.isfinite(dot):
+                        k = 0 if dot <= 0.0 else 1
+                    else:
+                        k = _exp_potential_fallback(lam, run, col)
+                    (np.subtract if k else np.add)(run, col, out=run)
+                signs[t] = s = 1 - 2 * k
+                if trace is not None:
+                    worst = (plus, minus)[k] if strategy == "greedy_minimax" else np.abs(run).max()
+                    trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(worst)))
     feasible = bool(np.max(np.abs(run)) <= kappa * math.sqrt(n))
     return SignVector.from_signs(signs), feasible, trace
 

@@ -225,24 +225,31 @@ def test_error_in_a_helper_thread_propagates(monkeypatch):
 
 
 def test_each_chunk_is_drawn_exactly_once(monkeypatch):
-    # Every chunk builds one generator, set to its first row r0.
-    taken, real_philox = [], disorder.Philox
+    # Each row is drawn after one reset of its thread's generator to the
+    # row's counter (c0 // 4, 0, r, 0); a chunk taken twice resets its rows twice.
+    reset, real_philox = [], disorder.Philox
 
-    def philox(key, counter):
-        taken.append(int(counter[2]))
-        return real_philox(key=key, counter=counter)
+    class Philox(real_philox):
+        @property
+        def state(self):
+            return real_philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            reset.append(int(value["state"]["counter"][2]))
+            real_philox.state.__set__(self, value)
 
     monkeypatch.setattr(disorder, "_CORES", 7)
     monkeypatch.setattr(disorder, "_BAND", 64)
-    monkeypatch.setattr(disorder, "Philox", philox)
+    monkeypatch.setattr(disorder, "Philox", Philox)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         base = sample_disorder(4001, 0.25, "gaussian", 4, 1)
-        assert sorted(taken) == list(range(0, 1000, disorder._DRAW_BLOCK // 4001))
-        taken.clear()
+        assert sorted(reset) == list(range(1000))
+        reset.clear()
         resample_columns(base, 0.2, 4, stream=6)
-        assert sorted(taken) == list(range(0, 1000, disorder._DRAW_BLOCK // 800))
+        assert sorted(reset) == list(range(1000))
     finally:
         sys.setswitchinterval(interval)
 

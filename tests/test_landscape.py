@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -96,6 +97,20 @@ def test_enumeration_closed_under_negation():
     assert sols  # kappa = 0.9 leaves solutions at this size
     for sv in sols:
         assert sv.flip_all() in sols
+
+
+def test_enumerated_vectors_are_ordinary_sign_vectors():
+    # Enumeration builds its vectors without __init__; they must still be
+    # the public, frozen type with the same fields, hash and order.
+    sols = enumerate_solutions(sample_disorder(12, 0.4, seed=5), 0.9)
+    for sv in sols:
+        public = SignVector(sv.n, sv.bits)
+        assert type(sv) is SignVector and vars(sv) == vars(public)
+        assert hash(sv) == hash(public) and not sv < public
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sols[0].bits = 0
+    with pytest.raises(DomainError, match="out of range"):
+        SignVector(12, 1 << 12)  # the public constructor still checks
 
 
 def test_enumeration_cap():

@@ -5,6 +5,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +286,65 @@ def test_exp_potential_at_huge_kappa_is_greedy(monkeypatch, seed):
     assert len(steps) == 1000
 
 
+# Regenerate with tests/oracles/exp_potential_mpmath.py: the package's
+# exp_potential signs on sample_disorder(200, 0.5, seed=0) at kappa = 1e3 as
+# "+"/"-", then (Phi(+1) - Phi(-1)) / max(Phi(+1), Phi(-1)) at each step of
+# that path, computed at 50 digits (negative prefers +1).
+FROZEN_EXP_POTENTIAL = (
+    "+---++++-+--+---+++++-+++++++++---+---+++-+++--++-"
+    "-++-++-+-++++-+++-------+++------+--++--+-++-+++-+"
+    "---+++-+--+++--++----+--+-+-++-+--+-++----++---+--"
+    "---+-+------+--+------+++--+---+-++-+--+++-+++--++"
+    ,
+    (
+        0.000e+00, 9.681e-01, 1.000e+00, 1.000e+00, -1.000e+00, -1.000e+00, -1.000e+00, -1.000e+00,
+        1.000e+00, -9.999e-01, 1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00,
+        -9.999e-01, -9.985e-01, -9.996e-01, -1.000e+00, -1.000e+00, 9.985e-01, -1.000e+00, -1.000e+00,
+        -1.000e+00, -8.688e-01, -1.000e+00, -1.000e+00, -1.000e+00, -1.000e+00, -1.000e+00, 1.000e+00,
+        1.000e+00, 1.000e+00, -1.000e+00, 9.513e-01, 1.000e+00, 1.000e+00, -1.000e+00, -1.000e+00,
+        -1.000e+00, 9.999e-01, -1.000e+00, -1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, -1.000e+00,
+        -1.000e+00, 9.994e-01, 9.972e-01, -1.000e+00, -9.576e-01, 1.000e+00, -1.000e+00, -1.000e+00,
+        1.000e+00, -1.000e+00, 1.000e+00, -1.000e+00, -1.000e+00, -9.994e-01, -1.000e+00, 1.000e+00,
+        -1.000e+00, -1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00, 9.938e-01,
+        1.000e+00, 9.998e-01, -1.000e+00, -1.000e+00, -1.000e+00, 9.995e-01, 1.000e+00, 1.000e+00,
+        1.000e+00, 1.000e+00, 9.997e-01, -1.000e+00, 1.000e+00, 9.997e-01, -1.000e+00, -1.840e-01,
+        1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, -9.537e-01, -1.000e+00, 1.000e+00, -1.000e+00,
+        -1.000e+00, -1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00, -1.000e+00,
+        -5.712e-01, -1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, -1.000e+00, -9.980e-01,
+        -1.000e+00, 1.000e+00, 9.999e-01, -1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, 9.990e-01,
+        1.000e+00, -9.999e-01, 1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, -6.867e-01, 9.938e-01,
+        -1.000e+00, -1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00,
+        -1.000e+00, -9.983e-01, 9.934e-01, 1.000e+00, 1.000e+00, 9.867e-01, -9.965e-01, -1.000e+00,
+        1.000e+00, 1.000e+00, 9.990e-01, -1.000e+00, 1.000e+00, 9.444e-01, 1.000e+00, 1.000e+00,
+        1.000e+00, -1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00,
+        9.992e-01, 1.000e+00, -1.000e+00, 9.403e-01, 1.000e+00, -1.000e+00, 1.000e+00, 1.000e+00,
+        1.000e+00, 8.816e-01, 1.000e+00, 1.000e+00, -1.000e+00, -9.706e-01, -1.000e+00, 1.000e+00,
+        1.000e+00, -1.000e+00, 2.527e-01, 1.000e+00, 1.000e+00, -1.000e+00, 1.000e+00, -8.161e-01,
+        -1.000e+00, 1.000e+00, -1.000e+00, 9.999e-01, 1.000e+00, -1.000e+00, -7.967e-01, -9.951e-01,
+        1.000e+00, -1.000e+00, -1.000e+00, -1.000e+00, 1.000e+00, 9.977e-01, -1.000e+00, -1.000e+00,
+    ),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_exp_potential_follows_the_50_digit_potential(monkeypatch):
+    steps = _count_exp_fallbacks(monkeypatch)
+    sv, _, _ = online_solve(sample_disorder(200, 0.5, seed=0), 1e3, "exp_potential")
+    replay, gaps = FROZEN_EXP_POTENTIAL
+    ties = []
+    for t, (sign, gap) in enumerate(zip(sv.signs().tolist(), gaps)):
+        if abs(gap) > 1e-12:
+            assert sign == (1 if gap < 0 else -1), f"step {t} contradicts the potential ({gap})"
+        else:
+            ties.append(t)
+        assert sign == (1 if replay[t] == "+" else -1), f"path left the replay at tie step {t}"
+    # Only step 0 (run = 0, an exact tie, resolved to +1) is within 1e-12;
+    # 75 of the 200 steps decide through _exp_potential_fallback.
+    assert ties == [0]
+    assert len(steps) == 75
+
+
 @pytest.mark.parametrize("n,alpha", [(200, 0.3), (1000, 0.25), (3000, 0.1)])
 def test_online_trace_keeps_the_solution_and_recounts_margins(n, alpha):
     # The traced run must not change the output, and each step's record must
@@ -298,6 +358,82 @@ def test_online_trace_keeps_the_solution_and_recounts_margins(n, alpha):
             run = np.cumsum(mat.entries * signs, axis=1)
             assert [(r.step, r.sign) for r in trace] == list(enumerate(signs.tolist()))
             assert [r.max_abs_margin for r in trace] == np.abs(run).max(axis=0).tolist()
+
+
+def _online_whole_matrix_loop(entries, kappa, strategy, collect_trace):
+    # Reference for the block-staged solver, independent of solvers: the
+    # whole transpose and the whole sinh table built up front, one column per
+    # step, each step's arrays freshly allocated.  Returns the signs, the
+    # feasibility flag, the (step, sign, max_abs_margin) records and the
+    # number of steps whose sinh correlation overflowed.
+    rows, n = entries.shape
+    cols = np.ascontiguousarray(entries.T)
+    lam = kappa / (2.0 * math.sqrt(n))
+    run, signs, trace, fallbacks = np.zeros(rows), [], [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinh_cols = np.sinh(lam * cols)
+        for t in range(n):
+            if strategy == "greedy_minimax":
+                cand = np.stack([run + cols[t], run - cols[t]])
+                cost = np.abs(cand).max(axis=1)
+                k = 0 if cost[0] <= cost[1] else 1
+                run = cand[k].copy()
+                worst = cost[k]
+            else:
+                dot = float(np.dot(np.sinh(lam * run), sinh_cols[t]))
+                if math.isfinite(dot):
+                    k = 0 if dot <= 0.0 else 1
+                else:  # log-sum-exp of log cosh, shifted by the largest |margin|
+                    fallbacks += 1
+                    x = np.abs([run + cols[t], run - cols[t]])
+                    terms = np.exp(lam * (x - x.max())) * (1.0 + np.exp(-2.0 * lam * x))
+                    phi = terms.sum(axis=1)
+                    k = 0 if phi[0] <= phi[1] else 1
+                run = run - cols[t] if k else run + cols[t]
+                worst = np.abs(run).max()
+            signs.append(1 - 2 * k)
+            if collect_trace:
+                trace.append((t, 1 - 2 * k, float(worst)))
+    feasible = bool(np.max(np.abs(run)) <= kappa * math.sqrt(n))
+    return signs, feasible, trace, fallbacks
+
+
+# (n, alpha): 250 rows stage 131 columns a block, so n = 1000 ends on a
+# partial block and n = 100 fits in one; 40,000 rows stage one column a block.
+STAGING_SHAPES = [(1000, 0.25), (100, 2.5), (3, 40000 / 3), (50, 0.02)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kappa", [1.0, 100.0, 1e3])
+@pytest.mark.parametrize("n,alpha", STAGING_SHAPES)
+def test_block_staging_matches_the_whole_matrix_loop(n, alpha, kappa):
+    mat = sample_disorder(n, alpha, seed=3)
+    assert mat.rows == {1000: 250, 100: 250, 3: 40000, 50: 1}[n]
+    for strategy in ONLINE_STRATEGIES:
+        for collect_trace in (False, True):
+            sv, feasible, trace = online_solve(mat, kappa, strategy, collect_trace)
+            signs, ok, records, fallbacks = _online_whole_matrix_loop(
+                mat.entries, kappa, strategy, collect_trace)
+            assert sv.signs().tolist() == signs
+            assert feasible == ok
+            assert [(r.step, r.sign, r.max_abs_margin) for r in trace or ()] == records
+            if strategy == "exp_potential" and (n, kappa) == (1000, 1e3):
+                assert fallbacks > 0  # the overflow branch is compared too
+
+
+@pytest.mark.parametrize("strategy", ONLINE_STRATEGIES)
+def test_online_solve_builds_no_matrix_sized_temporary(strategy):
+    # The whole transpose or sinh table of a 250 x 1000 matrix is 2 MB each.
+    mat = sample_disorder(1000, 0.25, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        online_solve(mat, 1.0, strategy)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_online_is_prefix_measurable():
