@@ -43,7 +43,6 @@ from .landscape import (
     overlap_band,
 )
 from .mvn import (
-    CovarianceSpec,
     ProbResult,
     box_probabilities_equicorrelated,
     box_probability_equicorrelated,
@@ -100,7 +99,7 @@ __all__ = [
     "resample_columns", "sample_ensemble", "uniform_tau_grid",
     "dump_matrix", "load_matrix",
     # mvn
-    "ProbResult", "CovarianceSpec", "std_normal_cdf", "quadrant_probability",
+    "ProbResult", "std_normal_cdf", "quadrant_probability",
     "conditional_mean", "box_probabilities_equicorrelated", "box_probability_equicorrelated",
     "box_probability_upper_bound",
     # landscape

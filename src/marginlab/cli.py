@@ -47,7 +47,6 @@ from .landscape import (
     count_overlap_tuples_exact,
 )
 from .mvn import (
-    CovarianceSpec,
     box_probability_equicorrelated,
     box_probability_upper_bound,
     conditional_mean,
@@ -138,8 +137,7 @@ def cmd_mvn(args: argparse.Namespace) -> tuple[dict, str, int]:
     elif args.cdf is not None:
         text = repr(std_normal_cdf(args.cdf))
     elif args.upper_bound:
-        spec = CovarianceSpec(dim=args.m, beta=args.beta)
-        text = repr(box_probability_upper_bound(spec, args.kappa))
+        text = repr(box_probability_upper_bound(args.m, args.beta, args.kappa))
     elif args.box:
         res = box_probability_equicorrelated(args.m, args.beta, args.kappa)
         text = f"{res.value!r} (abs error <= {res.abs_error_estimate:.3g}, {res.method})"

@@ -347,8 +347,6 @@ def enumerate_forbidden_tuples(
             return
         cand = pools[level]
         for b in prefix:
-            if cand.size == 0:
-                break
             d = np.bitwise_count(cand ^ np.uint64(b))
             cand = cand[(d >= d_lo) & (d <= d_hi)]
         for b in cand:

@@ -13,8 +13,9 @@ they disagree by more than 1e-8) over at most three closed-form panels of
 [0, 8] evaluates it, with the same bits for a beta grid as for one beta at a
 time.  Its error bar adds three terms: the gap between the two orders, the
 discarded tails (below 1.3e-15) and a roundoff floor 50*eps*value, as in
-QUADPACK.  Every routine reports the value together with an estimate of its
-absolute error and the method that produced it.
+QUADPACK.  The box probabilities come with that estimate of their absolute
+error and the method that produced them; the closed forms and the
+density-times-volume upper bound are plain floats.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, erfc
 
-from .errors import DomainError, check_float_range, check_matrix_size
+from .errors import DomainError, check_float_range
 
 __all__ = [
-    "CovarianceSpec",
     "ProbResult",
     "box_probabilities_equicorrelated",
     "box_probability_equicorrelated",
@@ -54,31 +54,6 @@ class ProbResult:
     value: float
     abs_error_estimate: float
     method: Method
-
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Equicorrelated covariance (1-beta)*I + beta*J of dimension ``dim``.
-
-    ``dim`` is refused beyond the package's matrix-size limit before
-    :meth:`sigma` allocates the dim x dim matrix.
-    """
-
-    dim: int
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"dim must be at least 1, got {self.dim}")
-        check_float_range("dim", self.dim)
-        check_matrix_size(self.dim, self.dim)
-        if not (0.0 <= self.beta < 1.0):
-            raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
-
-    def sigma(self) -> np.ndarray:
-        s = np.full((self.dim, self.dim), self.beta, dtype=np.float64)
-        np.fill_diagonal(s, 1.0)
-        return s
 
 
 def std_normal_cdf(x):
@@ -218,27 +193,30 @@ def box_probability_equicorrelated(m: int, beta: float, kappa: float) -> ProbRes
     return box_probabilities_equicorrelated(m, [beta], kappa)[0]
 
 
-def box_probability_upper_bound(cov: CovarianceSpec, kappa: float) -> float:
+def _log_det_equicorrelated(m: int, beta: float) -> float:
+    # log det((1-beta)*I + beta*J) from its eigenvalues 1 + (m-1)*beta and 1 - beta (m-1 times).
+    return (m - 1) * math.log1p(-beta) + math.log1p((m - 1) * beta)
+
+
+def box_probability_upper_bound(m: int, beta: float, kappa: float) -> float:
     """Density-times-volume bound (2*pi)^(-m/2) * det(Sigma)^(-1/2) * (2*kappa)^m.
 
-    The gaussian density is maximized at the origin, so the box probability is
-    at most the peak density times the box volume.  Exact at kappa -> 0.
+    The gaussian density under Sigma = (1-beta)*I + beta*J peaks at the
+    origin, so the box probability is at most the peak density times the box
+    volume; exact at kappa -> 0.  No matrix is built: from the eigenvalues,
+    log det(Sigma) = (m-1) log1p(-beta) + log1p((m-1)*beta).  A bound above
+    the float range is refused; one below it is 0.0.
     """
-    sigma = cov.sigma()
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
+    check_float_range("m", m)
+    if not (0.0 <= beta < 1.0):
+        raise DomainError(f"beta must lie in [0, 1), got {beta}")
     _check_kappa(kappa)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise DomainError(f"beta={cov.beta} is numerically singular at dim={cov.dim}") from None
-    m = sigma.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    log_bound = (
-        -0.5 * m * math.log(2.0 * math.pi)
-        - 0.5 * logdet
-        + m * math.log(2.0 * kappa)
-        if kappa > 0.0
-        else -math.inf
-    )
+    if kappa == 0.0:
+        return 0.0
+    log_bound = (-0.5 * m * math.log(2.0 * math.pi) - 0.5 * _log_det_equicorrelated(m, beta)
+                 + m * math.log(2.0 * kappa))
     if not log_bound <= _LOG_FLOAT_MAX:
         raise DomainError(f"the bound overflows at kappa={kappa}")
     return math.exp(log_bound)

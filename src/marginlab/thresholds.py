@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from scipy.special import erf, ndtri
 
 from .errors import DomainError
-from .mvn import box_probabilities_equicorrelated
+from .mvn import _log_det_equicorrelated, box_probabilities_equicorrelated
 
 __all__ = [
     "FreeEnergyPoint",
@@ -149,7 +149,8 @@ _FUNCTIONALS = {"f1": (2, _f1_parts), "f2": (2, _f2_parts), "f3": (3, _f3_parts)
 
 def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
     # One batched box-probability call for all abscissas; the quadrature error
-    # is propagated through the logarithm and scaled by alpha.
+    # is propagated through the logarithm and scaled by alpha.  The kappa = 1
+    # box holds at least erf(1/sqrt(2))^m (Sidak), so the logarithm is finite.
     m, parts = _FUNCTIONALS[which]
     split = [parts(x) for x in xs]
     if alpha < 0.0:
@@ -157,9 +158,7 @@ def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
     _finite("alpha", alpha)
     probs = box_probabilities_equicorrelated(m, [beta for beta, _ in split], 1.0)
     points = []
-    for x, (beta, counting), res in zip(xs, split, probs):
-        if res.value <= 0.0:
-            raise DomainError(f"box probability vanished at beta={beta}")
+    for x, (_, counting), res in zip(xs, split, probs):
         prob = alpha * math.log2(res.value)
         err = abs(alpha) * res.abs_error_estimate / (res.value * _LN2)
         value = _finite("value", counting + prob)
@@ -386,7 +385,7 @@ def psi_free_energy(c: float, beta: float, m: int, alpha: float, kappa: float) -
     prob = (
         -0.5 * alpha * m * _LOG2_2PI
         + alpha * m * math.log2(2.0 * kappa)
-        - 0.5 * alpha * (math.log2(1.0 - beta + beta * m) + (m - 1) * math.log2(1.0 - beta))
+        - 0.5 * alpha * (_log_det_equicorrelated(m, beta) / _LN2)
     )
     return PsiPoint(c, beta, m, alpha, kappa, _finite("value", counting + prob), counting, prob)
 
@@ -473,8 +472,6 @@ def necessity_terms(kappa: float, c: float) -> NecessityRow:
         raise DomainError(f"C*kappa^2 = {delta} must be below 1")
     entropy = binary_entropy(delta)
     log_factor = 0.5 * math.log2(math.pi * c)
-    if log_factor <= 0.0:
-        raise DomainError(f"log2(pi*C)/2 = {log_factor} must be positive")
     alpha_implied = entropy / log_factor
     floor3 = 3.0 * kappa * kappa * math.log2(1.0 / kappa)
     if not floor3 > 0.0:  # kappa^2 underflowed to 0

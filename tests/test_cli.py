@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -603,26 +604,21 @@ def test_mvn_general_integrator_flags_are_gone(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
-def test_mvn_upper_bound_refuses_a_matrix_beyond_the_size_limit(capsys, monkeypatch):
-    # 11586^2 is the first square above 2^27; nothing may be allocated.
-    def no_alloc(*args, **kwargs):
-        raise AssertionError("allocated")
+@pytest.mark.parametrize("m,beta", [("11586", "0.5"), ("8", "0.9999999999999999")],
+                         ids=["large-m", "near-singular-beta"])
+def test_mvn_upper_bound_builds_no_matrix(capsys, monkeypatch, m, beta):
+    # The bound depends on (m, beta) only through the closed-form determinant:
+    # a dim beyond the matrix-size limit and a beta at which a Cholesky of the
+    # matrix breaks down are both answered without allocating or factoring.
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix path taken")
 
-    monkeypatch.setattr(np, "full", no_alloc)
-    assert main(["mvn", "--upper-bound", "--m", "11586"]) == EXIT_DOMAIN
+    monkeypatch.setattr(np, "full", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    assert main(["mvn", "--upper-bound", "--m", m, "--beta", beta, "--kappa", "0.2"]) == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("domain error: 11586 x 11586 matrix exceeds the limit of 134217728 entries"
-            in captured.err)
-
-
-def test_mvn_upper_bound_names_a_numerically_singular_beta(capsys):
-    beta = "0.9999999999999999"
-    assert main(["mvn", "--upper-bound", "--m", "8", "--beta", beta, "--kappa", "0.2"]) \
-        == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"domain error: beta={beta} is numerically singular at dim=8" in captured.err
+    assert math.isfinite(float(captured.out))
+    assert captured.err == ""
 
 
 def test_main_parses_cleanly_after_usage_errors(tmp_path, capsys):

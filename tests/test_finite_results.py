@@ -63,11 +63,7 @@ CASES = {
         lambda m, b1, b2, kappa: mvn.box_probabilities_equicorrelated(m, [b1, b2], kappa),
         (3, 0.5, 0.9, 1.0)),
     "box_probability_equicorrelated": (mvn.box_probability_equicorrelated, (3, 0.9, 1.0)),
-    "box_probability_upper_bound": (
-        lambda dim, beta, kappa: mvn.box_probability_upper_bound(mvn.CovarianceSpec(dim, beta),
-                                                                 kappa),
-        (3, 0.5, 1.0)),
-    "CovarianceSpec": (mvn.CovarianceSpec, (2, 0.5)),
+    "box_probability_upper_bound": (mvn.box_probability_upper_bound, (3, 0.5, 1.0)),
     "DisorderMatrix": (
         lambda alpha: disorder.DisorderMatrix(3, 10, np.zeros((3, 10)), "gaussian", 0, alpha),
         (0.3,)),

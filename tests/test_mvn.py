@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from scipy.special import erf
 
 import marginlab
 from marginlab import mvn
-from marginlab.errors import DomainError, SizingError
+from marginlab.errors import DomainError
 from marginlab.mvn import (
-    CovarianceSpec,
     ProbResult,
     box_probabilities_equicorrelated,
     box_probability_equicorrelated,
@@ -330,15 +330,14 @@ def test_positive_dependence_dominates_product():
     # probability is at least the independent product.
     p1 = 2.0 * std_normal_cdf(1.0) - 1.0
     for m in (2, 3, 6):
-        for beta in (0.1, 0.5, 0.9):
+        for beta in (0.0, 0.1, 0.5, 0.9, 1.0 - 2.0**-53):
             res = box_probability_equicorrelated(m, beta, 1.0)
             assert res.value >= p1 ** m - 1e-12
 
 
 def test_upper_bound_dominates_probability():
     for m, beta, kappa in [(2, 0.5, 0.3), (3, 0.9, 0.2), (2, 0.978, 0.05)]:
-        spec = CovarianceSpec(dim=m, beta=beta)
-        bound = box_probability_upper_bound(spec, kappa)
+        bound = box_probability_upper_bound(m, beta, kappa)
         exact = box_probability_equicorrelated(m, beta, kappa)
         assert bound >= exact.value
         # at small kappa the density is flat over the box, so the bound is
@@ -349,24 +348,180 @@ def test_upper_bound_dominates_probability():
 
 def test_zero_kappa():
     assert box_probability_equicorrelated(3, 0.5, 0.0).value == 0.0
-    assert box_probability_upper_bound(CovarianceSpec(dim=2, beta=0.5), 0.0) == 0.0
+    assert box_probability_upper_bound(2, 0.5, 0.0) == 0.0
 
 
-def test_covariance_spec_validation():
+@pytest.mark.parametrize("m,beta,kappa", [(0, 0.5, 0.2), (2, -1.2, 0.2), (2, 1.0, 0.2),
+                                          (2, 0.5, math.nan)],
+                         ids=["m-0", "beta-negative", "beta-1", "kappa-nan"])
+def test_upper_bound_validation(m, beta, kappa):
     with pytest.raises(DomainError):
-        CovarianceSpec(dim=0, beta=0.5)
-    with pytest.raises(DomainError):
-        CovarianceSpec(dim=2, beta=-1.2)
-    # 11585^2 <= 2^27 < 11586^2; the check runs before sigma() allocates
-    assert CovarianceSpec(dim=11585, beta=0.5).dim == 11585
-    with pytest.raises(SizingError, match="11586 x 11586 matrix exceeds the limit"):
-        CovarianceSpec(dim=11586, beta=0.5)
+        box_probability_upper_bound(m, beta, kappa)
+
+
+# Regenerate with tests/oracles/upper_bound_mpmath.py (50-digit sums over the
+# eigenvalues, checked against mp.det of the explicit matrix for m <= 16):
+# (m, beta, kappa) -> (log det Sigma, log bound).
+FROZEN_UPPER_BOUND_MPMATH = {
+    (1, 0.0, 0.01): (0.0, -4.830961538632819),
+    (1, 0.0, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.0, 1.0): (0.0, -0.22579135264472744),
+    (1, 0.1, 0.01): (0.0, -4.830961538632819),
+    (1, 0.1, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.1, 1.0): (0.0, -0.22579135264472744),
+    (1, 0.5, 0.01): (0.0, -4.830961538632819),
+    (1, 0.5, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.5, 1.0): (0.0, -0.22579135264472744),
+    (1, 0.9, 0.01): (0.0, -4.830961538632819),
+    (1, 0.9, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.9, 1.0): (0.0, -0.22579135264472744),
+    (1, 0.999, 0.01): (0.0, -4.830961538632819),
+    (1, 0.999, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.999, 1.0): (0.0, -0.22579135264472744),
+    (1, 0.999999, 0.01): (0.0, -4.830961538632819),
+    (1, 0.999999, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.999999, 1.0): (0.0, -0.22579135264472744),
+    (1, 0.9999999999999999, 0.01): (0.0, -4.830961538632819),
+    (1, 0.9999999999999999, 0.2): (0.0, -1.8352292650788278),
+    (1, 0.9999999999999999, 1.0): (0.0, -0.22579135264472744),
+    (2, 0.0, 0.01): (0.0, -9.661923077265637),
+    (2, 0.0, 0.2): (0.0, -3.6704585301576556),
+    (2, 0.0, 1.0): (0.0, -0.4515827052894549),
+    (2, 0.1, 0.01): (-0.010050335853501442, -9.656897909338888),
+    (2, 0.1, 0.2): (-0.010050335853501442, -3.665433362230905),
+    (2, 0.1, 1.0): (-0.010050335853501442, -0.44655753736270415),
+    (2, 0.5, 0.01): (-0.2876820724517809, -9.518082041039747),
+    (2, 0.5, 0.2): (-0.2876820724517809, -3.526617493931765),
+    (2, 0.5, 1.0): (-0.2876820724517809, -0.3077416690635644),
+    (2, 0.9, 0.01): (-1.660731206821651, -8.831557473854811),
+    (2, 0.9, 0.2): (-1.660731206821651, -2.84009292674683),
+    (2, 0.9, 1.0): (-1.660731206821651, 0.37878289812137067),
+    (2, 0.999, 0.01): (-6.215108223463873, -6.554368965533701),
+    (2, 0.999, 0.2): (-6.215108223463873, -0.5629044184257189),
+    (2, 0.999, 1.0): (-6.215108223463873, 2.6559714064424815),
+    (2, 0.999999, 0.01): (-13.122363877375697, -3.1007411385777885),
+    (2, 0.999999, 0.2): (-13.122363877375697, 2.8907234085301936),
+    (2, 0.999999, 1.0): (-13.122363877375697, 6.109599233398394),
+    (2, 0.9999999999999999, 0.01): (-36.04365338911715, 8.359903617292941),
+    (2, 0.9999999999999999, 0.2): (-36.04365338911715, 14.351368164400922),
+    (2, 0.9999999999999999, 1.0): (-36.04365338911715, 17.570243989269123),
+    (3, 0.0, 0.01): (0.0, -14.492884615898456),
+    (3, 0.0, 0.2): (0.0, -5.505687795236483),
+    (3, 0.0, 1.0): (0.0, -0.6773740579341823),
+    (3, 0.1, 0.01): (-0.02839947452169798, -14.478684878637607),
+    (3, 0.1, 0.2): (-0.02839947452169798, -5.491488057975634),
+    (3, 0.1, 1.0): (-0.02839947452169798, -0.6631743206733333),
+    (3, 0.5, 0.01): (-0.6931471805599453, -14.146311025618484),
+    (3, 0.5, 0.2): (-0.6931471805599453, -5.15911420495651),
+    (3, 0.5, 1.0): (-0.6931471805599453, -0.3308004676542096),
+    (3, 0.9, 0.01): (-3.5755507688069335, -12.705109231494989),
+    (3, 0.9, 0.2): (-3.5755507688069335, -3.7179124108330166),
+    (3, 0.9, 1.0): (-3.5755507688069335, 1.1104013264692845),
+    (3, 0.999, 0.01): (-12.717565158283866, -8.134102036756524),
+    (3, 0.999, 0.2): (-12.717565158283866, 0.8530947839054499),
+    (3, 0.999, 1.0): (-12.717565158283866, 5.681408521207751),
+    (3, 0.999999, 0.01): (-26.532409493869817, -1.2266798689635483),
+    (3, 0.999999, 0.2): (-26.532409493869817, 7.760516951698425),
+    (3, 0.999999, 1.0): (-26.532409493869817, 12.588830689000726),
+    (3, 0.9999999999999999, 0.01): (-72.3749888506861, 21.69460980944459),
+    (3, 0.9999999999999999, 0.2): (-72.3749888506861, 30.681806630106564),
+    (3, 0.9999999999999999, 1.0): (-72.3749888506861, 35.51012036740887),
+    (8, 0.0, 0.01): (0.0, -38.64769230906255),
+    (8, 0.0, 0.2): (0.0, -14.681834120630622),
+    (8, 0.0, 1.0): (0.0, -1.8063308211578195),
+    (8, 0.1, 0.01): (-0.20689535854261373, -38.544244629791244),
+    (8, 0.1, 0.2): (-0.20689535854261373, -14.578386441359315),
+    (8, 0.1, 1.0): (-0.20689535854261373, -1.7028831418865127),
+    (8, 0.5, 0.01): (-3.347952867143343, -36.97371587549088),
+    (8, 0.5, 0.2): (-3.347952867143343, -13.00785768705895),
+    (8, 0.5, 1.0): (-3.347952867143343, -0.13235438758614793),
+    (8, 0.9, 0.01): (-14.130221302803976, -31.582581657660562),
+    (8, 0.9, 0.2): (-14.130221302803976, -7.616723469228634),
+    (8, 0.9, 1.0): (-14.130221302803976, 5.258779830244168),
+    (8, 0.999, 0.01): (-46.27572079423107, -15.509831911947014),
+    (8, 0.999, 0.2): (-46.27572079423107, 8.456026276484913),
+    (8, 0.999, 1.0): (-46.27572079423107, 21.331529575957717),
+    (8, 0.999999, 0.01): (-94.62913323886917, 8.666874310372037),
+    (8, 0.999999, 0.2): (-94.62913323886917, 32.63273249880397),
+    (8, 0.999999, 1.0): (-94.62913323886917, 45.50823579827677),
+    (8, 0.9999999999999999, 0.01): (-255.07816244605988, 88.89138891396739),
+    (8, 0.9999999999999999, 0.2): (-255.07816244605988, 112.85724710239931),
+    (8, 0.9999999999999999, 1.0): (-255.07816244605988, 125.73275040187212),
+    (100, 0.0, 0.01): (0.0, -483.09615386328187),
+    (100, 0.0, 0.2): (0.0, -183.52292650788277),
+    (100, 0.0, 1.0): (0.0, -22.579135264472743),
+    (100, 0.1, 0.01): (-8.041928260889707, -479.07518973283703),
+    (100, 0.1, 0.2): (-8.041928260889707, -179.50196237743793),
+    (100, 0.1, 1.0): (-8.041928260889707, -18.55817113402789),
+    (100, 0.5, 0.01): (-64.69959753915327, -450.74635509370523),
+    (100, 0.5, 0.2): (-64.69959753915327, -151.17312773830614),
+    (100, 0.5, 1.0): (-64.69959753915327, 9.770663505103892),
+    (100, 0.9, 0.01): (-223.45500404179626, -371.36865184238377),
+    (100, 0.9, 0.2): (-223.45500404179626, -71.79542448698464),
+    (100, 0.9, 1.0): (-223.45500404179626, 89.14836675642539),
+    (100, 0.999, 0.01): (-679.263592923617, -143.46435740147334),
+    (100, 0.999, 0.2): (-679.263592923617, 156.10886995392576),
+    (100, 0.999, 1.0): (-679.263592923617, 317.0526611973358),
+    (100, 0.999999, 0.01): (-1363.1303760396288, 198.46903415653247),
+    (100, 0.999999, 0.2): (-1363.1303760396288, 498.0422615119316),
+    (100, 0.999999, 1.0): (-1363.1303760396288, 658.9860527553416),
+    (100, 0.9999999999999999, 0.01): (-3632.338086212045, 1333.0728892427405),
+    (100, 0.9999999999999999, 0.2): (-3632.338086212045, 1632.6461165981398),
+    (100, 0.9999999999999999, 1.0): (-3632.338086212045, 1793.5899078415498),
+    (10000, 0.0, 0.01): (0.0, -48309.61538632819),
+    (10000, 0.0, 0.2): (0.0, -18352.292650788277),
+    (10000, 0.0, 1.0): (0.0, -2257.9135264472743),
+    (10000, 0.1, 0.01): (-1046.5911411883803, -47786.319815734),
+    (10000, 0.1, 0.2): (-1046.5911411883803, -17828.997080194087),
+    (10000, 0.1, 1.0): (-1046.5911411883803, -1734.6179558530841),
+    (10000, 0.5, 0.01): (-6922.261365232476, -44848.48470371195),
+    (10000, 0.5, 0.2): (-6922.261365232476, -14891.161968172039),
+    (10000, 0.5, 1.0): (-6922.261365232476, 1203.217156168964),
+    (10000, 0.9, 0.01): (-23014.4433538801, -36802.39370938814),
+    (10000, 0.9, 0.2): (-23014.4433538801, -6845.070973848229),
+    (10000, 0.9, 1.0): (-23014.4433538801, 9249.308150492774),
+    (10000, 0.999, 0.01): (-69061.43569457064, -13778.89753904287),
+    (10000, 0.999, 0.2): (-69061.43569457064, 16178.42519649704),
+    (10000, 0.999, 1.0): (-69061.43569457064, 32272.804320838044),
+    (10000, 0.999999, 0.01): (-138132.07972942517, 20756.4244783844),
+    (10000, 0.999999, 0.2): (-138132.07972942517, 50713.74721392431),
+    (10000, 0.999999, 1.0): (-138132.07972942517, 66808.12633826531),
+    (10000, 0.9999999999999999, 0.01): (-367322.05855582934, 135351.4138915865),
+    (10000, 0.9999999999999999, 0.2): (-367322.05855582934, 165308.7366271264),
+    (10000, 0.9999999999999999, 1.0): (-367322.05855582934, 181403.1157514674),
+}
+
+
+def test_upper_bound_follows_the_mpmath_reference():
+    # Each eigenvalue's log1p is within an ulp of its own size, so the closed
+    # form is within 4 eps of the sum of their magnitudes; a Cholesky of the
+    # explicit matrix would miss by about 3,400 of those at (2, 0.999999).
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    misses = []
+    for (m, beta, kappa), (log_det, log_bound) in FROZEN_UPPER_BOUND_MPMATH.items():
+        scale = -(m - 1) * math.log1p(-beta) + math.log1p((m - 1) * beta)
+        if not abs(mvn._log_det_equicorrelated(m, beta) - log_det) <= 4 * eps * scale:
+            misses.append((m, beta, "log det"))
+        if log_bound > math.log(sys.float_info.max):
+            with pytest.raises(DomainError, match="the bound overflows"):
+                box_probability_upper_bound(m, beta, kappa)
+            continue
+        bound = box_probability_upper_bound(m, beta, kappa)
+        if log_bound < math.log(tiny):
+            ok = bound < tiny
+        else:
+            size = 0.5 * scale + m * (0.5 * math.log(2.0 * math.pi) + abs(math.log(2.0 * kappa)))
+            ok = abs(math.log(bound) - log_bound) <= 4 * eps * (size + 1.0)
+        if not ok:
+            misses.append((m, beta, kappa, "bound"))
+    assert misses == []
 
 
 def test_general_integrator_is_not_exported():
     for module in (marginlab, mvn):
         assert "box_probability_general" not in module.__all__
         assert "NotPositiveDefiniteError" not in module.__all__
+        assert "CovarianceSpec" not in module.__all__
 
 
 @settings(max_examples=40, deadline=None)
