@@ -17,6 +17,7 @@ reproducible without state.
 
     stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
     2t, 2t + 1            base and replica of experiment trial t (``sample_ensemble``)
+    n                     universality at size n; trial t is row 0, columns [t*n, (t+1)*n)
     RESAMPLE_STREAM + t   fresh columns of trial t (RESAMPLE_STREAM = 2^62)
     base_stream + 1 + i   replica i of ``sample_ensemble``
 """
@@ -133,8 +134,9 @@ def philox_key(seed: int, stream: int) -> np.ndarray:
 def _transform(out: np.ndarray, dist: str) -> None:
     """Map uniforms k * 2^-53 (k the top 53 bits of a Philox word) in ``out`` to entries."""
     if dist == "gaussian":
-        # (k + 1/2) * 2^-53 lies in the open interval, away from both ndtri poles.
+        # (k + 1/2) * 2^-53 > 0, but k = 2^53 - 1 rounds to 1.0: clamp its +inf to -ndtri(2^-54).
         ndtri(np.add(out, 2.0**-54, out=out), out=out)
+        np.minimum(out, -ndtri(2.0**-54), out=out)
     else:
         out[:] = np.where(out < 0.5, 1.0, -1.0)  # the sign of the word's top bit
 

@@ -10,10 +10,10 @@ independent.  Summaries carry per-trial statistics plus a standard
 error; binomial fractions also get a Wilson interval, which stays honest at
 the extremes where the normal approximation collapses.
 
-The universality experiment deliberately bypasses the matrix type and draws
-its disorder in bulk with coupled uniforms: the gaussian and sign samples
-per trial are antithetic transforms of the same uniforms, which strips most
-of the Monte Carlo noise from their probability gap.
+The universality experiment draws trial t at size n as row 0, columns
+[t*n, (t+1)*n) of stream n, with the sampler's own kernel, and takes the
+sign row as the signs of the gaussian row: both laws see the same uniforms,
+which strips most of the Monte Carlo noise from their probability gap.
 """
 
 from __future__ import annotations
@@ -25,18 +25,19 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .disorder import (
     RESAMPLE_STREAM,
+    _DRAW_BLOCK,
     _resampled_columns,
+    _rows,
     philox_key,
     resample_columns,
     sample_disorder,
     sample_ensemble,
     uniform_tau_grid,
 )
-from .errors import DomainError, SizingError, check_float_range
+from .errors import DomainError, SizingError, check_float_range, check_matrix_size
 from .landscape import _scan_masks, hamming, is_solution
 from .solvers import kim_roche_schedule, kim_roche_solve, majority_solve, online_solve
 
@@ -502,8 +503,8 @@ def universality_gap(
     """Compare P(all |X sigma_j| <= kappa sqrt(n)) under gaussian vs sign entries.
 
     For each size the same fixed sign tuple is used for both laws, and each
-    trial transforms one uniform row two ways (inverse CDF for the gaussian
-    row, a median split for the sign row), so the reported gap is a paired
+    trial transforms one uniform row two ways (the sampler's inverse CDF for
+    the gaussian row, a median split for the sign row), so the gap is a paired
     difference with its own standard error.  The central limit theorem makes
     the gap shrink like n^(-1/2) with a Berry-Esseen constant.
     """
@@ -515,19 +516,21 @@ def universality_gap(
         raise DomainError(f"trials too few for a gap estimate: {trials}")
     if any(n < 1 for n in n_list):
         raise DomainError(f"sizes must be positive, got {n_list}")
+    for n in n_list:
+        check_matrix_size(m, n)
     rows: list[UniversalityRow] = []
     for n in n_list:
         sigs = _universality_tuple(n, m, beta)
         thr = kappa * math.sqrt(n)
-        rng = np.random.Generator(
-            np.random.Philox(key=philox_key(seed, n))
-        )
+        key, step = philox_key(seed, n), max(1, _DRAW_BLOCK // n)
+        buf = np.empty((1, min(step, trials) * n))
         count_g = count_r = n_split = 0  # trials passing each law, and either law alone
-        chunk_rows = max(1, min(trials, (1 << 22) // max(n, 1)))
-        for c0 in range(0, trials, chunk_rows):
-            u = rng.random((min(chunk_rows, trials - c0), n))
-            xg = ndtri(u)
-            xr = np.where(u < 0.5, -1.0, 1.0)
+        for t0 in range(0, trials, step):
+            k = min(step, trials - t0)
+            _rows(key, buf[:, :k * n], t0 * n, "gaussian")
+            xg = buf[0, :k * n].reshape(k, n)
+            # the median split: u < 1/2 exactly where xg < 0, and u = 1/2 gives 0.0, so +1
+            xr = np.where(xg < 0.0, -1.0, 1.0)
             ok_g = np.all(np.abs(xg @ sigs.T) <= thr, axis=1)
             ok_r = np.all(np.abs(xr @ sigs.T) <= thr, axis=1)
             count_g += int(np.count_nonzero(ok_g))

@@ -20,6 +20,7 @@ density-times-volume upper bound are plain floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -90,13 +91,7 @@ def conditional_mean(rho: float) -> float:
     return rho * math.sqrt(2.0 / math.pi)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
+_gl_rule = functools.cache(leggauss)
 
 
 #: Betas per quadrature block: temporaries of at most 8 x 1010 nodes (order 404).

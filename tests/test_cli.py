@@ -510,6 +510,23 @@ def test_universality_rejects_nonpositive_sizes(tmp_path, capsys, sizes):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_universality_refuses_an_oversized_size_before_allocating(tmp_path, capsys, monkeypatch):
+    # n = 2^27 + 1 makes the 1 x n sign tuple one entry too many; the size is
+    # refused before anything of that size, or any sample, is allocated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "ones", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    argv = ["experiment", "universality", "--sizes", "134217729", "--trials", "100",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the limit of 134217728 entries" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--algo", "majority", "--n", "20", "--alpha", "0.5",
      "--seed", str((1 << 64) - 3)],

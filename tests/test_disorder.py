@@ -309,6 +309,16 @@ def test_entries_match_the_raw_word_oracle(monkeypatch, cores, band, dist):
         assert np.array_equal(fresh.entries[:, 1000 - width:], oracle)
 
 
+def test_transform_maps_the_extreme_words_to_finite_exact_values():
+    # k = 0 and k = 2^53 - 1 are the words (k + 1/2) * 2^-53 = 2^-54 and
+    # 1 - 2^-54; the second rounds to 1.0, where ndtri is +inf.
+    out = np.array([0.0, (2**53 - 1) * 2.0**-53])
+    disorder._transform(out, "gaussian")
+    assert np.isfinite(out).all()
+    assert out[0] == ndtri(2.0**-54) < 0.0
+    assert out[1] == -out[0]
+
+
 @pytest.mark.parametrize("seed,stream", [
     (1 << 63, 0), ((1 << 64) - 3, 0), (-(1 << 63) - 1, 0), (0, -1), (0, 1 << 64),
 ])

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from marginlab import experiments
-from marginlab.disorder import interpolate, sample_disorder
+from marginlab.disorder import interpolate, philox_key, sample_disorder
 from marginlab.errors import DomainError, SizingError
 from marginlab.experiments import (
     expected_majority_flip_probability,
@@ -187,6 +188,61 @@ def test_universality_pair_and_triple_paths():
         assert 0.0 < row.p_rademacher < 1.0
     with pytest.raises(DomainError):
         universality_gap((61,), 1.0, m=2, beta=0.8, trials=200, seed=0)
+
+
+def _sequential_universality_counts(n, m, beta, kappa, trials, seed):
+    """(count_g, count_r, n_split) from one sequential Philox generator per size.
+
+    An independent reference for ``universality_gap``'s draw: numpy's own
+    stream of uniforms u on key (seed, n), 2^22-entry chunks, ndtri(u) for
+    the gaussian row and a median split of u for the sign row.
+    """
+    sigs = experiments._universality_tuple(n, m, beta)
+    thr = kappa * math.sqrt(n)
+    rng = np.random.Generator(
+        np.random.Philox(key=philox_key(seed, n))
+    )
+    count_g = count_r = n_split = 0  # trials passing each law, and either law alone
+    chunk_rows = max(1, min(trials, (1 << 22) // max(n, 1)))
+    for c0 in range(0, trials, chunk_rows):
+        u = rng.random((min(chunk_rows, trials - c0), n))
+        xg = ndtri(u)
+        xr = np.where(u < 0.5, -1.0, 1.0)
+        ok_g = np.all(np.abs(xg @ sigs.T) <= thr, axis=1)
+        ok_r = np.all(np.abs(xr @ sigs.T) <= thr, axis=1)
+        count_g += int(np.count_nonzero(ok_g))
+        count_r += int(np.count_nonzero(ok_r))
+        n_split += int(np.count_nonzero(ok_g != ok_r))
+    return count_g, count_r, n_split
+
+
+def _row_counts(row):
+    """(count_g, count_r, n_split) recovered from a row's fractions and standard error."""
+    t, mean_d = row.trials, row.p_gaussian - row.p_rademacher
+    return (round(row.p_gaussian * t), round(row.p_rademacher * t),
+            round((row.gap_std_error ** 2 * t + mean_d * mean_d) * t))
+
+
+@pytest.mark.parametrize("n,m,beta,kappa,trials,seed", [
+    (7, 1, None, 0.6745, 10_000, 3),  # chunks start at words 0, 32767, 65534: c0 % 4 != 0
+    (101, 1, None, 0.6745, 1000, 5),  # three chunks of 324 trials and a last one of 28
+    (40_001, 1, None, 0.6745, 100, 2),  # wider than one sampler chunk: one trial a chunk
+    (60, 2, 0.8, 0.6745, 4000, 1),
+    (60, 3, 0.8, 1.0, 4000, 1),
+], ids=["n7", "n101-partial", "n40001-wide", "m2", "m3"])
+def test_universality_counts_match_the_sequential_generator(n, m, beta, kappa, trials, seed):
+    # Trial t is words [t*n, (t+1)*n) of stream n, in the sampler's counter
+    # layout as in numpy's sequential stream; the sampler's uniforms are
+    # k * 2^-53 + 2^-54 against the reference's k * 2^-53.
+    row = universality_gap((n,), kappa, m=m, beta=beta, trials=trials, seed=seed).rows[0]
+    assert _row_counts(row) == _sequential_universality_counts(n, m, beta, kappa, trials, seed)
+
+
+def test_universality_readme_counts_are_frozen():
+    # (count_g, count_r, n_split) of the README command at seed 0.
+    res = universality_gap((100, 400, 1600), 0.6745, trials=100_000, seed=0)
+    assert [_row_counts(row) for row in res.rows] == [
+        (50043, 51567, 31392), (49758, 48205, 31885), (50196, 50189, 31871)]
 
 
 def test_universality_validation():

@@ -290,9 +290,16 @@ def test_refinement_applies_only_to_betas_that_need_it(monkeypatch):
 def test_default_scan_builds_only_the_rules_it_uses(monkeypatch):
     # No default grid needs the 404-node refinement; building that rule anyway
     # (a 404 x 404 companion matrix) raises the peak memory of every scan.
-    monkeypatch.setattr(mvn, "_GL_CACHE", {})
+    built = []
+
+    @functools.cache
+    def rule(order):
+        built.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(mvn, "_gl_rule", rule)
     scan_negativity("f3", 1.667)
-    assert sorted(mvn._GL_CACHE) == [101, 202]
+    assert sorted(built) == [101, 202]
 
 
 def test_batch_validation_and_degenerate_cases():

@@ -4,6 +4,8 @@ Every module-level import in ``src/marginlab`` is used, and every defaulted
 parameter of a public name is set by some call in ``src/`` or ``perfbench/``,
 so a keyword that no caller passes does not linger as an untested knob.
 Every error the package raises is caught by one of ``cli.main``'s handlers.
+Only ``disorder`` builds a random generator, so every sampled entry comes
+from its one counter-based kernel.
 """
 
 import ast
@@ -119,3 +121,12 @@ def test_every_error_class_has_a_cli_handler():
                  if isinstance(cls, type) and issubclass(cls, errors.MarginlabError)
                  and cls is not errors.MarginlabError and not issubclass(cls, handled)]
     assert not unhandled
+
+
+def test_only_disorder_builds_a_random_generator():
+    builders = {"Philox", "Generator", "default_rng"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "disorder.py"
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call) and _callee(node.func) in builders]
+    assert not found
