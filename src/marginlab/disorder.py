@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ __all__ = [
 _DISTS = ("gaussian", "rademacher")
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1 << 15  # entries of one sampler or interpolation chunk (256 KiB)
-_BAND = 1 << 18  # entries per sampling thread; below 2 * _BAND, one thread
+_BAND = 1 << 18  # entries per sampling or scan thread; below 2 * _BAND, one thread
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
@@ -148,14 +149,11 @@ def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
     to a fresh one at counter (c0 // 4, 0, r, 0).  A chunk of rows is
     transformed while it is still in cache.  ``random`` draws with the GIL
     released, so on two or more cores a draw of at least 2 * _BAND entries
-    runs on up to one thread per core; the bits do not depend on the thread
-    count.
+    runs on up to one thread per core and per chunk; the bits do not depend
+    on the thread count.
     """
     (rows, width), skip = out.shape, c0 % 4
     step = max(1, _DRAW_BLOCK // width)
-    threads = min(_CORES, out.size // _BAND)
-    # Shared: each thread takes the next undone chunk.  next() on a range
-    # iterator is one C call under the GIL, so no chunk is taken twice.
     chunks = iter(range(0, rows, step))
 
     def work() -> None:
@@ -172,6 +170,18 @@ def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
                 gen.random(out=row)
             _transform(block, dist)
 
+    _parallel(work, -(-rows // step), out.size)
+
+
+def _parallel(work: Callable[[], None], jobs: int, size: int) -> None:
+    """Run ``work`` on the calling thread and on min(_CORES, jobs, size // _BAND) - 1 helpers.
+
+    ``work`` takes its jobs from an iterator shared by all the threads:
+    next() on a range iterator is one C call under the GIL, so no job is
+    taken twice.  Below two threads no pool is built.  Helpers are joined
+    before return, and the first helper error is re-raised.
+    """
+    threads = min(_CORES, jobs, size // _BAND)
     if threads < 2:
         work()
         return

@@ -13,6 +13,11 @@ the-middle: margins are precomputed for each half of the coordinates, and
 each Python step sums a block of high halves against the whole low table,
 stored row-major (rows x low halves), then reduces over the rows.  Two-sided
 scans visit half the cube, since negating a configuration negates its margins.
+Scans refuse matrices with a NaN or infinite entry.  After the first block,
+blocks go to up to one thread per core (numpy releases the GIL in its loops)
+and their results combine in block order, so no output depends on the thread
+count.  ``discrepancy`` bounds a block by its max over a few rows against the
+best value so far, keeps ties with it, and takes the full max of the rest.
 
 Overlap structure is handled in exact integer arithmetic throughout: the
 overlap of two configurations is (n - 2*d)/n with d their Hamming distance,
@@ -22,10 +27,12 @@ so band membership tests never touch floating point.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import disorder
 from .disorder import DisorderMatrix, InterpolatedEnsemble, _check_angles
 from .errors import CapExceededError, DomainError, SizingError, check_float_range
 
@@ -45,6 +52,7 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 25
 _SCAN_BLOCK = 1 << 16  # float64 elements of one cube-scan temporary (512 KiB)
+_HEAD_ROWS = 3  # rows of the first, bounding stage of a discrepancy block
 
 
 @dataclass(frozen=True, order=True)
@@ -173,41 +181,91 @@ def _half_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]
 
 
 def _worst_margins(mat: DisorderMatrix, symmetric: bool, n_cap: int):
-    """Iterate (base mask, worst margins) over blocks of the scanned high halves.
+    """Return ``run``, which scans the cube block by block; checks on the call.
 
-    Worst is max |.| two-sided, min one-sided: a (block, 2^lo) array, flat index
-    mask - base, of at most _SCAN_BLOCK elements or one high half.  The cap is
-    checked on the call.  Two-sided blocks stop before coordinate 0 = -1, since
-    half-table row 2^h - 1 - a is -row a and would repeat a complement.
+    The cap is checked first, then the entries, which must be finite: NaN
+    fails every comparison, so a scan would accept nothing.  The scanned high
+    halves are cut into blocks.  Two-sided scans stop before coordinate
+    0 = -1, since half-table row 2^h - 1 - a is -row a and would repeat a
+    complement.
+
+    ``run(consume, head=None, first_only=False)`` returns
+    ``consume(base, worst, full)`` of every block, in block order.  ``worst``
+    is max |.| two-sided, min one-sided, over the first ``head`` rows (all
+    when None): a (block, 2^lo) array, flat index mask - base.  A block is
+    one high half, or as many as keep its (block, head, 2^lo) temporary
+    within _SCAN_BLOCK elements.  ``full(idx)`` is the two-sided worst over
+    all rows at flat indices ``idx``; past the head it is gathered.  Block 0
+    is scanned over all rows on the calling thread; the rest go to up to
+    ``disorder._CORES`` threads, so no result depends on the thread count.
+    With ``first_only`` no block past the lowest one with a truthy result is
+    taken, and blocks not taken give None.
     """
     if mat.cols > n_cap:
         raise CapExceededError(
             f"exhaustive scan over 2^{mat.cols} configurations exceeds the cap n <= {n_cap}"
         )
+    if not np.isfinite(mat.entries).all():
+        raise DomainError("exhaustive scan needs finite entries, the matrix has NaN or inf")
     w_hi, w_lo, hi, lo = _half_tables(mat.entries)
     w_hi = w_hi[: 1 << (hi - 1 if symmetric else hi)]
     w_lo_t = w_lo.T.copy()
-    step = max(1, _SCAN_BLOCK // w_lo.size)
 
-    def worst(a0: int) -> np.ndarray:
-        block = w_hi[a0:a0 + step, :, None] + w_lo_t
-        return np.abs(block, out=block).max(axis=1) if symmetric else block.min(axis=1)
+    def run(consume, head: int | None = None, first_only: bool = False) -> list:
+        rows = mat.rows
+        head = min(head or rows, rows)
+        step = max(1, _SCAN_BLOCK // (len(w_lo) * head))
+        starts = range(0, len(w_hi), step)
+        out: list = [None] * len(starts)
+        last, lock = [len(starts) - 1], threading.Lock()  # first_only lowers the last block
 
-    return ((a0 << lo, worst(a0)) for a0 in range(0, len(w_hi), step))
+        def scan(k: int, r: int) -> None:
+            a0 = starts[k]
+            block = w_hi[a0:a0 + step, :r, None] + w_lo_t[:r]
+            worst = np.abs(block, out=block).max(axis=1) if symmetric else block.min(axis=1)
+
+            def full(idx: np.ndarray) -> np.ndarray:
+                top = worst.ravel()[idx]
+                if r == rows:
+                    return top
+                tail = w_hi[a0 + (idx >> lo), r:] + w_lo[idx & ((1 << lo) - 1), r:]
+                return np.maximum(top, np.abs(tail, out=tail).max(axis=1))
+
+            out[k] = consume(a0 << lo, worst, full)
+            if first_only and out[k]:
+                with lock:
+                    last[0] = min(last[0], k)
+
+        scan(0, rows)
+        blocks = iter(range(1, len(starts)))
+
+        def work() -> None:
+            for k in blocks:
+                if k > last[0]:
+                    return
+                scan(k, head)
+
+        disorder._parallel(work, last[0], len(w_hi) * w_lo.size)
+        return out
+
+    return run
 
 
 def _scan_masks(
     mat: DisorderMatrix, kappa: float, symmetric: bool, n_cap: int, first_only: bool = False
 ) -> list[int]:
-    scan = _worst_margins(mat, symmetric, n_cap)
+    run = _worst_margins(mat, symmetric, n_cap)
     thr = _threshold(mat, kappa, symmetric)
+
+    def hits(base: int, worst: np.ndarray, _full) -> list[int]:
+        return (base + np.flatnonzero(worst <= thr if symmetric else worst >= thr)).tolist()
+
+    blocks = run(hits, first_only=first_only)
+    if first_only:
+        return next((found[:1] for found in blocks if found), [])
     found: list[int] = []
-    for base, worst in scan:
-        idx = np.flatnonzero(worst <= thr if symmetric else worst >= thr)
-        if idx.size:
-            if first_only:
-                return [base + int(idx[0])]
-            found.extend((base + idx).tolist())
+    for block in blocks:
+        found += block
     if symmetric:
         # complements of the coordinate-0 = +1 half, in ascending order
         full = (1 << mat.cols) - 1
@@ -233,18 +291,37 @@ def enumerate_solutions(
 def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
     """Exhaustive minimax margin min over sigma of max_i |row_i . sigma|.
 
-    Refuses n > DEFAULT_ENUM_CAP.  Scans only configurations with coordinate
-    0 equal to +1: negating sigma leaves the objective unchanged, so half the
-    cube suffices.  Returns the optimum value and one optimizer (its
-    coordinate 0 is +1).
+    Refuses n > DEFAULT_ENUM_CAP and non-finite entries.  Scans only
+    configurations with coordinate 0 equal to +1: negating sigma leaves the
+    objective unchanged, so half the cube suffices.  Returns the optimum value
+    and the smallest mask that attains it (its coordinate 0 is +1).
+
+    Block 0 is scanned in full and seeds the best value so far; the other
+    blocks run on up to one thread per core in two stages.  The first takes
+    max |.| over _HEAD_ROWS rows and keeps the masks where it is <= the best;
+    only those get the full row max.  A dropped mask's full max is at least
+    its head max, which exceeds a value some mask attains, so it cannot be
+    the optimum.  The best may come from a later block on another thread, so
+    a tie with it is kept.  Block minima combine by strict < in block order.
     """
-    best, best_mask = math.inf, 0
-    for base, worst in _worst_margins(mat, True, DEFAULT_ENUM_CAP):
-        b = int(np.argmin(worst))
-        if worst.flat[b] < best:
-            best = float(worst.flat[b])
-            best_mask = base + b
-    return best, SignVector(mat.cols, best_mask)
+    best, lock = [math.inf], threading.Lock()  # the least block minimum so far, from any thread
+
+    def block_min(base: int, worst: np.ndarray, full) -> tuple[float, int]:
+        idx = np.flatnonzero(worst <= best[0])
+        if not idx.size:
+            return math.inf, 0
+        vals = full(idx)
+        j = int(np.argmin(vals))
+        value = float(vals[j])
+        with lock:
+            best[0] = min(best[0], value)
+        return value, base + int(idx[j])
+
+    value, mask = math.inf, 0
+    for v, m in _worst_margins(mat, True, DEFAULT_ENUM_CAP)(block_min, head=_HEAD_ROWS):
+        if v < value:
+            value, mask = v, m
+    return value, SignVector(mat.cols, mask)
 
 
 def overlap_band(n: int, beta: float, eta: float) -> tuple[int, int]:

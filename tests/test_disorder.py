@@ -193,6 +193,32 @@ def test_chunks_are_each_transformed_once_under_frequent_switches(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def count_pools(monkeypatch) -> list[int]:
+    """Patch ``disorder``'s thread pool to record the helper count of each pool built."""
+    built, real = [], disorder.ThreadPoolExecutor
+
+    class Pool(real):
+        def __init__(self, max_workers, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(disorder, "ThreadPoolExecutor", Pool)
+    return built
+
+
+def test_a_one_chunk_draw_builds_no_pool(monkeypatch):
+    # One row of 2^19 entries is one chunk: a second thread would find no
+    # chunk to take.  Two such rows are two chunks and get one helper.
+    monkeypatch.setattr(disorder, "_CORES", 2)
+    built, n = count_pools(monkeypatch), 1 << 19
+    one = sample_disorder(n, 1.0 / n, "gaussian", 5, 9)
+    assert one.rows == 1 and built == []
+    assert np.array_equal(one.entries, _oracle_entries(5, 9, 1, 0, n, "gaussian"))
+    two = sample_disorder(n, 2.0 / n, "gaussian", 5, 9)
+    assert two.rows == 2 and built == [1]
+    assert np.array_equal(two.entries[:1], one.entries)
+
+
 def test_threaded_sample_leaves_no_thread_running(monkeypatch):
     monkeypatch.setattr(disorder, "_CORES", 4)
     monkeypatch.setattr(disorder, "_BAND", 1 << 10)

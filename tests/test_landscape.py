@@ -2,12 +2,15 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginlab import disorder, landscape
 from marginlab.disorder import sample_ensemble, uniform_tau_grid
 from marginlab.errors import CapExceededError, DomainError
 from marginlab.landscape import (
@@ -15,6 +18,7 @@ from marginlab.landscape import (
     TupleQuery,
     _half_tables,
     _scan_masks,
+    _worst_margins,
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
     discrepancy,
@@ -28,6 +32,7 @@ from marginlab.landscape import (
 from marginlab.disorder import sample_disorder
 from marginlab.solvers import exhaustive_solve
 from marginlab.thresholds import phi_count
+from test_disorder import KERNEL_SPLITS, count_pools
 
 
 def all_sign_vectors(n):
@@ -135,10 +140,12 @@ def test_discrepancy_matches_brute_force():
 @pytest.mark.parametrize("n", range(1, 15))
 def test_cube_scan_matches_direct_product_sweep(n):
     # Every mask in ascending order, from one product per configuration; at these
-    # sizes a scan block is larger than the whole scanned half.
+    # sizes a scan block is larger than the whole scanned half.  Sign matrices
+    # have integer margins, so the discrepancy optimum is often tied and the
+    # scan must return the smallest optimal mask.
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    for seed in (0, 1, 2):
-        mat = sample_disorder(n, max(0.5, 1.0 / n), seed=seed)
+    for dist, seed in itertools.product(("gaussian", "rademacher"), (0, 1, 2)):
+        mat = sample_disorder(n, max(0.5, 1.0 / n), dist, seed=seed)
         y = signs @ mat.entries.T
         root_n = math.sqrt(n)
         for symmetric, kappa in ((True, 1.0), (True, 0.5), (False, 0.0), (False, 0.3)):
@@ -147,11 +154,169 @@ def test_cube_scan_matches_direct_product_sweep(n):
             want = np.flatnonzero(ok).tolist()
             assert _scan_masks(mat, kappa, symmetric, 25) == want
             assert _scan_masks(mat, kappa, symmetric, 25, first_only=True) == want[:1]
+            found = exhaustive_solve(mat, kappa, symmetric)
+            assert (found and found.bits) == (want[0] if want else None)
         best, arg = discrepancy(mat)
         worst = np.max(np.abs(y), axis=1)
         assert best == pytest.approx(worst.min(), abs=1e-12)
-        assert worst[arg.bits] == pytest.approx(worst.min(), abs=1e-12)
-        assert arg[0] == 1
+        assert arg.bits == int(np.argmin(worst))
+
+
+@pytest.fixture(params=KERNEL_SPLITS, ids=lambda split: "cores%d-band%d" % split)
+def scan_split(request, monkeypatch):
+    # The sampler's thread splits, with scan blocks as small as a band so
+    # that every size above a few coordinates scans several blocks, and a
+    # thread switch every microsecond.
+    cores, band = request.param
+    monkeypatch.setattr(disorder, "_CORES", cores)
+    monkeypatch.setattr(disorder, "_BAND", band)
+    monkeypatch.setattr(landscape, "_SCAN_BLOCK", band)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_cube_scan_sweep_under_every_thread_split(scan_split, n):
+    test_cube_scan_matches_direct_product_sweep(n)
+
+
+def _threaded_scans(monkeypatch, cores):
+    # One high half per block at n = 14, and every scan of it above one band.
+    monkeypatch.setattr(disorder, "_CORES", cores)
+    monkeypatch.setattr(disorder, "_BAND", 1 << 10)
+    monkeypatch.setattr(landscape, "_SCAN_BLOCK", 1 << 10)
+    return count_pools(monkeypatch)
+
+
+def test_threaded_scans_leave_no_thread_running(monkeypatch):
+    built = _threaded_scans(monkeypatch, 4)
+    mat = sample_disorder(14, 0.5, seed=2)
+    before = threading.active_count()
+    discrepancy(mat)
+    enumerate_solutions(mat, 1.0)
+    assert exhaustive_solve(mat, 0.05) is None  # infeasible, so every block is scanned
+    assert built == [3, 3, 3]
+    assert threading.active_count() == before
+
+
+def test_error_in_a_scan_helper_propagates(monkeypatch):
+    # The calling thread scans block 0 alone, then holds its next block until
+    # a helper has failed, so the error can only come from the helper.
+    _threaded_scans(monkeypatch, 2)
+    caller, helper_failed = threading.get_ident(), threading.Event()
+
+    def consume(base, worst, full):
+        if threading.get_ident() != caller:
+            helper_failed.set()
+            raise RuntimeError("consumer failed in a helper")
+        if base:
+            helper_failed.wait(timeout=30)
+        return []
+
+    run = _worst_margins(sample_disorder(14, 0.5, seed=2), True, 25)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="consumer failed in a helper"):
+        run(consume)
+    assert helper_failed.is_set()
+    assert threading.active_count() == before
+
+
+def test_a_tie_with_a_best_from_a_later_block_is_kept(monkeypatch):
+    # The calling thread takes block 1 and holds it until the helper has
+    # scanned every later block, so block 1 is bounded by their best.  Sign
+    # matrices often tie that best in block 1 with a head max equal to it: a
+    # strict bound would drop the smaller mask there.
+    _threaded_scans(monkeypatch, 2)
+    caller, real_parallel = threading.get_ident(), disorder._parallel
+    holding, helper_done, caller_blocks = threading.Event(), threading.Event(), []
+
+    def parallel(work, jobs, size):
+        def ordered():
+            if threading.get_ident() != caller:
+                assert holding.wait(timeout=30)
+                work()
+                helper_done.set()
+            else:
+                work()
+        real_parallel(ordered, jobs, size)
+
+    class HoldBlockOne:  # numpy, but the caller's block 1 waits for the helper
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, x, **kwargs):
+            if threading.get_ident() == caller and x.ndim == 3:
+                caller_blocks.append(x.shape)
+                if len(caller_blocks) == 2:
+                    holding.set()
+                    assert helper_done.wait(timeout=30)
+            return np.abs(x, **kwargs)
+
+    monkeypatch.setattr(disorder, "_parallel", parallel)
+    monkeypatch.setattr(landscape, "np", HoldBlockOne())
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=14)))
+    for seed in range(40):
+        mat = sample_disorder(14, 0.5, "rademacher", seed=seed)
+        for event in (holding, helper_done):
+            event.clear()
+        caller_blocks.clear()
+        best, arg = discrepancy(mat)
+        worst = np.max(np.abs(signs @ mat.entries.T), axis=1)
+        assert (best, arg.bits) == (worst.min(), int(np.argmin(worst)))
+        assert len(caller_blocks) == 2 and helper_done.is_set()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 7])
+def test_first_only_takes_each_block_up_to_the_first_hit_then_stops(monkeypatch, cores):
+    # Every block up to the first hit is taken once.  Other threads may run
+    # past the hit until the hit is recorded; with one thread none does.
+    _threaded_scans(monkeypatch, cores)
+    taken, hit = [], 20 << 7  # block 20 of 64, one high half each
+
+    def consume(base, worst, full):
+        taken.append(base)
+        return base >= hit
+
+    blocks = _worst_margins(sample_disorder(14, 0.5, seed=2), True, 25)(consume, first_only=True)
+    assert blocks[:20] == [False] * 20 and blocks[20]
+    assert set(range(0, hit + 1, 1 << 7)) <= set(taken)
+    assert len(taken) == len(set(taken))
+    if cores == 1:
+        assert max(taken) == hit
+
+
+def test_scans_up_to_fourteen_coordinates_build_no_pool(monkeypatch):
+    monkeypatch.setattr(disorder, "_CORES", 2)
+    built = count_pools(monkeypatch)
+    for n in range(1, 15):
+        mat = sample_disorder(n, 1.0, seed=n)
+        discrepancy(mat)
+        enumerate_solutions(mat, 1.0)
+        enumerate_solutions(mat, 0.0, symmetric=False)
+    assert built == []
+    discrepancy(sample_disorder(21, 0.5, seed=0))
+    assert built == [1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scans_refuse_a_non_finite_entry(bad):
+    # NaN fails every comparison, so an unchecked scan found no solution and
+    # a discrepancy of inf; an inf entry makes NaN margins from inf - inf.
+    mat = sample_disorder(12, 0.5, seed=0)
+    entries = mat.entries.copy()
+    entries[2, 5] = bad
+    mat = dataclasses.replace(mat, entries=entries)
+    for scan in (lambda: discrepancy(mat), lambda: enumerate_solutions(mat, 1.0),
+                 lambda: enumerate_solutions(mat, 0.0, symmetric=False),
+                 lambda: exhaustive_solve(mat, 1.0), lambda: exhaustive_solve(mat, 0.0, False)):
+        with pytest.raises(DomainError, match="needs finite entries"):
+            scan()
+    with pytest.raises(CapExceededError):  # the cap is still checked first
+        enumerate_solutions(mat, 1.0, n_cap=8)
 
 
 def test_cap_is_checked_before_the_margin():

@@ -5,7 +5,8 @@ parameter of a public name is set by some call in ``src/`` or ``perfbench/``,
 so a keyword that no caller passes does not linger as an untested knob.
 Every error the package raises is caught by one of ``cli.main``'s handlers.
 Only ``disorder`` builds a random generator, so every sampled entry comes
-from its one counter-based kernel.
+from its one counter-based kernel, and only ``disorder`` builds a thread
+pool, inside a call: importing the package starts no thread.
 """
 
 import ast
@@ -130,3 +131,42 @@ def test_only_disorder_builds_a_random_generator():
              for node in ast.walk(_parse(path))
              if isinstance(node, ast.Call) and _callee(node.func) in builders]
     assert not found
+
+
+THREAD_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "Thread"}
+
+
+def _import_time_nodes(node: ast.AST):
+    """The nodes that run when the module is imported: not the bodies of functions."""
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        children = [*getattr(node, "decorator_list", []), *args.defaults,
+                    *(d for d in args.kw_defaults if d is not None)]
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _import_time_nodes(child)
+
+
+def _pool_calls(nodes) -> list[ast.Call]:
+    return [node for node in nodes
+            if isinstance(node, ast.Call) and _callee(node.func) in THREAD_BUILDERS]
+
+
+def test_only_disorder_builds_a_thread_pool_and_never_on_import():
+    outside, on_import = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        if path.name != "disorder.py":
+            outside += [f"{path.name}:{c.lineno}" for c in _pool_calls(ast.walk(tree))]
+        on_import += [f"{path.name}:{c.lineno}" for c in _pool_calls(_import_time_nodes(tree))]
+    assert not outside and not on_import
+    assert _pool_calls(ast.walk(_parse(PACKAGE / "disorder.py")))  # the check sees the pool
+
+
+def test_import_time_walk_sees_module_level_and_default_pools():
+    tree = ast.parse("pool = ThreadPoolExecutor(2)\n"
+                     "def f(p=Pool()):\n    return ThreadPoolExecutor(1)\n"
+                     "class C:\n    pool = ProcessPoolExecutor()\n")
+    assert [c.lineno for c in _pool_calls(_import_time_nodes(tree))] == [1, 2, 5]
