@@ -58,6 +58,7 @@ from .solvers import (
     kim_roche_solve,
     majority_solve,
     online_solve,
+    running_max_abs_margin,
 )
 from .thresholds import (
     alpha_c,
@@ -114,7 +115,7 @@ __all__ = [
     "necessity_terms", "necessity_scan",
     # solvers
     "KimRocheSchedule", "kim_roche_schedule", "majority_solve", "kim_roche_solve",
-    "online_solve", "exhaustive_solve",
+    "online_solve", "running_max_abs_margin", "exhaustive_solve",
     # experiments
     "majority_stability_curve", "majority_stability_trial", "kim_roche_stability_trial",
     "overlap_trajectory",

@@ -20,7 +20,8 @@ each file name to a JSON payload (``dict``), a CSV as ``(header, rows)`` or a
 ``config.json`` (the parsed flags and resolved ``out_dir``) and writes every
 file, then prints ``text``.  A float flag that reaches ``config.json`` must be
 finite, so no output file holds NaN or Infinity.  Each ``EXPERIMENTS`` entry
-names a runner and the flags it reads; any other flag is a usage error.
+names a runner and the flags it reads; any other flag is a usage error, and
+every experiment runs with no flags at all.
 Output is deterministic: the same command writes byte-identical files, except
 for the wall-clock seconds column of the tuple-count table.
 """
@@ -60,6 +61,7 @@ from .solvers import (
     kim_roche_solve,
     majority_solve,
     online_solve,
+    running_max_abs_margin,
 )
 from .experiments import (
     TRAJECTORY_SOLVERS,
@@ -159,8 +161,10 @@ def cmd_solve(args: argparse.Namespace) -> tuple[dict, str, int]:
         feasible = None
     elif args.algo == "kim-roche":
         sched = kim_roche_schedule(args.n, args.c_rounds, (args.d1, args.power))
-        sv, trace = kim_roche_solve(mat, sched, collect_trace=True)
+        sv, rounds = kim_roche_solve(mat, sched)
         feasible = None
+        sigma = sv.signs().astype(np.float64)
+        stops = [r.block_start + r.block_size for r in rounds]
         files["trace.json"] = {
             "schedule": {
                 "rounds": sched.rounds,
@@ -174,19 +178,21 @@ def cmd_solve(args: argparse.Namespace) -> tuple[dict, str, int]:
                     "block_start": r.block_start,
                     "block_size": r.block_size,
                     "k_used": r.k_used,
-                    "violated_rows_after": r.violated_after,
+                    # rows whose margin over the assigned prefix is negative
+                    "violated_rows_after": int(np.count_nonzero(
+                        mat.entries[:, :stop] @ sigma[:stop] < 0.0)),
                 }
-                for r in trace
+                for r, stop in zip(rounds, stops)
             ],
         }
     elif args.algo in ("online-greedy", "online-exp"):
         strategy = "greedy_minimax" if args.algo == "online-greedy" else "exp_potential"
-        sv, feasible, trace = online_solve(mat, args.kappa, strategy, collect_trace=True)
+        sv, feasible = online_solve(mat, args.kappa, strategy)
         files["trace.json"] = {
-            "per_step_max_abs_margin": [s.max_abs_margin for s in trace],
+            "per_step_max_abs_margin": running_max_abs_margin(mat, sv).tolist(),
         }
     else:  # exhaustive, the last of the parser's choices
-        sv = exhaustive_solve(mat, args.kappa, symmetric=not args.asymmetric, n_cap=args.n_cap)
+        sv = exhaustive_solve(mat, args.kappa, symmetric=not args.asymmetric)
         if sv is None:
             return files, "no satisfying configuration", EXIT_NEGATIVE_RESULT
         feasible = True
@@ -343,15 +349,16 @@ _EXPERIMENT_FLAGS = {
     "sensitivity": {"type": float, "default": 1.0},
 }
 
-#: Experiment name -> (runner, the flags it reads).
+#: Experiment name -> (runner, the flags it reads).  ``flag=value`` gives the
+#: experiment its own default where the shared one is outside its domain.
 EXPERIMENTS = {
     "majority-stability": (_majority_stability, "n k_rows tau trials seed"),
     "kim-roche-stability": (_kim_roche_stability, "n alpha tau trials seed threshold"),
     "trajectory": (_trajectory, "n alpha kappa solver replicas q_steps seed"),
-    "census": (_census, "n alpha delta trials seed kappa"),
+    "census": (_census, "n=12 alpha=0.25 delta trials seed kappa"),
     "two-stage": (_two_stage, "n alpha delta trials seed strategy kappa"),
-    "universality": (_universality, "sizes kappa m beta trials seed"),
-    "stable-params": (_stable_params, "kappa alpha m eta sensitivity"),
+    "universality": (_universality, "sizes kappa m beta trials=1000 seed"),
+    "stable-params": (_stable_params, "kappa alpha m=2 eta sensitivity"),
 }
 
 
@@ -408,7 +415,6 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=float, default=3.0)
     p.add_argument("--c-rounds", type=float, default=4.0)
     p.add_argument("--asymmetric", action="store_true")
-    p.add_argument("--n-cap", type=int, default=25)
     p.add_argument("--dump-matrix", action="store_true")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_solve)
@@ -417,8 +423,12 @@ def build_parser() -> _Parser:
     names = p.add_subparsers(dest="experiment", required=True, metavar="NAME")
     for name, (run, flags) in EXPERIMENTS.items():
         q = names.add_parser(name, help=run.__doc__)
-        for flag in flags.split():
-            q.add_argument("--" + flag.replace("_", "-"), **_EXPERIMENT_FLAGS[flag])
+        for item in flags.split():
+            flag, _, default = item.partition("=")
+            settings = _EXPERIMENT_FLAGS[flag]
+            if default:
+                settings = settings | {"default": settings["type"](default)}
+            q.add_argument("--" + flag.replace("_", "-"), **settings)
         q.add_argument("--out-dir", default=None)
         q.set_defaults(func=run)
 

@@ -204,7 +204,7 @@ def kim_roche_stability_trial(
     seed: int,
     threshold: float = 0.05,
 ) -> KimRocheStabilityResult:
-    """Run the multi-stage solver on coupled instances and compare traces.
+    """Run the multi-stage solver on coupled instances and compare their rounds.
 
     Trial t solves the base and its rotation by tau toward an independent
     replica.  Round 0 assigns its n_blocks[0] coordinates by full-row
@@ -215,7 +215,7 @@ def kim_roche_stability_trial(
     """
     if not 0.0 <= threshold < math.inf:
         raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
-    solve = functools.partial(kim_roche_solve, schedule=kim_roche_schedule(n), collect_trace=True)
+    solve = functools.partial(kim_roche_solve, schedule=kim_roche_schedule(n))
     finals: list[int] = []
     per_round: list[tuple[int, ...]] = []
     agreements: list[tuple[float, ...]] = []
@@ -357,7 +357,7 @@ def online_failure_census(
     if n > _CENSUS_CAP:
         raise SizingError(f"census enumerates 2^n cube twice; needs n <= {_CENSUS_CAP}")
     d_max = _resampled_columns(delta, n)
-    scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True, n_cap=_CENSUS_CAP)
+    scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True)
     hits = []
     for a, [b] in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
         b = np.array(b, dtype=np.uint64)
@@ -412,7 +412,7 @@ def online_two_stage_trial(
     solve = functools.partial(online_solve, kappa=kappa, strategy=strategy)
     pairs = _coupled_solutions(n, alpha, trials, seed, solve, delta=delta)
     successes = 0
-    for t, ((sv_a, ok_a, _), [(sv_b, ok_b, _)]) in enumerate(pairs):
+    for t, ((sv_a, ok_a), [(sv_b, ok_b)]) in enumerate(pairs):
         if not np.array_equal(sv_a.signs()[:n - b], sv_b.signs()[:n - b]):
             raise AssertionError(
                 f"online prefix property violated at trial {t}: decisions on a "

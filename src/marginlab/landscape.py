@@ -180,14 +180,14 @@ def _half_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]
     return w_hi, w_lo, hi, lo
 
 
-def _worst_margins(mat: DisorderMatrix, symmetric: bool, n_cap: int):
+def _worst_margins(mat: DisorderMatrix, symmetric: bool):
     """Return ``run``, which scans the cube block by block; checks on the call.
 
-    The cap is checked first, then the entries, which must be finite: NaN
-    fails every comparison, so a scan would accept nothing.  The scanned high
-    halves are cut into blocks.  Two-sided scans stop before coordinate
-    0 = -1, since half-table row 2^h - 1 - a is -row a and would repeat a
-    complement.
+    The cap n <= DEFAULT_ENUM_CAP is checked first, then the entries, which
+    must be finite: NaN fails every comparison, so a scan would accept
+    nothing.  The scanned high halves are cut into blocks.  Two-sided scans
+    stop before coordinate 0 = -1, since half-table row 2^h - 1 - a is -row
+    a and would repeat a complement.
 
     ``run(consume, head=None, first_only=False)`` returns
     ``consume(base, worst, full)`` of every block, in block order.  ``worst``
@@ -201,10 +201,9 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool, n_cap: int):
     With ``first_only`` no block past the lowest one with a truthy result is
     taken, and blocks not taken give None.
     """
-    if mat.cols > n_cap:
-        raise CapExceededError(
-            f"exhaustive scan over 2^{mat.cols} configurations exceeds the cap n <= {n_cap}"
-        )
+    if mat.cols > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"exhaustive scan over 2^{mat.cols} configurations exceeds "
+                               f"the cap n <= {DEFAULT_ENUM_CAP}")
     if not np.isfinite(mat.entries).all():
         raise DomainError("exhaustive scan needs finite entries, the matrix has NaN or inf")
     w_hi, w_lo, hi, lo = _half_tables(mat.entries)
@@ -252,9 +251,9 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool, n_cap: int):
 
 
 def _scan_masks(
-    mat: DisorderMatrix, kappa: float, symmetric: bool, n_cap: int, first_only: bool = False
+    mat: DisorderMatrix, kappa: float, symmetric: bool, first_only: bool = False
 ) -> list[int]:
-    run = _worst_margins(mat, symmetric, n_cap)
+    run = _worst_margins(mat, symmetric)
     thr = _threshold(mat, kappa, symmetric)
 
     def hits(base: int, worst: np.ndarray, _full) -> list[int]:
@@ -277,15 +276,15 @@ def enumerate_solutions(
     mat: DisorderMatrix,
     kappa: float,
     symmetric: bool = True,
-    n_cap: int = DEFAULT_ENUM_CAP,
 ) -> list[SignVector]:
     """All satisfying configurations in lexicographic order (+1 before -1).
 
-    Exhaustive meet-in-the-middle scan; refuses n > n_cap.  For the two-sided
-    window the result is closed under global negation, so it has even size
-    whenever it is nonempty and no margin lands exactly on the boundary.
+    Exhaustive meet-in-the-middle scan; refuses n > DEFAULT_ENUM_CAP.  For
+    the two-sided window the result is closed under global negation, so it
+    has even size whenever it is nonempty and no margin lands exactly on the
+    boundary.
     """
-    return _trusted_sign_vectors(mat.cols, _scan_masks(mat, kappa, symmetric, n_cap))
+    return _trusted_sign_vectors(mat.cols, _scan_masks(mat, kappa, symmetric))
 
 
 def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
@@ -318,7 +317,7 @@ def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
         return value, base + int(idx[j])
 
     value, mask = math.inf, 0
-    for v, m in _worst_margins(mat, True, DEFAULT_ENUM_CAP)(block_min, head=_HEAD_ROWS):
+    for v, m in _worst_margins(mat, True)(block_min, head=_HEAD_ROWS):
         if v < value:
             value, mask = v, m
     return value, SignVector(mat.cols, mask)
@@ -410,9 +409,7 @@ def enumerate_forbidden_tuples(
     for i in range(query.m):
         masks: set[int] = set()
         for k in grid_ids:
-            masks.update(
-                _scan_masks(ensemble.instance(i, k), query.kappa, True, cap)
-            )
+            masks.update(_scan_masks(ensemble.instance(i, k), query.kappa, True))
         pools.append(np.array(sorted(masks), dtype=np.uint64))
 
     out: list[tuple[SignVector, ...]] = []

@@ -15,6 +15,10 @@ staged a block at a time as contiguous rows of one reused buffer (with their
 sinh table for the proxy), and each step writes into reused buffers, so no
 matrix-sized temporary is built.
 Exhaustive search over the cube backs everything up at small n.
+
+Solvers return only what they decide with; trace numbers that follow from
+the matrix and the answer (``running_max_abs_margin``) are recomputed by
+whoever reports them.  NaN or infinite entries raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from .landscape import SignVector, _scan_masks
 __all__ = [
     "KimRocheSchedule",
     "RoundRecord",
-    "StepRecord",
     "exhaustive_solve",
     "kim_roche_schedule",
     "kim_roche_solve",
     "majority_solve",
     "online_solve",
+    "running_max_abs_margin",
 ]
 
 ONLINE_STRATEGIES = ("greedy_minimax", "exp_potential")
@@ -172,19 +176,25 @@ def kim_roche_schedule(
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Trace of one block round: which rows voted, and the damage so far.
+    """One block round: the coordinates it assigned and the rows that voted.
 
-    ``selected_rows`` is None for round 0 (every row votes).
-    ``violated_after`` counts rows whose running margin over the assigned
-    prefix is negative once the block is committed.
+    ``selected_rows`` is None for round 0 (every row votes).  The damage
+    after a round, the rows whose margin over the first
+    ``block_start + block_size`` coordinates is negative, follows from the
+    matrix and the returned signs, so it is not stored.
     """
 
     round_index: int
     block_start: int
     block_size: int
     k_used: int
-    violated_after: int
     selected_rows: tuple[int, ...] | None
+
+
+def _refuse_non_finite(values: np.ndarray, solver: str) -> None:
+    # values computed from the entries: NaN or inf among them makes one non-finite
+    if not np.isfinite(values).all():
+        raise DomainError(f"{solver} needs finite entries, got NaN or inf")
 
 
 def majority_solve(mat: DisorderMatrix) -> SignVector:
@@ -194,6 +204,7 @@ def majority_solve(mat: DisorderMatrix) -> SignVector:
     only for sign disorder with an even row count).
     """
     votes = mat.entries.sum(axis=0)
+    _refuse_non_finite(votes, "majority_solve")
     signs = np.where(votes >= 0.0, 1, -1).astype(np.int8)
     return SignVector.from_signs(signs)
 
@@ -201,9 +212,8 @@ def majority_solve(mat: DisorderMatrix) -> SignVector:
 def kim_roche_solve(
     mat: DisorderMatrix,
     schedule: KimRocheSchedule | None = None,
-    collect_trace: bool = False,
-) -> tuple[SignVector, list[RoundRecord] | None]:
-    """Run the multi-stage majority solver.
+) -> tuple[SignVector, list[RoundRecord]]:
+    """Run the multi-stage majority solver; return the signs and one record per round.
 
     Round 0 assigns the first block by full-row majority.  Round j >= 1
     computes every row's margin over the assigned prefix, selects the
@@ -218,7 +228,7 @@ def kim_roche_solve(
     entries = mat.entries
     m_rows = mat.rows
     sigma = np.zeros(mat.cols, dtype=np.float64)
-    trace: list[RoundRecord] | None = [] if collect_trace else None
+    rounds: list[RoundRecord] = []
     start = 0
     for j, block in enumerate(sched.n_blocks):
         stop = start + block
@@ -229,33 +239,22 @@ def kim_roche_solve(
         else:
             k_used = min(sched.k[j - 1], m_rows)
             selected = np.argsort(margins, kind="stable")[:k_used]
-            votes = entries[selected][:, start:stop].sum(axis=0)
+            votes = entries[selected, start:stop].sum(axis=0)
         sigma[start:stop] = np.where(votes >= 0.0, 1.0, -1.0)
-        if trace is not None or j < sched.rounds:
-            # prefix margins: the trace's damage count and the next round's ranking
-            margins = entries[:, :stop] @ sigma[:stop]
-        if trace is not None:
-            trace.append(
-                RoundRecord(
-                    round_index=j,
-                    block_start=start,
-                    block_size=block,
-                    k_used=k_used,
-                    violated_after=int(np.count_nonzero(margins < 0.0)),
-                    selected_rows=None if selected is None else tuple(int(r) for r in selected),
-                )
-            )
+        if j < sched.rounds:
+            margins = entries[:, :stop] @ sigma[:stop]  # the next round's ranking
+            _refuse_non_finite(margins, "kim_roche_solve")
+        else:  # the unselected rows of the last block are read nowhere else
+            _refuse_non_finite(entries[:, start:stop], "kim_roche_solve")
+        rounds.append(RoundRecord(
+            round_index=j,
+            block_start=start,
+            block_size=block,
+            k_used=k_used,
+            selected_rows=None if selected is None else tuple(int(r) for r in selected),
+        ))
         start = stop
-    return SignVector.from_signs(sigma.astype(np.int8)), trace
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Trace of one online step: the worst margin after the commitment."""
-
-    step: int
-    sign: int
-    max_abs_margin: float
+    return SignVector.from_signs(sigma.astype(np.int8)), rounds
 
 
 def _exp_potential_fallback(lam: float, run: np.ndarray, col: np.ndarray) -> int:
@@ -279,16 +278,16 @@ def online_solve(
     mat: DisorderMatrix,
     kappa: float,
     strategy: str = "greedy_minimax",
-    collect_trace: bool = False,
-) -> tuple[SignVector, bool, list[StepRecord] | None]:
+) -> tuple[SignVector, bool]:
     """Assign coordinates one column at a time, never looking ahead.
 
     ``greedy_minimax`` picks the sign minimizing the worst running margin.
     ``exp_potential`` minimizes sum cosh(lambda * margin) with
     lambda = kappa / (2 sqrt(n)), a smooth stand-in for the same objective
     whose step rule reduces to the sign of a sinh correlation.  Ties resolve
-    to +1.  Returns the configuration, whether it satisfies the two-sided
-    window at margin kappa, and the optional per-step trace.
+    to +1.  Returns the configuration and whether it satisfies the two-sided
+    window at margin kappa; ``running_max_abs_margin`` recomputes the worst
+    running margin of every step from them.
     """
     if strategy not in ONLINE_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}, expected one of {ONLINE_STRATEGIES}")
@@ -307,7 +306,6 @@ def online_solve(
     else:
         sinh_block, lrun = np.empty_like(block), np.empty(rows, dtype=np.float64)
     signs = np.empty(n, dtype=np.int8)
-    trace: list[StepRecord] | None = [] if collect_trace else None
     # sinh overflows to inf once lam * margin passes ~710, and the correlation
     # may then be inf or NaN; such a step goes to _exp_potential_fallback.
     quiet = "ignore" if strategy == "exp_potential" else None
@@ -335,24 +333,42 @@ def online_solve(
                     else:
                         k = _exp_potential_fallback(lam, run, col)
                     (np.subtract if k else np.add)(run, col, out=run)
-                signs[t] = s = 1 - 2 * k
-                if trace is not None:
-                    worst = (plus, minus)[k] if strategy == "greedy_minimax" else np.abs(run).max()
-                    trace.append(StepRecord(step=t, sign=s, max_abs_margin=float(worst)))
+                signs[t] = 1 - 2 * k
+    _refuse_non_finite(run, "online_solve")
     feasible = bool(np.max(np.abs(run)) <= kappa * math.sqrt(n))
-    return SignVector.from_signs(signs), feasible, trace
+    return SignVector.from_signs(signs), feasible
+
+
+def running_max_abs_margin(mat: DisorderMatrix, sigma: SignVector) -> np.ndarray:
+    """max_i |sum_{s <= t} A_is sigma_s| for every t, as an array of n floats.
+
+    Each row's running margins are a cumulative sum in column order, the
+    order in which ``online_solve`` builds them, so for its answer the values
+    are the worst margins it saw after each step, bit for bit.  Rows go in
+    chunks of at most _STAGE_BLOCK entries (one row if a row is longer).
+    """
+    if sigma.n != mat.cols:
+        raise SizingError(f"sign vector has {sigma.n} coordinates, matrix {mat.cols}")
+    signs = sigma.signs().astype(np.float64)
+    height = max(1, _STAGE_BLOCK // mat.cols)
+    worst = np.zeros(mat.cols, dtype=np.float64)
+    for r0 in range(0, mat.rows, height):
+        run = mat.entries[r0:r0 + height] * signs
+        np.cumsum(run, axis=1, out=run)
+        np.maximum(worst, np.abs(run, out=run).max(axis=0), out=worst)
+    _refuse_non_finite(worst, "running_max_abs_margin")
+    return worst
 
 
 def exhaustive_solve(
     mat: DisorderMatrix,
     kappa: float,
     symmetric: bool = True,
-    n_cap: int = 25,
 ) -> SignVector | None:
     """First satisfying configuration in lexicographic order, or None.
 
     Shares the meet-in-the-middle scan with the landscape enumerator but
-    stops at the first hit.
+    stops at the first hit; refuses n > DEFAULT_ENUM_CAP.
     """
-    masks = _scan_masks(mat, kappa, symmetric, n_cap, first_only=True)
+    masks = _scan_masks(mat, kappa, symmetric, first_only=True)
     return SignVector(mat.cols, masks[0]) if masks else None

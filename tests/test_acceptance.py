@@ -186,8 +186,8 @@ def test_criterion_08_iterated_majority_structure_and_stability(capsys):
     structure_ok = sum(sched.n_blocks) == n and all(kk % 2 == 1 for kk in sched.k)
     for seed in range(50):
         mat = sample_disorder(n, 0.002, seed=seed)
-        _, trace = kim_roche_solve(mat, sched, collect_trace=True)
-        spans = [(r.block_start, r.block_start + r.block_size) for r in trace]
+        _, rounds = kim_roche_solve(mat, sched)
+        spans = [(r.block_start, r.block_start + r.block_size) for r in rounds]
         structure_ok = structure_ok and spans[0][0] == 0 and spans[-1][1] == n
         structure_ok = structure_ok and all(
             b == c for (_, b), (c, _) in zip(spans, spans[1:])
@@ -249,8 +249,8 @@ def test_criterion_09_online_prefix_agreement(capsys):
             mat = sample_disorder(n, alpha, seed=seed)
             other = resample_columns(mat, delta, seed=seed)
             keep = n - int(math.floor(delta * n + 1e-9))
-            a, _, _ = online_solve(mat, 1.0, strategy)
-            b, _, _ = online_solve(other, 1.0, strategy)
+            a, _ = online_solve(mat, 1.0, strategy)
+            b, _ = online_solve(other, 1.0, strategy)
             if not np.array_equal(a.signs()[:keep], b.signs()[:keep]):
                 violations += 1
             pairs += 1

@@ -170,6 +170,17 @@ GOLDEN_RUNS = {
                 "81488a65073eae991d305f072f18b22cbf698c9e95f9579bec809b23e3ef29ed",
         },
     ),
+    "solve-online-exp": (
+        ["solve", "--algo", "online-exp", "--n", "400", "--alpha", "0.25", "--seed", "7"],
+        {
+            "solution.json":
+                "af78d5c44247655100e15a643fb5c2e2ada5069bfc6804193438b2130ce4339f",
+            "trace.json":
+                "e5ee84a844252f94fecab083f79cbca843b62a1ffa0a314138835bbfdf8eb616",
+            "stdout":
+                "c13f7604727542ab2ce19d4cf9a2709f3188fa0b24894ed20ed3d0d8080b7dd7",
+        },
+    ),
     "solve-exhaustive": (
         ["solve", "--algo", "exhaustive", "--n", "14", "--alpha", "0.5", "--kappa",
          "1.5", "--seed", "1"],
@@ -253,12 +264,12 @@ CONFIG_DIGESTS = {
     "universality-m2": "c09e565512ebe7d3206dda1e6b19fc2c4412be5529df068f96916bb34b9eaf4c",
     "stable-params": "2e2857aad7db3a20ae08dc6f216a3a554446c3fd3211d87f3368a173e53228b3",
     "thresholds": "6570f5a2c80a18199cd2161e00024d09a52cf63be1d188e2d8f1e0a6ab60e3d6",
-    "solve-kim-roche": "545b2ff8d176dfb207897e6031b898ccbb224e6223857ad33635e1223b0e2348",
-    "solve-online-greedy": "ac55cffc87e74f8ef2dda8666669e9cae842fca285e894f1db1b1ec2f4f701f2",
-    "solve-exhaustive": "eebf42ca46adbc903066ea1af4974820191589dea77e84e1d354b752637a1b67",
+    "solve-kim-roche": "b64fc2de79fa95ee183259533ab3f83481411fb96824b27d694da5f5d37fc43c",
+    "solve-online-greedy": "79f13f4320c89475bb280243d16f9fe54fa0f65e56a57f6a1d4b6ac4694f22c1",
+    "solve-exhaustive": "acdbf2ee96783adfdd1ccec2a434fcf0ab13b52c04cc0a35ef6bdfd75806d981",
     "count-tuples": "b5d541b38260968d84e8b2e3ae1b533e2aaea94e6cda35ee59efacdf61c4866d",
     "thresholds-negative": "1135a4877fb3c014608b26f00c1e38336420f8fa0c927cf6fcffd8cf50e6b913",
-    "solve-exhaustive-none": "9467676716ebd45947ba3ae45a057ca4c060d7fe9c8addb0eb93934242ecb655",
+    "solve-exhaustive-none": "e241bc0eddaf007929f2468e0058ff3d953ed3564bd44aa4264bb4ac617652a2",
 }
 
 
@@ -464,6 +475,15 @@ def test_experiment_config_records_only_its_flags(tmp_path, capsys, case):
     assert (params["experiment"], params["out_dir"]) == (argv[1], str(tmp_path))
 
 
+@pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+def test_every_experiment_runs_with_its_own_defaults(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", name]) == EXIT_OK
+    capsys.readouterr()
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert set(config["parameters"]) == EXPERIMENT_PARAMETERS[name] | {"experiment", "out_dir"}
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--algo", "majority", "--n", "200", "--alpha", "0.05", "--seed", "3"],
     ["experiment", "two-stage", "--n", "100", "--alpha", "0.2", "--trials", "2"],
@@ -485,6 +505,7 @@ def test_config_json_is_byte_identical_across_processes(tmp_path, argv):
     ["experiment", "stable-params", "--seed", "1"],
     ["experiment", "nonsense"],
     ["experiment"],
+    ["solve", "--algo", "exhaustive", "--n", "12", "--alpha", "0.25", "--n-cap", "25"],
 ])
 def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_USAGE

@@ -338,7 +338,7 @@ def test_two_stage_trial_is_pure_in_seed_and_index(monkeypatch):
         calls.clear()
         online_two_stage_trial(100, 0.2, 0.2, trials, seed=9, kappa=1.0)
         assert len(calls) == 2 * trials
-        records.append([(sv.signs().tobytes(), ok) for sv, ok, _ in calls])
+        records.append([(sv.signs().tobytes(), ok) for sv, ok in calls])
     assert records[0] == records[1][:6]
 
 

@@ -144,8 +144,7 @@ BOUNDED = {
 NONE_ANSWERS = {"find_negative_psi", "exhaustive_solve"}
 
 #: Records that the functions under test build and return.
-RECORDS = {"KimRocheSchedule", "OverlapTrajectory", "StableReplicaParameters", "StepRecord",
-           "TrialSummary"}
+RECORDS = {"KimRocheSchedule", "OverlapTrajectory", "StableReplicaParameters", "TrialSummary"}
 
 
 def _call(name, args):

@@ -152,8 +152,8 @@ def test_cube_scan_matches_direct_product_sweep(n):
             thr = kappa * root_n
             ok = np.all(np.abs(y) <= thr if symmetric else y >= thr, axis=1)
             want = np.flatnonzero(ok).tolist()
-            assert _scan_masks(mat, kappa, symmetric, 25) == want
-            assert _scan_masks(mat, kappa, symmetric, 25, first_only=True) == want[:1]
+            assert _scan_masks(mat, kappa, symmetric) == want
+            assert _scan_masks(mat, kappa, symmetric, first_only=True) == want[:1]
             found = exhaustive_solve(mat, kappa, symmetric)
             assert (found and found.bits) == (want[0] if want else None)
         best, arg = discrepancy(mat)
@@ -217,7 +217,7 @@ def test_error_in_a_scan_helper_propagates(monkeypatch):
             helper_failed.wait(timeout=30)
         return []
 
-    run = _worst_margins(sample_disorder(14, 0.5, seed=2), True, 25)
+    run = _worst_margins(sample_disorder(14, 0.5, seed=2), True)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="consumer failed in a helper"):
         run(consume)
@@ -281,7 +281,7 @@ def test_first_only_takes_each_block_up_to_the_first_hit_then_stops(monkeypatch,
         taken.append(base)
         return base >= hit
 
-    blocks = _worst_margins(sample_disorder(14, 0.5, seed=2), True, 25)(consume, first_only=True)
+    blocks = _worst_margins(sample_disorder(14, 0.5, seed=2), True)(consume, first_only=True)
     assert blocks[:20] == [False] * 20 and blocks[20]
     assert set(range(0, hit + 1, 1 << 7)) <= set(taken)
     assert len(taken) == len(set(taken))
@@ -315,18 +315,21 @@ def test_scans_refuse_a_non_finite_entry(bad):
                  lambda: exhaustive_solve(mat, 1.0), lambda: exhaustive_solve(mat, 0.0, False)):
         with pytest.raises(DomainError, match="needs finite entries"):
             scan()
+    wide = sample_disorder(26, 0.5, seed=0)
+    entries = wide.entries.copy()
+    entries[2, 5] = bad
     with pytest.raises(CapExceededError):  # the cap is still checked first
-        enumerate_solutions(mat, 1.0, n_cap=8)
+        enumerate_solutions(dataclasses.replace(wide, entries=entries), 1.0)
 
 
 def test_cap_is_checked_before_the_margin():
-    mat = sample_disorder(10, 0.5, seed=0)
+    mat = sample_disorder(26, 0.5, seed=0)
     with pytest.raises(CapExceededError):
-        _scan_masks(mat, -1.0, True, 8)
+        _scan_masks(mat, -1.0, True)
     with pytest.raises(CapExceededError):
-        enumerate_solutions(mat, -1.0, n_cap=8)
-    with pytest.raises(DomainError):
         enumerate_solutions(mat, -1.0)
+    with pytest.raises(DomainError):
+        enumerate_solutions(sample_disorder(10, 0.5, seed=0), -1.0)
 
 
 

@@ -1,6 +1,10 @@
+import dataclasses
+import functools
 import hashlib
+import json
 import math
 import os
+import random
 import resource
 import struct
 import subprocess
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marginlab
-from marginlab import solvers
+from marginlab import cli, solvers
 from marginlab.disorder import sample_disorder
 from marginlab.errors import CapExceededError, DomainError, SizingError
 from marginlab.landscape import SignVector, is_solution
@@ -25,6 +29,7 @@ from marginlab.solvers import (
     kim_roche_solve,
     majority_solve,
     online_solve,
+    running_max_abs_margin,
 )
 
 
@@ -132,23 +137,23 @@ def test_majority_sign_of_column_sums_with_plus_ties():
 def test_zero_round_schedule_is_plain_majority():
     mat = sample_disorder(9, 0.5, seed=2)
     sched = kim_roche_schedule(9, 4.0, (1000.0, 3.0))
-    sv, trace = kim_roche_solve(mat, sched, collect_trace=True)
+    sv, rounds = kim_roche_solve(mat, sched)
     assert sv == majority_solve(mat)
-    assert len(trace) == 1
-    assert trace[0].selected_rows is None  # round 0 lets every row vote
+    assert len(rounds) == 1
+    assert rounds[0].selected_rows is None  # round 0 lets every row vote
 
 
 def test_trace_blocks_partition_coordinates():
     mat = sample_disorder(10_000, 0.002, seed=3)
     sched = kim_roche_schedule(10_000, 4.0, (1000.0, 3.0))
-    sv, trace = kim_roche_solve(mat, sched, collect_trace=True)
+    sv, rounds = kim_roche_solve(mat, sched)
     assert len(sv) == 10_000
-    spans = [(r.block_start, r.block_start + r.block_size) for r in trace]
+    spans = [(r.block_start, r.block_start + r.block_size) for r in rounds]
     assert spans[0][0] == 0
     assert spans[-1][1] == 10_000
     for (a, b), (c, d) in zip(spans, spans[1:]):
         assert b == c  # contiguous, no gaps or overlap
-    for r in trace[1:]:
+    for r in rounds[1:]:
         assert r.selected_rows is not None
         assert len(r.selected_rows) == min(r.k_used, mat.rows)
 
@@ -156,19 +161,40 @@ def test_trace_blocks_partition_coordinates():
 @pytest.mark.parametrize("n,alpha,divisors", [
     (500, 0.4, (50.0, 3.0)), (2000, 0.1, (200.0, 3.0)), (10_000, 0.002, (1000.0, 3.0)),
 ])
-def test_trace_keeps_the_solution_and_recounts_violations(n, alpha, divisors):
-    # The traced run must not change the output, and each round's count must
-    # match a direct recount of the prefix margins of the final sign vector
-    # (nonzero on most seeds of the first two sizes).
+def test_trace_keeps_the_solution_and_recounts_violations(tmp_path, capsys, n, alpha,
+                                                           divisors):
+    # Each round must follow the schedule and pick the rows the final sign
+    # vector ranks lowest on the prefix before it, and the CLI trace must
+    # count the negative prefix margins of the same vector (nonzero on most
+    # seeds of the first two sizes).
     sched = kim_roche_schedule(n, 4.0, divisors)
+    starts = np.cumsum((0,) + sched.n_blocks[:-1]).tolist()
+    violated = []
     for seed in range(10):
         mat = sample_disorder(n, alpha, seed=seed)
-        sv, trace = kim_roche_solve(mat, sched, collect_trace=True)
-        assert kim_roche_solve(mat, sched) == (sv, None)
+        sv, rounds = kim_roche_solve(mat, sched)
         sigma = sv.signs().astype(np.float64)
-        for r in trace:
-            stop = r.block_start + r.block_size
-            assert r.violated_after == np.count_nonzero(mat.entries[:, :stop] @ sigma[:stop] < 0)
+        assert [(r.round_index, r.block_start, r.block_size) for r in rounds] == list(
+            zip(range(sched.rounds + 1), starts, sched.n_blocks))
+        assert [r.k_used for r in rounds] == [mat.rows, *(min(k, mat.rows) for k in sched.k)]
+        assert rounds[0].selected_rows is None
+        for r in rounds[1:]:
+            margins = mat.entries[:, :r.block_start] @ sigma[:r.block_start]
+            want = np.argsort(margins, kind="stable")[:r.k_used].tolist()
+            assert list(r.selected_rows) == want
+        out = tmp_path / str(seed)
+        assert cli.main(["solve", "--algo", "kim-roche", "--n", str(n), "--alpha", str(alpha),
+                         "--d1", str(divisors[0]), "--power", str(divisors[1]),
+                         "--seed", str(seed), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "solution.json").read_text())["signs"] == "".join(
+            "+" if x > 0 else "-" for x in sv.signs())
+        recount = [int(np.count_nonzero(mat.entries[:, :stop] @ sigma[:stop] < 0))
+                   for stop in np.cumsum(sched.n_blocks).tolist()]
+        trace = json.loads((out / "trace.json").read_text())
+        assert [r["violated_rows_after"] for r in trace["rounds"]] == recount
+        violated += recount
+    assert any(violated) or n == 10_000  # 20 rows stay positive on every prefix
 
 
 def test_refinement_beats_majority_on_minimum_margin():
@@ -205,30 +231,32 @@ def test_online_feasibility_flag_matches_margins():
     for strategy in ONLINE_STRATEGIES:
         for seed in (0, 1, 2):
             mat = sample_disorder(400, 0.25, seed=seed)
-            sv, feasible, trace = online_solve(mat, 1.0, strategy, collect_trace=True)
+            sv, feasible = online_solve(mat, 1.0, strategy)
             margins = mat.entries @ sv.signs().astype(np.float64)
             assert feasible == bool(np.max(np.abs(margins)) <= math.sqrt(400))
-            assert len(trace) == 400
+            trace = running_max_abs_margin(mat, sv)
+            assert trace.shape == (400,)
             # the trace's final max margin is the verdict margin
-            assert trace[-1].max_abs_margin == pytest.approx(
-                float(np.max(np.abs(margins))), abs=1e-9
-            )
+            assert trace[-1] == pytest.approx(float(np.max(np.abs(margins))), abs=1e-9)
 
 
-def _online_sha256(strategy, collect_trace, kappa=1.0):
+def _online_sha256(strategy, with_trace, kappa=1.0):
     h = hashlib.sha256()
     for seed in (0, 1, 2):
         mat = sample_disorder(1000, 0.25, seed=seed)
-        sv, feasible, trace = online_solve(mat, kappa, strategy, collect_trace=collect_trace)
+        sv, feasible = online_solve(mat, kappa, strategy)
         h.update(sv.signs().tobytes())
         h.update(bytes([feasible]))
-        for r in trace or ():
-            h.update(struct.pack("<qbd", r.step, r.sign, r.max_abs_margin))
+        if with_trace:
+            trace = running_max_abs_margin(mat, sv).tolist()
+            for t, (sign, worst) in enumerate(zip(sv.signs().tolist(), trace)):
+                h.update(struct.pack("<qbd", t, sign, worst))
     return h.hexdigest()
 
 
-# SHA-256 of the sign bytes, the feasibility flag and the packed trace records
-# (step, sign, max_abs_margin) of seeds 0-2 at n = 1000, alpha = 0.25, kappa = 1.
+# SHA-256 of the sign bytes, the feasibility flag and, with the trace, the
+# packed (t, sign_t, running_max_abs_margin_t) of seeds 0-2 at n = 1000,
+# alpha = 0.25, kappa = 1.
 ONLINE_DIGESTS = [
     ("greedy_minimax", False, "c7f8729d6dfa94293b1aed792e7493cfd6de7a6d9ec34bcc4d5e5f83800e543e"),
     ("greedy_minimax", True, "fc99169e725dfef45516f6babe8e6d4ec1fa4d4bc9a01d418e6239f99163b7d8"),
@@ -237,9 +265,9 @@ ONLINE_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("strategy,collect_trace,sha", ONLINE_DIGESTS)
-def test_online_golden_digest(strategy, collect_trace, sha):
-    assert _online_sha256(strategy, collect_trace) == sha
+@pytest.mark.parametrize("strategy,with_trace,sha", ONLINE_DIGESTS)
+def test_online_golden_digest(strategy, with_trace, sha):
+    assert _online_sha256(strategy, with_trace) == sha
 
 
 def _count_exp_fallbacks(monkeypatch):
@@ -261,15 +289,15 @@ EXP_KAPPA_100_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("kappa,collect_trace,sha", [
+@pytest.mark.parametrize("kappa,with_trace,sha", [
     *((1.0, trace, sha) for strategy, trace, sha in ONLINE_DIGESTS
       if strategy == "exp_potential"),
     *((100.0, trace, sha) for trace, sha in EXP_KAPPA_100_DIGESTS),
 ])
 def test_exp_potential_without_overflow_keeps_its_decisions(monkeypatch, kappa,
-                                                            collect_trace, sha):
+                                                            with_trace, sha):
     steps = _count_exp_fallbacks(monkeypatch)
-    assert _online_sha256("exp_potential", collect_trace, kappa) == sha
+    assert _online_sha256("exp_potential", with_trace, kappa) == sha
     assert not steps
 
 
@@ -330,7 +358,7 @@ FROZEN_EXP_POTENTIAL = (
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_exp_potential_follows_the_50_digit_potential(monkeypatch):
     steps = _count_exp_fallbacks(monkeypatch)
-    sv, _, _ = online_solve(sample_disorder(200, 0.5, seed=0), 1e3, "exp_potential")
+    sv, _ = online_solve(sample_disorder(200, 0.5, seed=0), 1e3, "exp_potential")
     replay, gaps = FROZEN_EXP_POTENTIAL
     ties = []
     for t, (sign, gap) in enumerate(zip(sv.signs().tolist(), gaps)):
@@ -347,25 +375,36 @@ def test_exp_potential_follows_the_50_digit_potential(monkeypatch):
 
 @pytest.mark.parametrize("n,alpha", [(200, 0.3), (1000, 0.25), (3000, 0.1)])
 def test_online_trace_keeps_the_solution_and_recounts_margins(n, alpha):
-    # The traced run must not change the output, and each step's record must
-    # match the running margins recomputed from the final sign vector.
+    # The recomputed trace, taken in row chunks, must match the running
+    # margins of the whole matrix and the final sign vector, and the solver's
+    # feasibility flag must be its last value's verdict.
     for strategy in ONLINE_STRATEGIES:
         for seed in range(5):
             mat = sample_disorder(n, alpha, seed=seed)
-            sv, feasible, trace = online_solve(mat, 1.0, strategy, collect_trace=True)
-            assert online_solve(mat, 1.0, strategy) == (sv, feasible, None)
-            signs = sv.signs()
-            run = np.cumsum(mat.entries * signs, axis=1)
-            assert [(r.step, r.sign) for r in trace] == list(enumerate(signs.tolist()))
-            assert [r.max_abs_margin for r in trace] == np.abs(run).max(axis=0).tolist()
+            sv, feasible = online_solve(mat, 1.0, strategy)
+            run = np.cumsum(mat.entries * sv.signs(), axis=1)
+            trace = running_max_abs_margin(mat, sv)
+            assert trace.tolist() == np.abs(run).max(axis=0).tolist()
+            assert feasible == bool(trace[-1] <= math.sqrt(n))
 
 
-def _online_whole_matrix_loop(entries, kappa, strategy, collect_trace):
+@pytest.mark.parametrize("n,alpha", [(40_000, 2 / 40_000), (5, 8000.0)])
+def test_running_max_abs_margin_of_any_sign_vector(n, alpha):
+    # A row longer than one chunk goes alone; 40,000 rows of 5 go in 7 chunks.
+    mat = sample_disorder(n, alpha, seed=1)
+    sigma = SignVector(n, random.Random(0).getrandbits(n))
+    run = np.cumsum(mat.entries * sigma.signs(), axis=1)
+    assert running_max_abs_margin(mat, sigma).tolist() == np.abs(run).max(axis=0).tolist()
+    with pytest.raises(SizingError):
+        running_max_abs_margin(mat, SignVector(n - 1, 0))
+
+
+def _online_whole_matrix_loop(entries, kappa, strategy):
     # Reference for the block-staged solver, independent of solvers: the
     # whole transpose and the whole sinh table built up front, one column per
     # step, each step's arrays freshly allocated.  Returns the signs, the
-    # feasibility flag, the (step, sign, max_abs_margin) records and the
-    # number of steps whose sinh correlation overflowed.
+    # feasibility flag, the (step, sign, worst |running margin|) records and
+    # the number of steps whose sinh correlation overflowed.
     rows, n = entries.shape
     cols = np.ascontiguousarray(entries.T)
     lam = kappa / (2.0 * math.sqrt(n))
@@ -392,8 +431,7 @@ def _online_whole_matrix_loop(entries, kappa, strategy, collect_trace):
                 run = run - cols[t] if k else run + cols[t]
                 worst = np.abs(run).max()
             signs.append(1 - 2 * k)
-            if collect_trace:
-                trace.append((t, 1 - 2 * k, float(worst)))
+            trace.append((t, 1 - 2 * k, float(worst)))
     feasible = bool(np.max(np.abs(run)) <= kappa * math.sqrt(n))
     return signs, feasible, trace, fallbacks
 
@@ -411,29 +449,35 @@ def test_block_staging_matches_the_whole_matrix_loop(n, alpha, kappa):
     mat = sample_disorder(n, alpha, seed=3)
     assert mat.rows == {1000: 250, 100: 250, 3: 40000, 50: 1}[n]
     for strategy in ONLINE_STRATEGIES:
-        for collect_trace in (False, True):
-            sv, feasible, trace = online_solve(mat, kappa, strategy, collect_trace)
-            signs, ok, records, fallbacks = _online_whole_matrix_loop(
-                mat.entries, kappa, strategy, collect_trace)
-            assert sv.signs().tolist() == signs
-            assert feasible == ok
-            assert [(r.step, r.sign, r.max_abs_margin) for r in trace or ()] == records
-            if strategy == "exp_potential" and (n, kappa) == (1000, 1e3):
-                assert fallbacks > 0  # the overflow branch is compared too
+        sv, feasible = online_solve(mat, kappa, strategy)
+        signs, ok, records, fallbacks = _online_whole_matrix_loop(mat.entries, kappa, strategy)
+        assert sv.signs().tolist() == signs
+        assert feasible == ok
+        # the recomputed trace is the worst margin the loop saw after each step
+        trace = running_max_abs_margin(mat, sv).tolist()
+        assert list(zip(range(n), signs, trace)) == records
+        if strategy == "exp_potential" and (n, kappa) == (1000, 1e3):
+            assert fallbacks > 0  # the overflow branch is compared too
 
 
 @pytest.mark.parametrize("strategy", ONLINE_STRATEGIES)
 def test_online_solve_builds_no_matrix_sized_temporary(strategy):
-    # The whole transpose or sinh table of a 250 x 1000 matrix is 2 MB each.
+    # The whole transpose or sinh table of a 250 x 1000 matrix is 2 MB each,
+    # as is the whole matrix of running margins behind the trace.
     mat = sample_disorder(1000, 0.25, seed=0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        online_solve(mat, 1.0, strategy)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        sv, _ = online_solve(mat, 1.0, strategy)
+        solve_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        running_max_abs_margin(mat, sv)
+        trace_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert solve_peak < 1 << 20
+    assert trace_peak < 1 << 20
 
 
 def test_online_is_prefix_measurable():
@@ -443,8 +487,8 @@ def test_online_is_prefix_measurable():
 
     for strategy in ONLINE_STRATEGIES:
         mat = sample_disorder(120, 0.2, seed=9)
-        full, _, _ = online_solve(mat, 1.0, strategy)
-        other, _, _ = online_solve(resample_columns(mat, 0.3, seed=9), 1.0, strategy)
+        full, _ = online_solve(mat, 1.0, strategy)
+        other, _ = online_solve(resample_columns(mat, 0.3, seed=9), 1.0, strategy)
         keep = 120 - 36
         assert np.array_equal(other.signs()[:keep], full.signs()[:keep])
 
@@ -454,11 +498,32 @@ def test_greedy_rule_is_horizon_free():
     # the output prefix exactly (the potential rule scales with the horizon
     # and intentionally lacks this stronger property)
     mat = sample_disorder(120, 0.2, seed=9)
-    full, _, _ = online_solve(mat, 1.0, "greedy_minimax")
+    full, _ = online_solve(mat, 1.0, "greedy_minimax")
     sub = sample_disorder(70, 24.0 / 70.0, seed=9)
     assert np.array_equal(sub.entries, mat.entries[:, :70])
-    part, _, _ = online_solve(sub, 1.0, "greedy_minimax")
+    part, _ = online_solve(sub, 1.0, "greedy_minimax")
     assert np.array_equal(part.signs(), full.signs()[:70])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solvers_refuse_a_non_finite_entry(bad):
+    # 6 x 12: Kim-Roche votes on column 11, its last block, with one selected
+    # row, so (0, 11) or (5, 11) is read only by the check of that block.
+    mat = sample_disorder(12, 0.5, seed=0)
+    assert kim_roche_schedule(12).n_blocks[-1] == 1 and kim_roche_schedule(12).k == (1,)
+    solves = [("majority_solve", majority_solve), ("kim_roche_solve", kim_roche_solve),
+              *(("online_solve", functools.partial(online_solve, kappa=1.0, strategy=s))
+                for s in ONLINE_STRATEGIES),
+              ("running_max_abs_margin",
+               functools.partial(running_max_abs_margin, sigma=SignVector(12, 0)))]
+    assert not {0, 5} <= set(kim_roche_solve(mat)[1][-1].selected_rows)
+    for where in [(2, 5), (0, 11), (5, 11)]:
+        entries = mat.entries.copy()
+        entries[where] = bad
+        bad_mat = dataclasses.replace(mat, entries=entries)
+        for name, solve in solves:
+            with pytest.raises(DomainError, match=f"{name} needs finite entries"):
+                solve(bad_mat)
 
 
 def test_online_rejects_bad_kappa():

@@ -22,9 +22,8 @@ PACKAGE = ROOT / "src" / "marginlab"
 #: Defaulted public parameters kept although no call in src/ or perfbench/
 #: sets them; an entry leaves the list once some caller sets it.
 KEPT_DEFAULTS = {
-    # The same window and cap flags as ``exhaustive_solve``, which the CLI sets.
+    # The same window flag as ``exhaustive_solve``, which the CLI sets.
     ("enumerate_solutions", "symmetric"),
-    ("enumerate_solutions", "n_cap"),
 }
 
 
