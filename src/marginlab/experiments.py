@@ -38,7 +38,7 @@ from .disorder import (
     uniform_tau_grid,
 )
 from .errors import DomainError, SizingError, check_float_range, check_matrix_size
-from .landscape import _scan_masks, hamming, is_solution
+from .landscape import _SCAN_BLOCK, _scan_masks, hamming, is_solution
 from .solvers import kim_roche_schedule, kim_roche_solve, majority_solve, online_solve
 
 __all__ = [
@@ -360,8 +360,9 @@ def online_failure_census(
     scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True)
     hits = []
     for a, [b] in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
-        b = np.array(b, dtype=np.uint64)
-        hits.append(b.size > 0 and any(np.bitwise_count(b ^ m).min() <= d_max for m in a))
+        step = max(1, _SCAN_BLOCK // max(1, b.size))  # rows of a per (step, |b|) temporary
+        hits.append(any((np.bitwise_count(a[i:i + step, None] ^ b) <= d_max).any()
+                        for i in range(0, a.size, step)))
     return CensusResult(
         n=n,
         alpha=alpha,

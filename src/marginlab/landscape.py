@@ -13,6 +13,8 @@ the-middle: margins are precomputed for each half of the coordinates, and
 each Python step sums a block of high halves against the whole low table,
 stored row-major (rows x low halves), then reduces over the rows.  Two-sided
 scans visit half the cube, since negating a configuration negates its margins.
+A scan returns its masks as one ascending uint64 array; ``enumerate_solutions``
+wraps them in ``SignVector``s, which are slotted (no ``__dict__``).
 Scans refuse matrices with a NaN or infinite entry.  After the first block,
 blocks go to up to one thread per core (numpy releases the GIL in its loops)
 and their results combine in block order, so no output depends on the thread
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -55,12 +59,13 @@ _SCAN_BLOCK = 1 << 16  # float64 elements of one cube-scan temporary (512 KiB)
 _HEAD_ROWS = 3  # rows of the first, bounding stage of a discrepancy block
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SignVector:
     """A point of {-1, +1}^n packed into an integer mask.
 
     Bit (n-1-j) of ``bits`` holds coordinate j; a set bit encodes -1.  Masks
-    compare in lexicographic configuration order (+1 before -1).
+    compare in lexicographic configuration order (+1 before -1).  The class
+    is slotted: an instance has no ``__dict__``, so ``vars()`` fails on it.
     """
 
     n: int
@@ -106,19 +111,16 @@ class SignVector:
         return -1 if (self.bits >> (self.n - 1 - j)) & 1 else 1
 
 
-def _trusted_sign_vectors(n: int, masks: list[int]) -> list[SignVector]:
-    """``[SignVector(n, m) for m in masks]`` without the range checks.
+def _trusted_sign_vectors(n: int, masks: np.ndarray) -> list[SignVector]:
+    """``[SignVector(n, int(m)) for m in masks]`` without the range checks.
 
-    For masks a cube scan produced, which lie in [0, 2^n) by construction;
-    the frozen dataclass's __init__ and __post_init__ take about a third of
-    an n = 20 enumeration.
+    For masks a cube scan produced, which lie in [0, 2^n) by construction.
+    The slots are filled through their descriptors in C-level ``map`` loops,
+    which skips the frozen dataclass's __init__ and __post_init__.
     """
-    new, put, out = object.__new__, object.__setattr__, []
-    for m in masks:
-        sv = new(SignVector)
-        put(sv, "n", n)
-        put(sv, "bits", m)
-        out.append(sv)
+    out = list(map(object.__new__, repeat(SignVector, len(masks))))
+    deque(map(SignVector.n.__set__, out, repeat(n)), 0)
+    deque(map(SignVector.bits.__set__, out, masks.tolist()), 0)
     return out
 
 
@@ -138,6 +140,12 @@ def _masks_to_signs(masks: np.ndarray, n: int) -> np.ndarray:
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     bits = (masks[:, None].astype(np.uint64) >> shifts[None, :]) & np.uint64(1)
     return 1.0 - 2.0 * bits.astype(np.float64)
+
+
+def _refuse_non_finite(values: np.ndarray, caller: str) -> None:
+    # values computed from the entries: NaN or inf among them makes one non-finite
+    if not np.isfinite(values).all():
+        raise DomainError(f"{caller} needs finite entries, got NaN or inf")
 
 
 def _threshold(mat: DisorderMatrix, kappa: float, symmetric: bool) -> float:
@@ -162,6 +170,7 @@ def is_solution(
         raise SizingError(f"sign vector has {sigma.n} coordinates, matrix {mat.cols}")
     thr = _threshold(mat, kappa, symmetric)
     y = mat.entries @ sigma.signs().astype(np.float64)
+    _refuse_non_finite(y, "is_solution")
     if symmetric:
         return bool(np.max(np.abs(y)) <= thr)
     return bool(np.min(y) >= thr)
@@ -198,8 +207,8 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
     all rows at flat indices ``idx``; past the head it is gathered.  Block 0
     is scanned over all rows on the calling thread; the rest go to up to
     ``disorder._CORES`` threads, so no result depends on the thread count.
-    With ``first_only`` no block past the lowest one with a truthy result is
-    taken, and blocks not taken give None.
+    With ``first_only`` no block past the lowest one whose result is not
+    None is taken, and blocks not taken give None.
     """
     if mat.cols > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"exhaustive scan over 2^{mat.cols} configurations exceeds "
@@ -231,7 +240,7 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
                 return np.maximum(top, np.abs(tail, out=tail).max(axis=1))
 
             out[k] = consume(a0 << lo, worst, full)
-            if first_only and out[k]:
+            if first_only and out[k] is not None:
                 with lock:
                     last[0] = min(last[0], k)
 
@@ -252,23 +261,22 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
 
 def _scan_masks(
     mat: DisorderMatrix, kappa: float, symmetric: bool, first_only: bool = False
-) -> list[int]:
+) -> np.ndarray:
+    """Satisfying masks as one ascending uint64 array (only the first with ``first_only``)."""
     run = _worst_margins(mat, symmetric)
     thr = _threshold(mat, kappa, symmetric)
 
-    def hits(base: int, worst: np.ndarray, _full) -> list[int]:
-        return (base + np.flatnonzero(worst <= thr if symmetric else worst >= thr)).tolist()
+    def hits(base: int, worst: np.ndarray, _full) -> np.ndarray | None:
+        idx = np.flatnonzero(worst <= thr if symmetric else worst >= thr)
+        return idx.astype(np.uint64) + np.uint64(base) if idx.size else None
 
-    blocks = run(hits, first_only=first_only)
+    blocks = [found for found in run(hits, first_only=first_only) if found is not None]
     if first_only:
-        return next((found[:1] for found in blocks if found), [])
-    found: list[int] = []
-    for block in blocks:
-        found += block
+        return blocks[0][:1] if blocks else np.empty(0, np.uint64)
+    found = np.concatenate([np.empty(0, np.uint64), *blocks])
     if symmetric:
         # complements of the coordinate-0 = +1 half, in ascending order
-        full = (1 << mat.cols) - 1
-        found += [full ^ m for m in reversed(found)]
+        found = np.concatenate([found, np.uint64((1 << mat.cols) - 1) ^ found[::-1]])
     return found
 
 
@@ -405,12 +413,9 @@ def enumerate_forbidden_tuples(
         )
     d_lo, d_hi = overlap_band(n, query.beta, query.eta)
     grid_ids = [_grid_index(ensemble, tau) for tau in query.tau_set]
-    pools: list[np.ndarray] = []
-    for i in range(query.m):
-        masks: set[int] = set()
-        for k in grid_ids:
-            masks.update(_scan_masks(ensemble.instance(i, k), query.kappa, True))
-        pools.append(np.array(sorted(masks), dtype=np.uint64))
+    pools = [np.unique(np.concatenate([_scan_masks(ensemble.instance(i, k), query.kappa, True)
+                                       for k in grid_ids]))
+             for i in range(query.m)]
 
     out: list[tuple[SignVector, ...]] = []
     prefix: list[int] = []

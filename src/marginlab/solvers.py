@@ -31,7 +31,7 @@ import numpy as np
 
 from .disorder import DisorderMatrix
 from .errors import DomainError, SizingError, check_float_range
-from .landscape import SignVector, _scan_masks
+from .landscape import SignVector, _refuse_non_finite, _scan_masks
 
 __all__ = [
     "KimRocheSchedule",
@@ -189,12 +189,6 @@ class RoundRecord:
     block_size: int
     k_used: int
     selected_rows: tuple[int, ...] | None
-
-
-def _refuse_non_finite(values: np.ndarray, solver: str) -> None:
-    # values computed from the entries: NaN or inf among them makes one non-finite
-    if not np.isfinite(values).all():
-        raise DomainError(f"{solver} needs finite entries, got NaN or inf")
 
 
 def majority_solve(mat: DisorderMatrix) -> SignVector:
@@ -371,4 +365,4 @@ def exhaustive_solve(
     stops at the first hit; refuses n > DEFAULT_ENUM_CAP.
     """
     masks = _scan_masks(mat, kappa, symmetric, first_only=True)
-    return SignVector(mat.cols, masks[0]) if masks else None
+    return SignVector(mat.cols, int(masks[0])) if masks.size else None

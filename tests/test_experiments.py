@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from marginlab.experiments import (
     universality_gap,
     wilson_interval,
 )
-from marginlab.landscape import hamming
+from marginlab.landscape import enumerate_solutions, hamming
 from marginlab.solvers import majority_solve
 
 
@@ -133,6 +134,22 @@ def test_census_more_room_at_wider_margin():
         fractions.append(r.fraction)
     assert fractions[0] == 1.0
     assert fractions[0] >= fractions[1] >= fractions[2]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_census_matches_the_all_pairs_loop(monkeypatch, block):
+    # The closest pair of several trials lies exactly at d_max = floor(0.3*10)
+    # = 3, others closer or farther; a block of 7 cuts every solution set of
+    # more than a few elements into several chunks.
+    if block:
+        monkeypatch.setattr(experiments, "_SCAN_BLOCK", block)
+    n, alpha, delta, kappa, trials, seed = 10, 0.4, 0.3, 0.3, 30, 3
+    got = online_failure_census(n, alpha, delta, trials, seed, kappa=kappa).per_trial
+    enum = functools.partial(enumerate_solutions, kappa=kappa)
+    pairs = experiments._coupled_solutions(n, alpha, trials, seed, enum, delta=delta)
+    want = tuple(any(hamming(x, y) <= 3 for x in a for y in b) for a, [b] in pairs)
+    assert got == want
+    assert 0 < sum(want) < trials
 
 
 def test_census_cap():

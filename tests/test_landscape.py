@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import sys
 import threading
 
@@ -106,12 +108,18 @@ def test_enumeration_closed_under_negation():
 
 def test_enumerated_vectors_are_ordinary_sign_vectors():
     # Enumeration builds its vectors without __init__; they must still be
-    # the public, frozen type with the same fields, hash and order.
+    # the public, frozen, slotted type with the same fields, hash and order.
     sols = enumerate_solutions(sample_disorder(12, 0.4, seed=5), 0.9)
     for sv in sols:
         public = SignVector(sv.n, sv.bits)
-        assert type(sv) is SignVector and vars(sv) == vars(public)
+        assert type(sv) is SignVector and (sv.n, sv.bits) == (public.n, public.bits)
+        assert type(sv.n) is int and type(sv.bits) is int  # not np.uint64
         assert hash(sv) == hash(public) and not sv < public
+        assert not hasattr(sv, "__dict__")
+    assert pickle.loads(pickle.dumps(sols)) == sols
+    assert copy.deepcopy(sols) == sols
+    with pytest.raises(TypeError):
+        vars(sols[0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         sols[0].bits = 0
     with pytest.raises(DomainError, match="out of range"):
@@ -152,8 +160,11 @@ def test_cube_scan_matches_direct_product_sweep(n):
             thr = kappa * root_n
             ok = np.all(np.abs(y) <= thr if symmetric else y >= thr, axis=1)
             want = np.flatnonzero(ok).tolist()
-            assert _scan_masks(mat, kappa, symmetric) == want
-            assert _scan_masks(mat, kappa, symmetric, first_only=True) == want[:1]
+            got = _scan_masks(mat, kappa, symmetric)
+            assert got.dtype == np.uint64 and np.all(got[1:] > got[:-1])
+            assert got.tolist() == want
+            first = _scan_masks(mat, kappa, symmetric, first_only=True)
+            assert first.dtype == np.uint64 and first.tolist() == want[:1]
             found = exhaustive_solve(mat, kappa, symmetric)
             assert (found and found.bits) == (want[0] if want else None)
         best, arg = discrepancy(mat)
@@ -277,12 +288,12 @@ def test_first_only_takes_each_block_up_to_the_first_hit_then_stops(monkeypatch,
     _threaded_scans(monkeypatch, cores)
     taken, hit = [], 20 << 7  # block 20 of 64, one high half each
 
-    def consume(base, worst, full):
+    def consume(base, worst, full):  # a hit is any result that is not None
         taken.append(base)
-        return base >= hit
+        return base if base >= hit else None
 
     blocks = _worst_margins(sample_disorder(14, 0.5, seed=2), True)(consume, first_only=True)
-    assert blocks[:20] == [False] * 20 and blocks[20]
+    assert blocks[:20] == [None] * 20 and blocks[20] == hit
     assert set(range(0, hit + 1, 1 << 7)) <= set(taken)
     assert len(taken) == len(set(taken))
     if cores == 1:
@@ -306,13 +317,16 @@ def test_scans_up_to_fourteen_coordinates_build_no_pool(monkeypatch):
 def test_scans_refuse_a_non_finite_entry(bad):
     # NaN fails every comparison, so an unchecked scan found no solution and
     # a discrepancy of inf; an inf entry makes NaN margins from inf - inf.
+    # is_solution answered False for either in both windows.
     mat = sample_disorder(12, 0.5, seed=0)
     entries = mat.entries.copy()
     entries[2, 5] = bad
     mat = dataclasses.replace(mat, entries=entries)
     for scan in (lambda: discrepancy(mat), lambda: enumerate_solutions(mat, 1.0),
                  lambda: enumerate_solutions(mat, 0.0, symmetric=False),
-                 lambda: exhaustive_solve(mat, 1.0), lambda: exhaustive_solve(mat, 0.0, False)):
+                 lambda: exhaustive_solve(mat, 1.0), lambda: exhaustive_solve(mat, 0.0, False),
+                 lambda: is_solution(mat, SignVector(12, 0), 1.0),
+                 lambda: is_solution(mat, SignVector(12, 0), 0.0, symmetric=False)):
         with pytest.raises(DomainError, match="needs finite entries"):
             scan()
     wide = sample_disorder(26, 0.5, seed=0)
