@@ -20,6 +20,7 @@ from .disorder import (
     resample_columns,
     sample_disorder,
     sample_ensemble,
+    sample_rotation,
     uniform_tau_grid,
 )
 from .errors import (
@@ -97,7 +98,7 @@ __all__ = [
     "MarginlabError", "DomainError", "SizingError", "CapExceededError", "UsageError",
     # disorder
     "DisorderMatrix", "InterpolatedEnsemble", "sample_disorder", "interpolate",
-    "resample_columns", "sample_ensemble", "uniform_tau_grid",
+    "resample_columns", "sample_ensemble", "sample_rotation", "uniform_tau_grid",
     "dump_matrix", "load_matrix",
     # mvn
     "ProbResult", "std_normal_cdf", "quadrant_probability",

@@ -9,17 +9,27 @@ the counter-based generator Philox:
 
 numpy increments the counter before each block, so the block holding entry
 (r, c) encrypts (c // 4 + 1, 0, r, 0); each sampling thread owns one
-generator and resets its state to that counter before each row.
+generator and resets its state to that counter before each run of a row
+that it draws.
 Entry (r, c) is thus pure in (seed, stream, r, c): matrices of different
 shapes agree on their common entries, and a column window draws only its
 own blocks.  That purity makes coupled resampling and replica constructions
 reproducible without state.
 
+One row-chunk engine, ``_rows``, draws every entry.  It hands each chunk,
+drawn and transformed on one thread, to a consumer while the chunk is in
+cache: the sampler keeps the rows, ``sample_rotation`` rotates the base
+toward them in place, and ``experiments.universality_gap`` reduces them to
+counts.  A chunk is a pure function of (key, counter), so no consumer's
+result depends on the thread count.
+
     stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
-    2t, 2t + 1            base and replica of experiment trial t (``sample_ensemble``)
+                          and the base of ``sample_ensemble``
+    1 + i                 replica i of ``sample_ensemble``
+    2t, 2t + 1            base and replica of coupled experiment trial t
+                          (``experiments._coupled_solutions``)
     n                     universality at size n; trial t is row 0, columns [t*n, (t+1)*n)
     RESAMPLE_STREAM + t   fresh columns of trial t (RESAMPLE_STREAM = 2^62)
-    base_stream + 1 + i   replica i of ``sample_ensemble``
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import os
 import struct
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -47,12 +57,13 @@ __all__ = [
     "resample_columns",
     "sample_disorder",
     "sample_ensemble",
+    "sample_rotation",
     "uniform_tau_grid",
 ]
 
 _DISTS = ("gaussian", "rademacher")
 _MASK64 = (1 << 64) - 1
-_DRAW_BLOCK = 1 << 15  # entries of one sampler or interpolation chunk (256 KiB)
+_DRAW_BLOCK = 1 << 15  # entries of one sampler, rotation or solver staging chunk (256 KiB)
 _BAND = 1 << 18  # entries per sampling or scan thread; below 2 * _BAND, one thread
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -142,35 +153,50 @@ def _transform(out: np.ndarray, dist: str) -> None:
         out[:] = np.where(out < 0.5, 1.0, -1.0)  # the sign of the word's top bit
 
 
-def _rows(key: np.ndarray, out: np.ndarray, c0: int, dist: str) -> None:
-    """Fill ``out`` with rows [0, len(out)), columns from c0 on; no block left of c0 is drawn.
+def _rows(key: np.ndarray, shape: tuple[int, int], c0: int, dist: str,
+          consume: Callable[[int, np.ndarray], None] | None = None,
+          out: np.ndarray | None = None) -> None:
+    """Draw an M x w block chunk by chunk and hand each chunk to ``consume(r0, block)``.
 
-    Each thread owns one generator and, before each row r, resets its state
-    to a fresh one at counter (c0 // 4, 0, r, 0).  A chunk of rows is
-    transformed while it is still in cache.  ``random`` draws with the GIL
-    released, so on two or more cores a draw of at least 2 * _BAND entries
-    runs on up to one thread per core and per chunk; the bits do not depend
-    on the thread count.
+    With ``out``, row r is row r of the stream from column c0 on, drawn into
+    ``out[r]``; no block left of c0 is drawn.  Without it, row r is columns
+    [c0 + r*w, c0 + (r+1)*w) of row 0, and each thread draws into a chunk
+    buffer of its own.  A chunk is step rows of at most _DRAW_BLOCK entries
+    (one row if a row is longer), transformed and consumed while it is still
+    in cache.
+
+    Each thread owns one generator and resets it to a fresh state at
+    counter (c // 4, 0, r, 0) before each run of words that starts at
+    column c of row r: each row with ``out``, each chunk without.
+    ``random`` draws with the GIL released, so on two or more cores a draw
+    of at least 2 * _BAND entries runs on up to one thread per core and per
+    chunk; every chunk, and so each consumer's result, does not depend on
+    the thread count.
     """
-    (rows, width), skip = out.shape, c0 % 4
+    rows, width = shape
     step = max(1, _DRAW_BLOCK // width)
     chunks = iter(range(0, rows, step))
 
     def work() -> None:
-        bg = Philox(key=key, counter=[c0 // 4, 0, 0, 0])
+        bg = Philox(key=key)
         gen, fresh = Generator(bg), bg.state  # fresh: an empty buffer (buffer_pos 4)
         counter = fresh["state"]["counter"]
+        buf = np.empty((min(step, rows), width)) if out is None else None
         for r0 in chunks:
-            block = out[r0:r0 + step]
-            for r, row in enumerate(block, r0):
-                counter[2] = r
+            block = buf[:rows - r0] if out is None else out[r0:r0 + step]
+            runs = ([(0, c0 + r0 * width, block.reshape(-1))] if out is None
+                    else [(r, c0, row) for r, row in enumerate(block, r0)])
+            for r, c, run in runs:
+                counter[0], counter[2] = c // 4, r
                 bg.state = fresh
-                if skip:
-                    bg.random_raw(skip, output=False)
-                gen.random(out=row)
+                if c % 4:
+                    bg.random_raw(c % 4, output=False)
+                gen.random(out=run)
             _transform(block, dist)
+            if consume is not None:
+                consume(r0, block)
 
-    _parallel(work, -(-rows // step), out.size)
+    _parallel(work, -(-rows // step), rows * width)
 
 
 def _parallel(work: Callable[[], None], jobs: int, size: int) -> None:
@@ -215,11 +241,28 @@ def sample_disorder(
         raise SizingError(f"floor(alpha*n) = {m}, no rows to sample")
     check_matrix_size(m, n)
     entries = np.empty((m, n), dtype=np.float64)
-    _rows(philox_key(seed, stream), entries, 0, dist)
+    _rows(philox_key(seed, stream), entries.shape, 0, dist, out=entries)
     return DisorderMatrix(
         rows=m, cols=n, entries=entries, dist=dist, seed=seed,
         alpha=alpha, stream=stream,
     )
+
+
+def _check_rotation(tau: float, *mats: DisorderMatrix) -> None:
+    if any(mat.dist != "gaussian" for mat in mats):
+        raise DomainError("interpolation is only variance-preserving for gaussian disorder")
+    if not (0.0 <= tau <= math.pi / 2.0):
+        raise DomainError(f"tau must lie in [0, pi/2], got {tau}")
+
+
+def _rotate(out: np.ndarray, base: np.ndarray, replica: np.ndarray, tau: float) -> None:
+    """out <- cos(tau)*base + sin(tau)*replica for one chunk; ``replica`` may be ``out``.
+
+    The two products and their sum are each rounded once, as in the whole
+    matrix formula (addition commutes), and the only temporary is one chunk.
+    """
+    np.multiply(replica, math.sin(tau), out=out)
+    out += math.cos(tau) * base
 
 
 def interpolate(base: DisorderMatrix, replica: DisorderMatrix, tau: float) -> DisorderMatrix:
@@ -231,21 +274,32 @@ def interpolate(base: DisorderMatrix, replica: DisorderMatrix, tau: float) -> Di
     a convex combination of signs is not a sign, so the ensemble would leave
     the rademacher family (couple sign disorder by resampling instead).
     """
-    if base.dist != "gaussian" or replica.dist != "gaussian":
-        raise DomainError("interpolation is only variance-preserving for gaussian disorder")
+    _check_rotation(tau, base, replica)
     if base.shape != replica.shape:
         raise SizingError(f"shape mismatch {base.shape} vs {replica.shape}")
-    if not (0.0 <= tau <= math.pi / 2.0):
-        raise DomainError(f"tau must lie in [0, pi/2], got {tau}")
-    # Chunk by chunk: the same two roundings per entry, no matrix-sized temporary.
-    entries, sin_tau = np.multiply(base.entries, math.cos(tau)), math.sin(tau)
-    step = max(1, _DRAW_BLOCK // base.cols)
+    entries, step = np.empty(base.shape), max(1, _DRAW_BLOCK // base.cols)
     for r0 in range(0, base.rows, step):
-        entries[r0:r0 + step] += sin_tau * replica.entries[r0:r0 + step]
-    return DisorderMatrix(
-        rows=base.rows, cols=base.cols, entries=entries, dist="gaussian",
-        seed=base.seed, alpha=base.alpha, stream=base.stream,
-    )
+        rows = slice(r0, r0 + step)
+        _rotate(entries[rows], base.entries[rows], replica.entries[rows], tau)
+    return replace(base, entries=entries)
+
+
+def sample_rotation(base: DisorderMatrix, tau: float, seed: int, stream: int) -> DisorderMatrix:
+    """Rotate ``base`` by ``tau`` toward a replica drawn from (seed, stream), never stored.
+
+    The result is ``interpolate(base, replica, tau)`` bit for bit, for the
+    replica ``sample_disorder`` draws from (seed, stream) at the base's size.
+    Each chunk of the replica is drawn straight into the rotated matrix and
+    rotated there on its sampling thread.
+    """
+    _check_rotation(tau, base)
+
+    def rotate(r0: int, block: np.ndarray) -> None:
+        _rotate(block, base.entries[r0:r0 + len(block)], block, tau)
+
+    entries = np.empty(base.shape)
+    _rows(philox_key(seed, stream), base.shape, 0, "gaussian", rotate, out=entries)
+    return replace(base, entries=entries)
 
 
 def resample_columns(
@@ -264,7 +318,8 @@ def resample_columns(
     if b < 1:
         raise SizingError(f"floor(delta*n) = {b}, nothing to resample")
     entries = mat.entries.copy()
-    _rows(philox_key(seed, stream), entries[:, mat.cols - b:], mat.cols - b, mat.dist)
+    window = entries[:, mat.cols - b:]
+    _rows(philox_key(seed, stream), window.shape, mat.cols - b, mat.dist, out=window)
     return DisorderMatrix(
         rows=mat.rows, cols=mat.cols, entries=entries, dist=mat.dist,
         seed=mat.seed, alpha=mat.alpha, stream=mat.stream,
@@ -323,14 +378,13 @@ def sample_ensemble(
     n_replicas: int,
     tau_grid: tuple[float, ...],
     seed: int,
-    base_stream: int = 0,
 ) -> InterpolatedEnsemble:
-    """Sample a base (stream ``base_stream``) and replicas (following streams)."""
+    """Sample a base (stream 0) and replicas (streams 1, 2, ...)."""
     if n_replicas < 1:
         raise SizingError(f"need at least one replica, got {n_replicas}")
-    base = sample_disorder(n, alpha, "gaussian", seed, stream=base_stream)
+    base = sample_disorder(n, alpha, "gaussian", seed, stream=0)
     replicas = tuple(
-        sample_disorder(n, alpha, "gaussian", seed, stream=base_stream + 1 + i)
+        sample_disorder(n, alpha, "gaussian", seed, stream=1 + i)
         for i in range(n_replicas)
     )
     return InterpolatedEnsemble(base=base, replicas=replicas, tau_grid=tuple(tau_grid))

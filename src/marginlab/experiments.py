@@ -3,17 +3,21 @@
 The four coupled experiments (majority and Kim-Roche stability under
 rotation, the census and the online two-stage trial under column
 resampling) draw trial t through one runner, ``_coupled_solutions``: the
-base on stream 2t, rotated toward a replica on stream 2t + 1 by every angle
-of a grid (one ``sample_ensemble`` per trial) or resampled on stream
-RESAMPLE_STREAM + t.  Trial t is thus pure in (seed, t), and trials are
-independent.  Summaries carry per-trial statistics plus a standard
-error; binomial fractions also get a Wilson interval, which stays honest at
-the extremes where the normal approximation collapses.
+base on stream 2t, then each partner from it, rotated toward a replica
+drawn from stream 2t + 1 straight into the rotated matrix (one
+``sample_rotation`` per angle) or resampled on stream RESAMPLE_STREAM + t.
+Trial t is thus pure in (seed, t), and trials are independent.  Summaries
+carry per-trial statistics plus a standard error; binomial fractions also
+get a Wilson interval, which stays honest at the extremes where the normal
+approximation collapses.
 
 The universality experiment draws trial t at size n as row 0, columns
-[t*n, (t+1)*n) of stream n, with the sampler's own kernel, and takes the
-sign row as the signs of the gaussian row: both laws see the same uniforms,
-which strips most of the Monte Carlo noise from their probability gap.
+[t*n, (t+1)*n) of stream n, on the sampler's own row-chunk engine, and takes
+the sign row as the signs of the gaussian row: both laws see the same
+uniforms, which strips most of the Monte Carlo noise from their probability
+gap.  Each sampling thread reduces whole chunks of trials to three integer
+counts, which sum in any order, so the counts do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import numpy as np
 
 from .disorder import (
     RESAMPLE_STREAM,
-    _DRAW_BLOCK,
+    _check_angles,
     _resampled_columns,
     _rows,
     philox_key,
     resample_columns,
     sample_disorder,
     sample_ensemble,
+    sample_rotation,
     uniform_tau_grid,
 )
 from .errors import DomainError, SizingError, check_float_range, check_matrix_size
@@ -113,18 +118,20 @@ def _coupled_solutions(
     """Yield (solve(base), [solve(partner), ...]) for each trial.
 
     The partners are the base rotated by each angle of ``taus`` (the base is
-    solved once for all of them) or, given ``delta``, the one base with its
-    last columns resampled; the module docstring gives the streams.
+    solved once for all of them; each rotation draws the replica afresh) or,
+    given ``delta``, the one base with its last columns resampled; the
+    module docstring gives the streams.  Every check runs before any draw.
     """
     if trials < min_trials:
         raise SizingError(f"need at least {min_trials} trial(s), got {trials}")
+    if delta is None:
+        _check_angles("angle grid", taus)
     for t in range(trials):
+        base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
         if delta is None:
-            # solve each rotation as it is built: a trial holds base, replica and one rotation
-            ens = sample_ensemble(n, alpha, 1, taus, seed, base_stream=2 * t)
-            yield solve(ens.base), [solve(ens.instance(0, k)) for k in range(len(taus))]
+            # solve each rotation as it is drawn: a trial holds the base and one rotation
+            yield solve(base), [solve(sample_rotation(base, tau, seed, 2 * t + 1)) for tau in taus]
         else:
-            base = sample_disorder(n, alpha, "gaussian", seed, stream=2 * t)
             partner = resample_columns(base, delta, seed, stream=RESAMPLE_STREAM + t)
             yield solve(base), [solve(partner)]
 
@@ -360,6 +367,9 @@ def online_failure_census(
     scan = functools.partial(_scan_masks, kappa=kappa, symmetric=True)
     hits = []
     for a, [b] in _coupled_solutions(n, alpha, trials, seed, scan, delta=delta):
+        # Both sets are closed under negation, which keeps distances, so the
+        # first half of a (coordinate 0 = +1) meets b within d_max iff a does.
+        a = a[:a.size // 2]
         step = max(1, _SCAN_BLOCK // max(1, b.size))  # rows of a per (step, |b|) temporary
         hits.append(any((np.bitwise_count(a[i:i + step, None] ^ b) <= d_max).any()
                         for i in range(0, a.size, step)))
@@ -523,20 +533,19 @@ def universality_gap(
     for n in n_list:
         sigs = _universality_tuple(n, m, beta)
         thr = kappa * math.sqrt(n)
-        key, step = philox_key(seed, n), max(1, _DRAW_BLOCK // n)
-        buf = np.empty((1, min(step, trials) * n))
-        count_g = count_r = n_split = 0  # trials passing each law, and either law alone
-        for t0 in range(0, trials, step):
-            k = min(step, trials - t0)
-            _rows(key, buf[:, :k * n], t0 * n, "gaussian")
-            xg = buf[0, :k * n].reshape(k, n)
+        counts: list[tuple[int, int, int]] = []  # per chunk; list.append is atomic
+
+        def count(t0: int, xg: np.ndarray) -> None:
             # the median split: u < 1/2 exactly where xg < 0, and u = 1/2 gives 0.0, so +1
             xr = np.where(xg < 0.0, -1.0, 1.0)
             ok_g = np.all(np.abs(xg @ sigs.T) <= thr, axis=1)
             ok_r = np.all(np.abs(xr @ sigs.T) <= thr, axis=1)
-            count_g += int(np.count_nonzero(ok_g))
-            count_r += int(np.count_nonzero(ok_r))
-            n_split += int(np.count_nonzero(ok_g != ok_r))
+            counts.append((int(np.count_nonzero(ok_g)), int(np.count_nonzero(ok_r)),
+                           int(np.count_nonzero(ok_g != ok_r))))
+
+        _rows(philox_key(seed, n), (trials, n), 0, "gaussian", count)
+        # trials passing each law, and either law alone
+        count_g, count_r, n_split = (sum(c) for c in zip(*counts))
         # the paired difference ok_g - ok_r is +-1 on split trials, else 0
         mean_d = (count_g - count_r) / trials
         var_d = max(n_split / trials - mean_d * mean_d, 0.0)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .disorder import DisorderMatrix
+from .disorder import _DRAW_BLOCK, DisorderMatrix
 from .errors import DomainError, SizingError, check_float_range
 from .landscape import SignVector, _refuse_non_finite, _scan_masks
 
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 ONLINE_STRATEGIES = ("greedy_minimax", "exp_potential")
-_STAGE_BLOCK = 1 << 15  # entries of one staged column block (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def online_solve(
         raise DomainError(f"kappa must be positive, got {kappa}")
     n, rows = mat.cols, mat.rows
     lam = kappa / (2.0 * math.sqrt(n))
-    width = max(1, _STAGE_BLOCK // rows)  # columns staged per block
+    width = max(1, _DRAW_BLOCK // rows)  # columns staged per block
     block = np.empty((width, rows), dtype=np.float64)
     run = np.zeros(rows, dtype=np.float64)
     if strategy == "greedy_minimax":
@@ -339,12 +338,12 @@ def running_max_abs_margin(mat: DisorderMatrix, sigma: SignVector) -> np.ndarray
     Each row's running margins are a cumulative sum in column order, the
     order in which ``online_solve`` builds them, so for its answer the values
     are the worst margins it saw after each step, bit for bit.  Rows go in
-    chunks of at most _STAGE_BLOCK entries (one row if a row is longer).
+    chunks of at most _DRAW_BLOCK entries (one row if a row is longer).
     """
     if sigma.n != mat.cols:
         raise SizingError(f"sign vector has {sigma.n} coordinates, matrix {mat.cols}")
     signs = sigma.signs().astype(np.float64)
-    height = max(1, _STAGE_BLOCK // mat.cols)
+    height = max(1, _DRAW_BLOCK // mat.cols)
     worst = np.zeros(mat.cols, dtype=np.float64)
     for r0 in range(0, mat.rows, height):
         run = mat.entries[r0:r0 + height] * signs

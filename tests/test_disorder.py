@@ -21,6 +21,7 @@ from marginlab.disorder import (
     resample_columns,
     sample_disorder,
     sample_ensemble,
+    sample_rotation,
     uniform_tau_grid,
 )
 from marginlab.errors import DomainError, SizingError
@@ -407,6 +408,41 @@ def test_interpolation_rejects_rademacher():
     rep = sample_disorder(50, 0.2, dist="rademacher", seed=4, stream=1)
     with pytest.raises(DomainError):
         interpolate(base, rep, 0.3)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("tau", [0.0, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("n,alpha", [
+    (1000, 0.001),  # one row
+    (1000, 0.25),  # 250 rows, 32 per chunk: the last chunk holds 26
+    (70_001, 3 / 70_001 + 1e-12),  # each row wider than a chunk
+])
+def test_fused_rotation_is_bit_identical_to_interpolate(monkeypatch, cores, tau, n, alpha):
+    monkeypatch.setattr(disorder, "_CORES", cores)
+    monkeypatch.setattr(disorder, "_BAND", 1 << 10)  # every shape here splits across threads
+    base = sample_disorder(n, alpha, seed=6, stream=4)
+    replica = sample_disorder(n, alpha, "gaussian", 6, 5)
+    built = count_pools(monkeypatch)
+    rotated = sample_rotation(base, tau, 6, 5)
+    assert rotated.entries.tobytes() == interpolate(base, replica, tau).entries.tobytes()
+    assert (rotated.seed, rotated.stream, rotated.alpha) == (base.seed, base.stream, base.alpha)
+    assert not rotated.entries.flags.writeable
+    assert bool(built) == (cores == 2 and base.rows > 1)
+
+
+@pytest.mark.parametrize("tau", [-1e-300, math.pi / 2 + 1e-15, math.nan, math.inf])
+def test_fused_rotation_rejects_an_angle_outside_the_quarter_turn(tau):
+    base = sample_disorder(50, 0.2, seed=4)
+    with pytest.raises(DomainError, match="tau must lie in"):
+        sample_rotation(base, tau, 4, 1)
+    with pytest.raises(DomainError, match="tau must lie in"):
+        interpolate(base, sample_disorder(50, 0.2, seed=4, stream=1), tau)
+
+
+def test_fused_rotation_rejects_rademacher():
+    base = sample_disorder(50, 0.2, dist="rademacher", seed=4)
+    with pytest.raises(DomainError, match="only variance-preserving for gaussian"):
+        sample_rotation(base, 0.3, 4, 1)
 
 
 def test_resample_keeps_prefix_and_refreshes_suffix():

@@ -1,11 +1,13 @@
 import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from marginlab import experiments
+from marginlab import disorder, experiments
 from marginlab.disorder import interpolate, philox_key, sample_disorder
 from marginlab.errors import DomainError, SizingError
 from marginlab.experiments import (
@@ -22,6 +24,7 @@ from marginlab.experiments import (
 )
 from marginlab.landscape import enumerate_solutions, hamming
 from marginlab.solvers import majority_solve
+from test_disorder import count_pools
 
 
 def test_wilson_interval_basics():
@@ -262,6 +265,33 @@ def test_universality_readme_counts_are_frozen():
         (50043, 51567, 31392), (49758, 48205, 31885), (50196, 50189, 31871)]
 
 
+@pytest.mark.parametrize("n,m,beta,kappa", [(101, 1, None, 0.6745), (60, 3, 0.8, 1.0)])
+def test_universality_counts_do_not_depend_on_the_thread_count(monkeypatch, n, m, beta, kappa):
+    # 20,000 trials of n >= 60 are at least 2^20 entries: four bands, so two
+    # cores draw and count on two threads.
+    built, rows = count_pools(monkeypatch), []
+    for cores in (1, 2):
+        monkeypatch.setattr(disorder, "_CORES", cores)
+        rows.append(universality_gap((n,), kappa, m=m, beta=beta, trials=20_000, seed=3).rows)
+        assert built == ([] if cores == 1 else [1])
+    assert rows[0] == rows[1]
+
+
+def test_universality_keeps_every_chunk_count_under_frequent_switches(monkeypatch):
+    # Seven threads on 16 chunks, switching every microsecond: a chunk whose
+    # counts were lost or taken twice would move the totals.
+    want = _sequential_universality_counts(101, 1, None, 0.6745, 5000, 5)
+    monkeypatch.setattr(disorder, "_CORES", 7)
+    monkeypatch.setattr(disorder, "_BAND", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        row = universality_gap((101,), 0.6745, trials=5000, seed=5).rows[0]
+    finally:
+        sys.setswitchinterval(interval)
+    assert _row_counts(row) == want
+
+
 def test_universality_validation():
     with pytest.raises(DomainError):
         universality_gap((100,), 1.0, trials=10, seed=0)
@@ -366,3 +396,32 @@ def test_majority_trial_is_a_rotation_of_streams_2t_and_2t_plus_1():
     replica = sample_disorder(n, k_rows / n, "gaussian", seed, stream=3)
     twisted = interpolate(base, replica, tau)
     assert res.per_trial[1] == hamming(majority_solve(base), majority_solve(twisted))
+
+
+def test_majority_trial_holds_the_base_and_one_rotation():
+    # A 100 x 10^4 matrix is 8 MB.  Drawing the replica of each rotation
+    # straight into the rotated matrix leaves at most two matrices alive
+    # (the next base is drawn while the last one is held), plus one chunk
+    # temporary per sampling thread; storing the replica as well holds more.
+    matrix, chunk = 8 * 100 * 10_000, 8 * disorder._DRAW_BLOCK
+    majority_stability_trial(10_000, 100, 0.3, 2, seed=1)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        majority_stability_trial(10_000, 100, 0.3, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * matrix + 4 * chunk
+
+
+@pytest.mark.parametrize("taus", [(0.1, 0.1), (0.1, 2.0), (-0.1,), (math.nan,), ()])
+def test_coupled_angles_are_checked_before_any_draw(monkeypatch, taus):
+    draws = []
+    monkeypatch.setattr(disorder, "_rows", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(DomainError):
+        majority_stability_curve(300, 6, taus, 5, 9)
+    if len(taus) == 1:
+        with pytest.raises(DomainError):
+            kim_roche_stability_trial(300, 0.02, taus[0], 2, seed=1)
+    assert draws == []

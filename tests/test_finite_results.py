@@ -70,6 +70,7 @@ CASES = {
     "sample_disorder": (disorder.sample_disorder, (10, 0.3)),
     "interpolate": (lambda tau: disorder.interpolate(_MAT, _REPLICA, tau), (0.4,)),
     "resample_columns": (lambda delta: disorder.resample_columns(_MAT, delta, 1), (0.2,)),
+    "sample_rotation": (lambda tau: disorder.sample_rotation(_MAT, tau, 1, 1), (0.4,)),
     "InterpolatedEnsemble": (
         lambda t0, t1: disorder.InterpolatedEnsemble(_MAT, (_REPLICA,), (t0, t1)), (0.0, 0.4)),
     "sample_ensemble": (
