@@ -66,6 +66,7 @@ _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1 << 15  # entries of one sampler, rotation or solver staging chunk (256 KiB)
 _BAND = 1 << 18  # entries per sampling or scan thread; below 2 * _BAND, one thread
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_MAX_ENTRY = 2.0**512  # largest |entry|; see DisorderMatrix
 
 #: Stream reserved for fresh columns drawn by :func:`resample_columns`.
 RESAMPLE_STREAM = 1 << 62
@@ -97,8 +98,15 @@ class DisorderMatrix:
     """An M x n constraint matrix together with its sampling provenance.
 
     ``rows == floor(alpha * cols)`` is enforced for the alpha recorded at
-    construction.  ``entries`` is read-only; derived matrices (interpolation,
-    resampling) are new objects.
+    construction.  Every entry lies in [-2^512, 2^512]; NaN and both
+    infinities are refused.  With at most 2^27 entries (the ``errors`` size
+    limit on sampled matrices), any sum of entries, or of their products with
+    signs, cos tau or sin tau, stays below 2^540 (the float limit 2^1024 would
+    take 2^511 entries), so no consumer's margin, vote or scan table overflows
+    and none checks its sums.  ``entries`` is read-only; derived matrices
+    (interpolation, resampling) are new objects built through the same check.
+    A caller who sets ``entries.flags.writeable`` back to True can still write
+    a NaN that no check sees.
     """
 
     rows: int
@@ -124,6 +132,9 @@ class DisorderMatrix:
                 f"rows={self.rows} inconsistent with floor(alpha*cols)="
                 f"{_floor_count(self.alpha, self.cols)}"
             )
+        # NaN fails both comparisons; neither reduction builds a temporary
+        if not (self.entries.max() <= _MAX_ENTRY and self.entries.min() >= -_MAX_ENTRY):
+            raise DomainError("entries must be finite and at most 2^512 in magnitude")
         self.entries.setflags(write=False)
 
     @property
@@ -320,10 +331,7 @@ def resample_columns(
     entries = mat.entries.copy()
     window = entries[:, mat.cols - b:]
     _rows(philox_key(seed, stream), window.shape, mat.cols - b, mat.dist, out=window)
-    return DisorderMatrix(
-        rows=mat.rows, cols=mat.cols, entries=entries, dist=mat.dist,
-        seed=mat.seed, alpha=mat.alpha, stream=mat.stream,
-    )
+    return replace(mat, entries=entries)
 
 
 def _check_angles(name: str, taus: tuple[float, ...]) -> None:

@@ -15,7 +15,8 @@ stored row-major (rows x low halves), then reduces over the rows.  Two-sided
 scans visit half the cube, since negating a configuration negates its margins.
 A scan returns its masks as one ascending uint64 array; ``enumerate_solutions``
 wraps them in ``SignVector``s, which are slotted (no ``__dict__``).
-Scans refuse matrices with a NaN or infinite entry.  After the first block,
+Every entry is finite and bounded from the matrix's construction on
+(``DisorderMatrix``), so no half-table sum overflows.  After the first block,
 blocks go to up to one thread per core (numpy releases the GIL in its loops)
 and their results combine in block order, so no output depends on the thread
 count.  ``discrepancy`` bounds a block by its max over a few rows against the
@@ -142,12 +143,6 @@ def _masks_to_signs(masks: np.ndarray, n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 
-def _refuse_non_finite(values: np.ndarray, caller: str) -> None:
-    # values computed from the entries: NaN or inf among them makes one non-finite
-    if not np.isfinite(values).all():
-        raise DomainError(f"{caller} needs finite entries, got NaN or inf")
-
-
 def _threshold(mat: DisorderMatrix, kappa: float, symmetric: bool) -> float:
     # kappa*sqrt(n); every comparison with NaN fails, so NaN would accept nothing
     if symmetric and not 0.0 <= kappa < math.inf:
@@ -170,7 +165,6 @@ def is_solution(
         raise SizingError(f"sign vector has {sigma.n} coordinates, matrix {mat.cols}")
     thr = _threshold(mat, kappa, symmetric)
     y = mat.entries @ sigma.signs().astype(np.float64)
-    _refuse_non_finite(y, "is_solution")
     if symmetric:
         return bool(np.max(np.abs(y)) <= thr)
     return bool(np.min(y) >= thr)
@@ -192,11 +186,10 @@ def _half_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]
 def _worst_margins(mat: DisorderMatrix, symmetric: bool):
     """Return ``run``, which scans the cube block by block; checks on the call.
 
-    The cap n <= DEFAULT_ENUM_CAP is checked first, then the entries, which
-    must be finite: NaN fails every comparison, so a scan would accept
-    nothing.  The scanned high halves are cut into blocks.  Two-sided scans
-    stop before coordinate 0 = -1, since half-table row 2^h - 1 - a is -row
-    a and would repeat a complement.
+    The cap n <= DEFAULT_ENUM_CAP is checked here; ``DisorderMatrix`` bounds
+    the entries, so every margin is finite.  The scanned high halves are cut
+    into blocks.  Two-sided scans stop before coordinate 0 = -1, since
+    half-table row 2^h - 1 - a is -row a and would repeat a complement.
 
     ``run(consume, head=None, first_only=False)`` returns
     ``consume(base, worst, full)`` of every block, in block order.  ``worst``
@@ -213,8 +206,6 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
     if mat.cols > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"exhaustive scan over 2^{mat.cols} configurations exceeds "
                                f"the cap n <= {DEFAULT_ENUM_CAP}")
-    if not np.isfinite(mat.entries).all():
-        raise DomainError("exhaustive scan needs finite entries, the matrix has NaN or inf")
     w_hi, w_lo, hi, lo = _half_tables(mat.entries)
     w_hi = w_hi[: 1 << (hi - 1 if symmetric else hi)]
     w_lo_t = w_lo.T.copy()
@@ -298,7 +289,8 @@ def enumerate_solutions(
 def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
     """Exhaustive minimax margin min over sigma of max_i |row_i . sigma|.
 
-    Refuses n > DEFAULT_ENUM_CAP and non-finite entries.  Scans only
+    Refuses n > DEFAULT_ENUM_CAP.  The value is finite, since the matrix's
+    entries are bounded (``DisorderMatrix``).  Scans only
     configurations with coordinate 0 equal to +1: negating sigma leaves the
     objective unchanged, so half the cube suffices.  Returns the optimum value
     and the smallest mask that attains it (its coordinate 0 is +1).

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -526,6 +527,35 @@ def test_load_reads_version_one_files(tmp_path):
     path.write_bytes(b"PDM9" + header[4:])
     with pytest.raises(DomainError, match="bad magic"):
         load_matrix(path)
+
+
+#: NaN, both infinities, finite entries whose sums overflow, and the float past 2^512.
+BAD_ENTRIES = [math.nan, math.inf, -math.inf, 1e308, -1e308,
+               float(np.nextafter(2.0**512, math.inf))]
+
+
+def assert_entry_refused(mat, where, bad, path):
+    """``replace``, the constructor and ``load_matrix`` refuse ``bad`` at ``where``."""
+    entries = mat.entries.copy()
+    entries[where] = bad
+    refused = pytest.raises(DomainError, match=r"finite and at most 2\^512 in magnitude")
+    with refused:
+        dataclasses.replace(mat, entries=entries)
+    with refused:
+        DisorderMatrix(mat.rows, mat.cols, entries, mat.dist, mat.seed, mat.alpha, mat.stream)
+    dump_matrix(mat, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-entries.nbytes] + entries.astype("<f8").tobytes())
+    with refused:
+        load_matrix(path)
+
+
+def test_entries_up_to_the_bound_are_accepted():
+    mat = sample_disorder(12, 0.5, seed=0)
+    for edge in (2.0**512, -2.0**512):
+        entries = mat.entries.copy()
+        entries[2, 5] = edge
+        assert dataclasses.replace(mat, entries=entries).entries[2, 5] == edge
 
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])

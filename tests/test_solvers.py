@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -21,7 +20,7 @@ import marginlab
 from marginlab import cli, solvers
 from marginlab.disorder import sample_disorder
 from marginlab.errors import CapExceededError, DomainError, SizingError
-from marginlab.landscape import SignVector, is_solution
+from marginlab.landscape import SignVector, discrepancy, enumerate_solutions, is_solution
 from marginlab.solvers import (
     ONLINE_STRATEGIES,
     exhaustive_solve,
@@ -31,6 +30,7 @@ from marginlab.solvers import (
     online_solve,
     running_max_abs_margin,
 )
+from test_disorder import BAD_ENTRIES, assert_entry_refused
 
 
 def test_schedule_shape_at_desk_scale():
@@ -314,6 +314,39 @@ def test_exp_potential_at_huge_kappa_is_greedy(monkeypatch, seed):
     assert len(steps) == 1000
 
 
+@pytest.mark.parametrize("kappa", [1e4, 1e-300])
+def test_exp_potential_answers_alike_when_float_errors_raise(kappa):
+    # At 1e4 the fallback's e^(-large) underflows, at 1e-300 the sinh products
+    # do; 0 is the intended value of both, so a caller's error setting is moot.
+    mat = sample_disorder(200, 0.25, seed=0)
+    plain = online_solve(mat, kappa, "exp_potential")
+    with np.errstate(all="raise"):
+        assert online_solve(mat, kappa, "exp_potential") == plain
+
+
+def test_entries_near_the_bound_scale_every_answer_exactly():
+    # Scaling by 2^500 is exact, so every margin, vote and threshold is the
+    # original's times 2^500; the entry bound 2^512 keeps every sum finite.
+    mat = sample_disorder(16, 0.5, seed=3)
+    scale = 2.0**500
+    big = dataclasses.replace(mat, entries=mat.entries * scale)
+    value, best = discrepancy(mat)
+    found = {(kappa, symmetric): enumerate_solutions(mat, kappa, symmetric)
+             for kappa, symmetric in [(1.0, True), (0.1, False)]}
+    assert all(found.values())
+    online, _ = online_solve(mat, 1.0, "greedy_minimax")
+    with np.errstate(all="raise"):
+        assert discrepancy(big) == (value * scale, best)
+        for (kappa, symmetric), sols in found.items():
+            assert enumerate_solutions(big, kappa * scale, symmetric) == sols
+            assert exhaustive_solve(big, kappa * scale, symmetric) == sols[0]
+        assert majority_solve(big) == majority_solve(mat)
+        assert kim_roche_solve(big) == kim_roche_solve(mat)
+        assert online_solve(big, scale, "greedy_minimax")[0] == online
+        assert np.array_equal(running_max_abs_margin(big, online),
+                              running_max_abs_margin(mat, online) * scale)
+
+
 # Regenerate with tests/oracles/exp_potential_mpmath.py: the package's
 # exp_potential signs on sample_disorder(200, 0.5, seed=0) at kappa = 1e3 as
 # "+"/"-", then (Phi(+1) - Phi(-1)) / max(Phi(+1), Phi(-1)) at each step of
@@ -505,25 +538,13 @@ def test_greedy_rule_is_horizon_free():
     assert np.array_equal(part.signs(), full.signs()[:70])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_solvers_refuse_a_non_finite_entry(bad):
-    # 6 x 12: Kim-Roche votes on column 11, its last block, with one selected
-    # row, so (0, 11) or (5, 11) is read only by the check of that block.
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_solvers_refuse_a_non_finite_entry(bad, tmp_path):
+    # Kim-Roche read (0, 11) and (5, 11) only in its last block's vote; the
+    # matrix refuses the entry wherever it sits, so no solver sees one.
     mat = sample_disorder(12, 0.5, seed=0)
-    assert kim_roche_schedule(12).n_blocks[-1] == 1 and kim_roche_schedule(12).k == (1,)
-    solves = [("majority_solve", majority_solve), ("kim_roche_solve", kim_roche_solve),
-              *(("online_solve", functools.partial(online_solve, kappa=1.0, strategy=s))
-                for s in ONLINE_STRATEGIES),
-              ("running_max_abs_margin",
-               functools.partial(running_max_abs_margin, sigma=SignVector(12, 0)))]
-    assert not {0, 5} <= set(kim_roche_solve(mat)[1][-1].selected_rows)
     for where in [(2, 5), (0, 11), (5, 11)]:
-        entries = mat.entries.copy()
-        entries[where] = bad
-        bad_mat = dataclasses.replace(mat, entries=entries)
-        for name, solve in solves:
-            with pytest.raises(DomainError, match=f"{name} needs finite entries"):
-                solve(bad_mat)
+        assert_entry_refused(mat, where, bad, tmp_path / "m.bin")
 
 
 def test_online_rejects_bad_kappa():
