@@ -97,20 +97,21 @@ def _resampled_columns(delta: float, n: int) -> int:
 class DisorderMatrix:
     """An M x n constraint matrix together with its sampling provenance.
 
-    ``rows == floor(alpha * cols)`` is enforced for the alpha recorded at
-    construction.  Every entry lies in [-2^512, 2^512]; NaN and both
-    infinities are refused.  With at most 2^27 entries (the ``errors`` size
-    limit on sampled matrices), any sum of entries, or of their products with
-    signs, cos tau or sin tau, stays below 2^540 (the float limit 2^1024 would
-    take 2^511 entries), so no consumer's margin, vote or scan table overflows
-    and none checks its sums.  ``entries`` is read-only; derived matrices
-    (interpolation, resampling) are new objects built through the same check.
-    A caller who sets ``entries.flags.writeable`` back to True can still write
-    a NaN that no check sees.
+    ``entries`` is a 2-D float64 array (integer sums wrap, and narrower floats
+    overflow below the entry bound) and the one record of the shape: ``rows``,
+    ``cols`` and ``shape`` are read from it.  ``rows == floor(alpha * cols)``
+    is enforced for the alpha recorded at construction.  Every entry lies in
+    [-2^512, 2^512]; NaN and both infinities are refused.  With at most 2^27
+    entries (the ``errors`` size limit on sampled matrices), any sum of
+    entries, or of their products with signs, cos tau or sin tau, stays below
+    2^540 (the float limit 2^1024 would take 2^511 entries), so no consumer's
+    margin, vote or scan table overflows and none checks its sums.
+    ``entries`` is read-only; derived matrices (interpolation, resampling) are
+    new objects built through the same check.  Loaded entries view the file's
+    bytes and cannot be made writable; a caller who sets ``writeable`` back to
+    True on sampled or derived entries can still write a NaN no check sees.
     """
 
-    rows: int
-    cols: int
     entries: np.ndarray = field(repr=False)
     dist: str
     seed: int
@@ -120,13 +121,12 @@ class DisorderMatrix:
     def __post_init__(self) -> None:
         if self.dist not in _DISTS:
             raise DomainError(f"unknown distribution {self.dist!r}")
+        if not (type(self.entries) is np.ndarray and self.entries.dtype == np.float64
+                and self.entries.ndim == 2):
+            raise DomainError(f"entries must be a 2-D float64 array, got {np.ndim(self.entries)}-D "
+                              f"{np.asarray(self.entries).dtype} {type(self.entries).__name__}")
         if self.rows < 1 or self.cols < 1:
             raise SizingError(f"degenerate shape {self.rows}x{self.cols}")
-        if self.entries.shape != (self.rows, self.cols):
-            raise SizingError(
-                f"entries shape {self.entries.shape} does not match "
-                f"{self.rows}x{self.cols}"
-            )
         if self.rows != _floor_count(self.alpha, self.cols):
             raise SizingError(
                 f"rows={self.rows} inconsistent with floor(alpha*cols)="
@@ -139,7 +139,15 @@ class DisorderMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self.entries.shape
+
+    @property
+    def rows(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.entries.shape[1]
 
 
 def philox_key(seed: int, stream: int) -> np.ndarray:
@@ -253,17 +261,13 @@ def sample_disorder(
     check_matrix_size(m, n)
     entries = np.empty((m, n), dtype=np.float64)
     _rows(philox_key(seed, stream), entries.shape, 0, dist, out=entries)
-    return DisorderMatrix(
-        rows=m, cols=n, entries=entries, dist=dist, seed=seed,
-        alpha=alpha, stream=stream,
-    )
+    return DisorderMatrix(entries=entries, dist=dist, seed=seed, alpha=alpha, stream=stream)
 
 
 def _check_rotation(tau: float, *mats: DisorderMatrix) -> None:
     if any(mat.dist != "gaussian" for mat in mats):
         raise DomainError("interpolation is only variance-preserving for gaussian disorder")
-    if not (0.0 <= tau <= math.pi / 2.0):
-        raise DomainError(f"tau must lie in [0, pi/2], got {tau}")
+    _check_angles("tau", (tau,))
 
 
 def _rotate(out: np.ndarray, base: np.ndarray, replica: np.ndarray, tau: float) -> None:
@@ -432,9 +436,5 @@ def load_matrix(path: str) -> DisorderMatrix:
     if len(blob) != expected:
         raise DomainError(f"{path}: expected {expected} bytes, found {len(blob)}")
     entries = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(
-        np.float64
-    ).reshape(rows, cols)
-    return DisorderMatrix(
-        rows=rows, cols=cols, entries=entries, dist=_DISTS[tag],
-        seed=seed, alpha=alpha, stream=stream,
-    )
+        np.float64, copy=False).reshape(rows, cols)
+    return DisorderMatrix(entries=entries, dist=_DISTS[tag], seed=seed, alpha=alpha, stream=stream)

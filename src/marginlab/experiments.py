@@ -144,8 +144,7 @@ def expected_majority_flip_probability(tau: float) -> float:
     arccos(rho)/pi, so the flip rate is exactly tau/pi, independent of the
     number of voting rows.
     """
-    if not (0.0 <= tau <= math.pi / 2.0):
-        raise DomainError(f"tau must lie in [0, pi/2], got {tau}")
+    _check_angles("tau", (tau,))
     return tau / math.pi
 
 
@@ -529,9 +528,9 @@ def universality_gap(
         raise DomainError(f"sizes must be positive, got {n_list}")
     for n in n_list:
         check_matrix_size(m, n)
+    tuples = [_universality_tuple(n, m, beta) for n in n_list]  # refuse any size before a draw
     rows: list[UniversalityRow] = []
-    for n in n_list:
-        sigs = _universality_tuple(n, m, beta)
+    for n, sigs in zip(n_list, tuples):
         thr = kappa * math.sqrt(n)
         counts: list[tuple[int, int, int]] = []  # per chunk; list.append is atomic
 

@@ -162,8 +162,6 @@ def kim_roche_schedule(
             kj = 2 * int(x // 2) + 1
         else:
             kj = 2 * math.floor(n * float(_block_fraction(j)) ** power / 2.0) + 1
-        if kj < 1:
-            raise SizingError(f"vote size for round {j} came out {kj}")
         k.append(kj)
     return KimRocheSchedule(
         n=n,

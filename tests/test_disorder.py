@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ def test_seed_and_stream_outside_the_key_range_rejected(seed, stream):
         sample_disorder(20, 0.5, seed=seed, stream=stream)
     with pytest.raises(DomainError, match=message):
         resample_columns(sample_disorder(20, 0.5), 0.25, seed, stream=stream)
-    odd = DisorderMatrix(rows=10, cols=20, entries=np.zeros((10, 20)), dist="gaussian",
+    odd = DisorderMatrix(entries=np.zeros((10, 20)), dist="gaussian",
                          seed=seed, alpha=0.5, stream=stream)
     with pytest.raises(DomainError, match=message):
         dump_matrix(odd, "unused.bin")
@@ -542,7 +543,7 @@ def assert_entry_refused(mat, where, bad, path):
     with refused:
         dataclasses.replace(mat, entries=entries)
     with refused:
-        DisorderMatrix(mat.rows, mat.cols, entries, mat.dist, mat.seed, mat.alpha, mat.stream)
+        DisorderMatrix(entries, mat.dist, mat.seed, mat.alpha, mat.stream)
     dump_matrix(mat, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-entries.nbytes] + entries.astype("<f8").tobytes())
@@ -556,6 +557,55 @@ def test_entries_up_to_the_bound_are_accepted():
         entries = mat.entries.copy()
         entries[2, 5] = edge
         assert dataclasses.replace(mat, entries=entries).entries[2, 5] == edge
+
+
+#: Entries refused whatever their values: int64 sums wrap, float32 sums overflow
+#: below the entry bound, an array that is not 2-D has no matrix shape, and
+#: np.matrix keeps column sums 2-D, so a majority vote is no sign vector.
+BAD_ARRAYS = {
+    "int64": np.full((3, 10), 2**62, dtype=np.int64),
+    "float32": np.full((3, 10), 3e38, dtype=np.float32),
+    "bool": np.ones((3, 10), dtype=bool),
+    "1-D": np.zeros(30),
+    "3-D": np.zeros((3, 10, 1)),
+    "matrix": np.zeros((3, 10)).view(np.matrix),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_ARRAYS)
+def test_entries_other_than_a_2d_float64_array_are_refused(kind):
+    mat = sample_disorder(10, 0.3, seed=0)
+    refused = pytest.raises(DomainError, match="entries must be a 2-D float64 array")
+    with refused:
+        DisorderMatrix(BAD_ARRAYS[kind], "gaussian", 0, 0.3)
+    with refused:
+        dataclasses.replace(mat, entries=BAD_ARRAYS[kind])
+
+
+def test_shape_is_read_from_the_entries():
+    assert [f.name for f in dataclasses.fields(DisorderMatrix)] == [
+        "entries", "dist", "seed", "alpha", "stream"]
+    mat = sample_disorder(10, 0.3, seed=0)
+    wide = dataclasses.replace(mat, entries=np.zeros((6, 20)))
+    assert (wide.rows, wide.cols, wide.shape) == (6, 20, (6, 20))
+    with pytest.raises(SizingError, match="inconsistent with floor"):
+        dataclasses.replace(mat, entries=np.zeros((4, 20)))
+
+
+def test_loaded_entries_are_a_read_only_view_of_the_file(tmp_path):
+    mat = sample_disorder(1000, 0.5, seed=3)
+    path = tmp_path / "m.bin"
+    dump_matrix(mat, path)
+    tracemalloc.start()
+    try:
+        back = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.entries, mat.entries)
+    assert peak <= 1.25 * mat.entries.nbytes  # the file's bytes, never a second copy
+    with pytest.raises(ValueError):
+        back.entries.setflags(write=True)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])

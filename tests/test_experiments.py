@@ -210,6 +210,16 @@ def test_universality_pair_and_triple_paths():
         universality_gap((61,), 1.0, m=2, beta=0.8, trials=200, seed=0)
 
 
+@pytest.mark.parametrize("m,beta,bad_n", [(2, 0.5, 401), (3, 0.8, 70)])
+def test_universality_sizes_are_checked_before_any_draw(monkeypatch, m, beta, bad_n):
+    # experiments imports _rows by name, so the spy replaces that binding
+    draws = []
+    monkeypatch.setattr(experiments, "_rows", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(DomainError, match=r"n\*\(1-beta\)/2|even flip count"):
+        universality_gap((100, bad_n), 0.6745, m=m, beta=beta, trials=200, seed=0)
+    assert draws == []
+
+
 def _sequential_universality_counts(n, m, beta, kappa, trials, seed):
     """(count_g, count_r, n_split) from one sequential Philox generator per size.
 

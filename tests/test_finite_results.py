@@ -65,7 +65,7 @@ CASES = {
     "box_probability_equicorrelated": (mvn.box_probability_equicorrelated, (3, 0.9, 1.0)),
     "box_probability_upper_bound": (mvn.box_probability_upper_bound, (3, 0.5, 1.0)),
     "DisorderMatrix": (
-        lambda alpha, x: disorder.DisorderMatrix(3, 10, np.full((3, 10), x), "gaussian", 0, alpha),
+        lambda alpha, x: disorder.DisorderMatrix(np.full((3, 10), x), "gaussian", 0, alpha),
         (0.3, 0.0)),
     "sample_disorder": (disorder.sample_disorder, (10, 0.3)),
     "interpolate": (lambda tau: disorder.interpolate(_MAT, _REPLICA, tau), (0.4,)),
