@@ -13,13 +13,11 @@ __version__ = "0.1.0"
 
 from .disorder import (
     DisorderMatrix,
-    InterpolatedEnsemble,
     dump_matrix,
     interpolate,
     load_matrix,
     resample_columns,
     sample_disorder,
-    sample_ensemble,
     sample_rotation,
     uniform_tau_grid,
 )
@@ -97,9 +95,8 @@ __all__ = [
     # errors
     "MarginlabError", "DomainError", "SizingError", "CapExceededError", "UsageError",
     # disorder
-    "DisorderMatrix", "InterpolatedEnsemble", "sample_disorder", "interpolate",
-    "resample_columns", "sample_ensemble", "sample_rotation", "uniform_tau_grid",
-    "dump_matrix", "load_matrix",
+    "DisorderMatrix", "sample_disorder", "interpolate", "resample_columns",
+    "sample_rotation", "uniform_tau_grid", "dump_matrix", "load_matrix",
     # mvn
     "ProbResult", "std_normal_cdf", "quadrant_probability",
     "conditional_mean", "box_probabilities_equicorrelated", "box_probability_equicorrelated",

@@ -24,8 +24,9 @@ counts.  A chunk is a pure function of (key, counter), so no consumer's
 result depends on the thread count.
 
     stream 0              plain samples (``sample_disorder``, ``marginlab solve``)
-                          and the base of ``sample_ensemble``
-    1 + i                 replica i of ``sample_ensemble``
+                          and the base of ``experiments.overlap_trajectory`` and
+                          ``landscape.enumerate_forbidden_tuples``
+    1 + i                 replica i of those two
     2t, 2t + 1            base and replica of coupled experiment trial t
                           (``experiments._coupled_solutions``)
     n                     universality at size n; trial t is row 0, columns [t*n, (t+1)*n)
@@ -49,14 +50,12 @@ from .errors import DomainError, SizingError, check_float_range, check_matrix_si
 
 __all__ = [
     "DisorderMatrix",
-    "InterpolatedEnsemble",
     "RESAMPLE_STREAM",
     "dump_matrix",
     "interpolate",
     "load_matrix",
     "resample_columns",
     "sample_disorder",
-    "sample_ensemble",
     "sample_rotation",
     "uniform_tau_grid",
 ]
@@ -354,52 +353,6 @@ def uniform_tau_grid(q: int) -> tuple[float, ...]:
     if q < 1:
         raise DomainError(f"need at least one step, got q={q}")
     return tuple(k * math.pi / (2.0 * q) for k in range(q + 1))
-
-
-@dataclass(frozen=True)
-class InterpolatedEnsemble:
-    """A base matrix, independent replicas, and a shared angle grid.
-
-    ``instance(i, k)`` is the base rotated toward replica ``i`` by the k-th
-    grid angle; at angle 0 every instance coincides with the base.
-    """
-
-    base: DisorderMatrix
-    replicas: tuple[DisorderMatrix, ...]
-    tau_grid: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for rep in self.replicas:
-            if rep.shape != self.base.shape:
-                raise SizingError("replica shape differs from base")
-            if rep.dist != self.base.dist:
-                raise DomainError("replica distribution differs from base")
-        _check_angles("angle grid", self.tau_grid)
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replicas)
-
-    def instance(self, i: int, k: int) -> DisorderMatrix:
-        return interpolate(self.base, self.replicas[i], self.tau_grid[k])
-
-
-def sample_ensemble(
-    n: int,
-    alpha: float,
-    n_replicas: int,
-    tau_grid: tuple[float, ...],
-    seed: int,
-) -> InterpolatedEnsemble:
-    """Sample a base (stream 0) and replicas (streams 1, 2, ...)."""
-    if n_replicas < 1:
-        raise SizingError(f"need at least one replica, got {n_replicas}")
-    base = sample_disorder(n, alpha, "gaussian", seed, stream=0)
-    replicas = tuple(
-        sample_disorder(n, alpha, "gaussian", seed, stream=1 + i)
-        for i in range(n_replicas)
-    )
-    return InterpolatedEnsemble(base=base, replicas=replicas, tau_grid=tuple(tau_grid))
 
 
 def dump_matrix(mat: DisorderMatrix, path: str) -> None:

@@ -35,10 +35,10 @@ from .disorder import (
     _check_angles,
     _resampled_columns,
     _rows,
+    interpolate,
     philox_key,
     resample_columns,
     sample_disorder,
-    sample_ensemble,
     sample_rotation,
     uniform_tau_grid,
 )
@@ -296,21 +296,29 @@ def overlap_trajectory(
     q_steps: int,
     seed: int,
 ) -> OverlapTrajectory:
-    """Solve every interpolated instance and tabulate pairwise output overlaps."""
+    """Solve every interpolated instance and tabulate pairwise output overlaps.
+
+    The base is drawn on stream 0 and replica i on stream 1 + i; one replica
+    is held at a time, and instance (i, k) is the base rotated toward it by
+    the k-th angle of ``uniform_tau_grid(q_steps)``.
+    """
     if n_replicas < 2:
         raise SizingError(f"need at least two replicas, got {n_replicas}")
     solve = _trajectory_solver(solver, kappa, n)
-    ensemble = sample_ensemble(n, alpha, n_replicas, uniform_tau_grid(q_steps), seed)
+    tau_grid = uniform_tau_grid(q_steps)
+    base = sample_disorder(n, alpha, "gaussian", seed)
     signs = np.empty((n_replicas, q_steps + 1, n), dtype=np.int8)
     feasible = np.zeros((n_replicas, q_steps + 1), dtype=bool)
     for i in range(n_replicas):
-        for k in range(q_steps + 1):
-            inst = ensemble.instance(i, k)
+        replica = sample_disorder(n, alpha, "gaussian", seed, stream=1 + i)
+        for k, tau in enumerate(tau_grid):
+            inst = interpolate(base, replica, tau)
             sv = solve(inst)
             signs[i, k] = sv.signs()
             feasible[i, k] = is_solution(inst, sv, kappa, symmetric=True)
-    # mismatches[i, j, k]: coordinates where replicas i and j disagree at angle k
-    mismatches = np.count_nonzero(signs[:, None] != signs[None, :], axis=-1)
+    # mismatches[i, j, k]: coordinates where replicas i and j disagree at angle k,
+    # tallied one row i at a time so no (r, r, q + 1, n) temporary is built
+    mismatches = np.stack([np.count_nonzero(row != signs, axis=-1) for row in signs])
     values = 1.0 - 2.0 * mismatches / n  # ``overlap`` of each pair, term for term
     return OverlapTrajectory(
         solver=solver,
@@ -318,7 +326,7 @@ def overlap_trajectory(
         alpha=alpha,
         kappa=kappa,
         seed=seed,
-        tau_grid=ensemble.tau_grid,
+        tau_grid=tau_grid,
         values=values,
         feasible=feasible,
     )

@@ -38,7 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from . import disorder
-from .disorder import DisorderMatrix, InterpolatedEnsemble, _check_angles
+from .disorder import DisorderMatrix, _check_angles, sample_rotation
 from .errors import CapExceededError, DomainError, SizingError, check_float_range
 
 __all__ = [
@@ -377,37 +377,29 @@ class TupleQuery:
         _check_angles("tau_set", self.tau_set)
 
 
-def _grid_index(ensemble: InterpolatedEnsemble, tau: float) -> int:
-    for k, t in enumerate(ensemble.tau_grid):
-        if abs(t - tau) <= 1e-12:
-            return k
-    raise DomainError(f"angle {tau} is not on the ensemble grid")
-
-
 def enumerate_forbidden_tuples(
-    query: TupleQuery, ensemble: InterpolatedEnsemble
+    query: TupleQuery, base: DisorderMatrix
 ) -> list[tuple[SignVector, ...]]:
     """All ordered m-tuples with every pairwise overlap inside the band.
 
-    Component i of a tuple ranges over the pooled solution set of the
-    instances interpolated toward replica i at the angles in ``tau_set``.
-    Band membership is tested in exact integer arithmetic on Hamming
-    distances.  Tuples are emitted in lexicographic order of their packed
-    component masks.  Refuses n > 14 (n > 12 for m > 3).
+    ``base`` is the stream-0 matrix.  Component i of a tuple ranges over the
+    pooled solution set of ``base`` rotated, at each angle in ``tau_set``,
+    toward replica i, drawn from (base.seed, 1 + i).  Band membership is
+    tested in exact integer arithmetic on Hamming distances.  Tuples are
+    emitted in lexicographic order of their packed component masks.  Refuses
+    a base off stream 0, whose replica would be the base itself for some i,
+    and n > 14 (n > 12 for m > 3).
     """
-    n = ensemble.base.cols
+    if base.stream != 0:
+        raise DomainError(f"the base must be drawn on stream 0, got stream {base.stream}")
+    n = base.cols
     cap = 14 if query.m <= 3 else 12
     if n > cap:
         raise CapExceededError(f"tuple enumeration needs n <= {cap}, got n={n}")
-    if ensemble.n_replicas < query.m:
-        raise SizingError(
-            f"need {query.m} replicas for {query.m}-tuples, ensemble has {ensemble.n_replicas}"
-        )
     d_lo, d_hi = overlap_band(n, query.beta, query.eta)
-    grid_ids = [_grid_index(ensemble, tau) for tau in query.tau_set]
-    pools = [np.unique(np.concatenate([_scan_masks(ensemble.instance(i, k), query.kappa, True)
-                                       for k in grid_ids]))
-             for i in range(query.m)]
+    pools = [np.unique(np.concatenate([
+        _scan_masks(sample_rotation(base, tau, base.seed, 1 + i), query.kappa, True)
+        for tau in query.tau_set])) for i in range(query.m)]
 
     out: list[tuple[SignVector, ...]] = []
     prefix: list[int] = []

@@ -22,7 +22,6 @@ from marginlab.disorder import (
     load_matrix,
     resample_columns,
     sample_disorder,
-    sample_ensemble,
     sample_rotation,
     uniform_tau_grid,
 )
@@ -461,8 +460,8 @@ def test_resample_keeps_prefix_and_refreshes_suffix():
 
 
 def test_correlated_pair_statistics():
-    ens = sample_ensemble(20000, 0.01, 1, (math.acos(0.6),), seed=6)
-    a, b = ens.base, ens.instance(0, 0)
+    a = sample_disorder(20000, 0.01, seed=6)
+    b = sample_rotation(a, math.acos(0.6), 6, 1)
     c = float(np.corrcoef(a.entries.ravel(), b.entries.ravel())[0, 1])
     assert abs(c - 0.6) < 0.01
 
@@ -473,15 +472,6 @@ def test_uniform_tau_grid():
     assert grid[-1] == pytest.approx(math.pi / 2)
     steps = np.diff(grid)
     assert np.allclose(steps, steps[0])
-
-
-def test_ensemble_instances_interpolate_base():
-    ens = sample_ensemble(300, 0.1, n_replicas=2, tau_grid=uniform_tau_grid(3), seed=9)
-    assert ens.n_replicas == 2
-    inst0 = ens.instance(0, 0)
-    assert np.array_equal(inst0.entries, ens.base.entries)
-    inst_end = ens.instance(1, 3)
-    assert np.allclose(inst_end.entries, ens.replicas[1].entries)
 
 
 def test_dump_load_roundtrip(tmp_path):

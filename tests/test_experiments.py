@@ -129,6 +129,21 @@ def test_trajectory_angle_continuity():
     assert np.all(np.abs(steps) <= 2.0 * (2.0 * dtau / math.pi) + 0.1)
 
 
+def test_trajectory_holds_one_replica_at_a_time():
+    # A 200 x 20000 matrix is 32 MB.  The base, one replica and the instances
+    # of two angles are alive at once; holding all six replicas takes 9x.
+    matrix = 8 * 200 * 20_000
+    overlap_trajectory(200, 0.1, 1.0, "majority", 2, 1, seed=3)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        overlap_trajectory(20_000, 0.01, 1.0, "majority", n_replicas=6, q_steps=2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * matrix
+
+
 def test_census_more_room_at_wider_margin():
     fractions = []
     for kappa in (1.0, 0.35, 0.25):

@@ -71,11 +71,6 @@ CASES = {
     "interpolate": (lambda tau: disorder.interpolate(_MAT, _REPLICA, tau), (0.4,)),
     "resample_columns": (lambda delta: disorder.resample_columns(_MAT, delta, 1), (0.2,)),
     "sample_rotation": (lambda tau: disorder.sample_rotation(_MAT, tau, 1, 1), (0.4,)),
-    "InterpolatedEnsemble": (
-        lambda t0, t1: disorder.InterpolatedEnsemble(_MAT, (_REPLICA,), (t0, t1)), (0.0, 0.4)),
-    "sample_ensemble": (
-        lambda alpha, t0, t1: disorder.sample_ensemble(10, alpha, 1, (t0, t1), 1),
-        (0.3, 0.0, 0.4)),
     "kim_roche_schedule": (
         lambda c, d1, power: solvers.kim_roche_schedule(1000, c, (d1, power)),
         (4.0, 1000.0, 3.0)),
@@ -131,7 +126,6 @@ BOUNDED = {
     ("negativity_onset", 1): st.floats(1.5, 1.8),
     ("negativity_onset", 2): st.floats(1.5, 1.8),
     ("sample_disorder", 1): st.floats(0.0, 1.0),
-    ("sample_ensemble", 0): st.floats(0.0, 1.0),
     ("resample_columns", 0): st.floats(0.0, 1.0),
     ("kim_roche_stability_trial", 0): st.floats(0.0, 1.0),
     ("overlap_trajectory", 0): st.floats(0.0, 1.0),

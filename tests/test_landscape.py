@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import pickle
 import sys
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab import disorder, landscape
-from marginlab.disorder import sample_ensemble, uniform_tau_grid
 from marginlab.errors import CapExceededError, DomainError
 from marginlab.landscape import (
     SignVector,
@@ -31,7 +31,7 @@ from marginlab.landscape import (
     overlap,
     overlap_band,
 )
-from marginlab.disorder import sample_disorder
+from marginlab.disorder import interpolate, sample_disorder
 from marginlab.solvers import exhaustive_solve
 from marginlab.thresholds import phi_count
 from test_disorder import BAD_ENTRIES, KERNEL_SPLITS, assert_entry_refused, count_pools
@@ -529,15 +529,14 @@ def test_tuple_query_validation():
         TupleQuery(m=2, beta=0.5, eta=0.1, kappa=1.0, tau_set=(0.5, 0.5))
 
 
-def naive_forbidden_tuples(query, ensemble):
-    n = ensemble.base.cols
-    grid = list(ensemble.tau_grid)
-    ids = [grid.index(t) for t in query.tau_set]
+def naive_forbidden_tuples(query, base):
+    n = base.cols
     pools = []
     for i in range(query.m):
+        replica = sample_disorder(n, base.alpha, "gaussian", base.seed, stream=1 + i)
         pool = set()
-        for k in ids:
-            pool.update(enumerate_solutions(ensemble.instance(i, k), query.kappa))
+        for tau in query.tau_set:
+            pool.update(enumerate_solutions(interpolate(base, replica, tau), query.kappa))
         pools.append(sorted(pool))
     lo = query.beta - query.eta - 1e-12
     hi = query.beta + 1e-12
@@ -552,22 +551,38 @@ def naive_forbidden_tuples(query, ensemble):
     return out
 
 
+# SHA-256 of the JSON list of each tuple's component masks, for n = 8,
+# alpha 0.25, seed 13, tau_set (0, pi/4), beta 0.5 and eta 0.25.
+FORBIDDEN_TUPLE_DIGESTS = {
+    (2, 0.7): (4096, "cc9c9bf768e94b5c7ff30b5e9f29845e96a6fbf681770b24e718f4113c2eda9f"),
+    (3, 0.9): (136816, "5ceee60a590c75b66fb97f6468c2a5962a100ae60e7be269372e3d7833f37141"),
+}
+
+
 def test_forbidden_tuples_match_naive_oracle():
-    n = 8
-    ens = sample_ensemble(n, 0.25, n_replicas=3, tau_grid=uniform_tau_grid(2), seed=13)
-    for m, kappa in [(2, 0.7), (3, 0.9)]:
+    base = sample_disorder(8, 0.25, seed=13)
+    for (m, kappa), (count, digest) in FORBIDDEN_TUPLE_DIGESTS.items():
         query = TupleQuery(m=m, beta=0.5, eta=0.25, kappa=kappa,
                            tau_set=(0.0, math.pi / 4))
-        got = enumerate_forbidden_tuples(query, ens)
-        want = naive_forbidden_tuples(query, ens)
-        assert got == want
+        got = enumerate_forbidden_tuples(query, base)
+        assert len(got) == count
+        assert _sha256(json.dumps([[sv.bits for sv in t] for t in got])) == digest
+        assert got == naive_forbidden_tuples(query, base)
 
 
 def test_forbidden_tuples_cap():
-    ens = sample_ensemble(20, 0.1, n_replicas=2, tau_grid=uniform_tau_grid(1), seed=0)
+    base = sample_disorder(20, 0.1, seed=0)
     query = TupleQuery(m=2, beta=0.5, eta=0.2, kappa=1.0, tau_set=(0.0,))
     with pytest.raises(CapExceededError):
-        enumerate_forbidden_tuples(query, ens)
+        enumerate_forbidden_tuples(query, base)
+
+
+def test_forbidden_tuples_refuse_a_base_off_stream_0():
+    # replica 1 lives on stream 2, so this base would be rotated toward itself
+    base = sample_disorder(8, 0.25, seed=13, stream=2)
+    query = TupleQuery(m=3, beta=0.5, eta=0.25, kappa=0.9, tau_set=(0.0, math.pi / 4))
+    with pytest.raises(DomainError, match="stream 0"):
+        enumerate_forbidden_tuples(query, base)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,11 +6,14 @@ so a keyword that no caller passes does not linger as an untested knob.
 Every error the package raises is caught by one of ``cli.main``'s handlers.
 Only ``disorder`` builds a random generator, so every sampled entry comes
 from its one counter-based kernel, and only ``disorder`` builds a thread
-pool, inside a call: importing the package starts no thread.
+pool, inside a call: importing the package starts no thread.  Every
+``name`` quoted in a domain module's docstring names something that exists.
 """
 
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import marginlab
@@ -169,3 +172,28 @@ def test_import_time_walk_sees_module_level_and_default_pools():
                      "def f(p=Pool()):\n    return ThreadPoolExecutor(1)\n"
                      "class C:\n    pool = ProcessPoolExecutor()\n")
     assert [c.lineno for c in _pool_calls(_import_time_nodes(tree))] == [1, 2, 5]
+
+
+DOCUMENTED_MODULES = ("disorder", "mvn", "landscape", "thresholds", "solvers", "experiments")
+
+
+def _resolves(module, name: str) -> bool:
+    """``name`` is an attribute of ``module`` or of ``marginlab``, or a dotted ``module.attr``."""
+    for root in (module, marginlab):
+        obj = root
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_every_name_quoted_in_a_module_docstring_resolves():
+    quoted, unresolved = 0, []
+    for modname in DOCUMENTED_MODULES:
+        module = importlib.import_module(f"marginlab.{modname}")
+        for name in set(re.findall(r"``([A-Za-z_][\w.]*)``", module.__doc__)):
+            quoted += 1
+            if not _resolves(module, name):
+                unresolved.append(f"{modname}: {name}")
+    assert quoted and not unresolved
