@@ -43,7 +43,7 @@ from .disorder import (
     uniform_tau_grid,
 )
 from .errors import DomainError, SizingError, check_float_range, check_matrix_size
-from .landscape import _SCAN_BLOCK, _scan_masks, hamming, is_solution
+from .landscape import _SCAN_BYTES, _scan_masks, hamming, is_solution
 from .solvers import kim_roche_schedule, kim_roche_solve, majority_solve, online_solve
 
 __all__ = [
@@ -316,6 +316,7 @@ def overlap_trajectory(
             sv = solve(inst)
             signs[i, k] = sv.signs()
             feasible[i, k] = is_solution(inst, sv, kappa, symmetric=True)
+            del inst  # so the next angle's instance is not built beside it
     # mismatches[i, j, k]: coordinates where replicas i and j disagree at angle k,
     # tallied one row i at a time so no (r, r, q + 1, n) temporary is built
     mismatches = np.stack([np.count_nonzero(row != signs, axis=-1) for row in signs])
@@ -377,7 +378,7 @@ def online_failure_census(
         # Both sets are closed under negation, which keeps distances, so the
         # first half of a (coordinate 0 = +1) meets b within d_max iff a does.
         a = a[:a.size // 2]
-        step = max(1, _SCAN_BLOCK // max(1, b.size))  # rows of a per (step, |b|) temporary
+        step = max(1, _SCAN_BYTES // (8 * max(1, b.size)))  # rows of a per (step, |b|) uint64 block
         hits.append(any((np.bitwise_count(a[i:i + step, None] ^ b) <= d_max).any()
                         for i in range(0, a.size, step)))
     return CensusResult(

@@ -11,16 +11,19 @@ window: two-sided (all |row . sigma| <= kappa*sqrt(n)) or one-sided
 (all row . sigma >= kappa*sqrt(n)).  Enumeration is exhaustive and meet-in-
 the-middle: margins are precomputed for each half of the coordinates, and
 each Python step sums a block of high halves against the whole low table,
-stored row-major (rows x low halves), then reduces over the rows.  Two-sided
-scans visit half the cube, since negating a configuration negates its margins.
-A scan returns its masks as one ascending uint64 array; ``enumerate_solutions``
-wraps them in ``SignVector``s, which are slotted (no ``__dict__``).
-Every entry is finite and bounded from the matrix's construction on
-(``DisorderMatrix``), so no half-table sum overflows.  After the first block,
-blocks go to up to one thread per core (numpy releases the GIL in its loops)
-and their results combine in block order, so no output depends on the thread
-count.  ``discrepancy`` bounds a block by its max over a few rows against the
-best value so far, keeps ties with it, and takes the full max of the rest.
+stored row-major (rows x low halves), then reduces over the rows.  That pass
+runs in float32 on both half tables scaled by one power of two; every mask
+and value a scan reports is decided in float64, by the same half-table sums
+as a float64 pass.  Two-sided scans visit half the cube, since negating a
+configuration negates its margins.  A scan returns its masks as one ascending
+uint64 array; ``enumerate_solutions`` wraps them in ``SignVector``s, which
+are slotted (no ``__dict__``).  Every entry is finite and bounded from the
+matrix's construction on (``DisorderMatrix``), so no half-table sum
+overflows.  After the first block, blocks go to up to one thread per core
+(numpy releases the GIL in its loops) and their results combine in block
+order, so no output depends on the thread count.  ``discrepancy`` bounds a
+block by its max over a few rows against the best value so far, keeps ties
+with it, and takes the exact max of the rest.
 
 Overlap structure is handled in exact integer arithmetic throughout: the
 overlap of two configurations is (n - 2*d)/n with d their Hamming distance,
@@ -56,7 +59,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 25
-_SCAN_BLOCK = 1 << 16  # float64 elements of one cube-scan temporary (512 KiB)
+_SCAN_BYTES = 1 << 19  # bytes of one cube-scan or census temporary (512 KiB)
+_SCAN_BLOCK = _SCAN_BYTES // 4  # float32 elements of one cube-scan block
+_SLACK = np.float64(2.0**-22)  # bound on |float32 block value - scaled float64 margin|
 _HEAD_ROWS = 3  # rows of the first, bounding stage of a discrepancy block
 
 
@@ -184,7 +189,7 @@ def _half_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]
 
 
 def _worst_margins(mat: DisorderMatrix, symmetric: bool):
-    """Return ``run``, which scans the cube block by block; checks on the call.
+    """Return ``(run, shift)``: ``run`` scans the cube block by block; checks on the call.
 
     The cap n <= DEFAULT_ENUM_CAP is checked here; ``DisorderMatrix`` bounds
     the entries, so every margin is finite.  The scanned high halves are cut
@@ -192,23 +197,33 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
     half-table row 2^h - 1 - a is -row a and would repeat a complement.
 
     ``run(consume, head=None, first_only=False)`` returns
-    ``consume(base, worst, full)`` of every block, in block order.  ``worst``
+    ``consume(base, worst, exact)`` of every block, in block order.  ``worst``
     is max |.| two-sided, min one-sided, over the first ``head`` rows (all
-    when None): a (block, 2^lo) array, flat index mask - base.  A block is
-    one high half, or as many as keep its (block, head, 2^lo) temporary
-    within _SCAN_BLOCK elements.  ``full(idx)`` is the two-sided worst over
-    all rows at flat indices ``idx``; past the head it is gathered.  Block 0
-    is scanned over all rows on the calling thread; the rest go to up to
-    ``disorder._CORES`` threads, so no result depends on the thread count.
-    With ``first_only`` no block past the lowest one whose result is not
-    None is taken, and blocks not taken give None.
+    when None): a (block, 2^lo) float32 array, flat index mask - base, of
+    margins times 2^-shift.  A block is one high half, or as many as keep
+    its (block, head, 2^lo) temporary within _SCAN_BLOCK elements.
+    ``exact(idx)`` is the worst over all rows at flat indices ``idx``, in
+    float64 and unscaled: the same sums w_hi + w_lo as a float64 pass.
+
+    The power of two 2^-shift puts every half-table entry below 1 in
+    magnitude, so its float32 copy is within 2^-25 of it and a float32 sum of
+    two is within 2^-24 of the float32 terms' sum; the float64 sum is within
+    2^-52 of the exact one.  A block value is thus within 2^-25 + 2^-25 +
+    2^-24 + 2^-52 < _SLACK of the scaled float64 worst, and a consumer calls
+    ``exact`` only for values within _SLACK of a bound (compared as float64).
+    Block 0 is scanned over all rows on the calling thread; the rest go to
+    up to ``disorder._CORES`` threads, so no result depends on the thread
+    count.  With ``first_only`` no block past the lowest one whose result is
+    not None is taken, and blocks not taken give None.
     """
     if mat.cols > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"exhaustive scan over 2^{mat.cols} configurations exceeds "
                                f"the cap n <= {DEFAULT_ENUM_CAP}")
     w_hi, w_lo, hi, lo = _half_tables(mat.entries)
     w_hi = w_hi[: 1 << (hi - 1 if symmetric else hi)]
-    w_lo_t = w_lo.T.copy()
+    shift = math.frexp(max(np.abs(w_hi).max(), np.abs(w_lo).max()))[1]
+    hi32 = np.ldexp(w_hi, -shift).astype(np.float32)
+    lo32 = np.ascontiguousarray(np.ldexp(w_lo.T, -shift), np.float32)  # rows x low halves
 
     def run(consume, head: int | None = None, first_only: bool = False) -> list:
         rows = mat.rows
@@ -220,17 +235,14 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
 
         def scan(k: int, r: int) -> None:
             a0 = starts[k]
-            block = w_hi[a0:a0 + step, :r, None] + w_lo_t[:r]
+            block = hi32[a0:a0 + step, :r, None] + lo32[:r]
             worst = np.abs(block, out=block).max(axis=1) if symmetric else block.min(axis=1)
 
-            def full(idx: np.ndarray) -> np.ndarray:
-                top = worst.ravel()[idx]
-                if r == rows:
-                    return top
-                tail = w_hi[a0 + (idx >> lo), r:] + w_lo[idx & ((1 << lo) - 1), r:]
-                return np.maximum(top, np.abs(tail, out=tail).max(axis=1))
+            def exact(idx: np.ndarray) -> np.ndarray:
+                w = w_hi[a0 + (idx >> lo)] + w_lo[idx & ((1 << lo) - 1)]
+                return np.abs(w, out=w).max(axis=1) if symmetric else w.min(axis=1)
 
-            out[k] = consume(a0 << lo, worst, full)
+            out[k] = consume(a0 << lo, worst, exact)
             if first_only and out[k] is not None:
                 with lock:
                     last[0] = min(last[0], k)
@@ -247,18 +259,32 @@ def _worst_margins(mat: DisorderMatrix, symmetric: bool):
         disorder._parallel(work, last[0], len(w_hi) * w_lo.size)
         return out
 
-    return run
+    return run, shift
 
 
 def _scan_masks(
     mat: DisorderMatrix, kappa: float, symmetric: bool, first_only: bool = False
 ) -> np.ndarray:
     """Satisfying masks as one ascending uint64 array (only the first with ``first_only``)."""
-    run = _worst_margins(mat, symmetric)
+    run, shift = _worst_margins(mat, symmetric)
     thr = _threshold(mat, kappa, symmetric)
+    with np.errstate(over="ignore"):  # a threshold past the float64 range accepts all or none
+        cut = np.ldexp(thr, -shift)
 
-    def hits(base: int, worst: np.ndarray, _full) -> np.ndarray | None:
-        idx = np.flatnonzero(worst <= thr if symmetric else worst >= thr)
+    def inside(worst: np.ndarray, bound) -> np.ndarray:
+        return worst <= bound if symmetric else worst >= bound
+
+    sure, near = (cut - _SLACK, cut + _SLACK) if symmetric else (cut + _SLACK, cut - _SLACK)
+
+    def hits(base: int, worst: np.ndarray, exact) -> np.ndarray | None:
+        # a block value more than _SLACK from the scaled threshold decides its
+        # mask; the masks within _SLACK of it are decided by their exact worst
+        idx = np.flatnonzero(inside(worst, near))
+        keep = inside(worst.ravel()[idx], sure)
+        if not keep.all():
+            band = ~keep
+            keep[band] = inside(exact(idx[band]), thr)
+            idx = idx[keep]
         return idx.astype(np.uint64) + np.uint64(base) if idx.size else None
 
     blocks = [found for found in run(hits, first_only=first_only) if found is not None]
@@ -297,19 +323,25 @@ def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
 
     Block 0 is scanned in full and seeds the best value so far; the other
     blocks run on up to one thread per core in two stages.  The first takes
-    max |.| over _HEAD_ROWS rows and keeps the masks where it is <= the best;
-    only those get the full row max.  A dropped mask's full max is at least
-    its head max, which exceeds a value some mask attains, so it cannot be
-    the optimum.  The best may come from a later block on another thread, so
-    a tie with it is kept.  Block minima combine by strict < in block order.
+    max |.| over _HEAD_ROWS rows and keeps the masks where it is within
+    _SLACK of the scaled best or below; only those get their exact max over
+    all rows.  A dropped mask's full max is at least its head max, which
+    exceeds a value some mask attains, so it cannot be the optimum.  In block
+    0 the least scanned value plus _SLACK also bounds the optimum.  The best
+    may come from a later block on another thread, so a tie with it is kept.
+    Block minima combine by strict < in block order.
     """
+    run, shift = _worst_margins(mat, True)
     best, lock = [math.inf], threading.Lock()  # the least block minimum so far, from any thread
 
-    def block_min(base: int, worst: np.ndarray, full) -> tuple[float, int]:
-        idx = np.flatnonzero(worst <= best[0])
+    def block_min(base: int, worst: np.ndarray, exact) -> tuple[float, int]:
+        bound = np.ldexp(best[0], -shift)
+        if not base:  # block 0, whose worst is over every row
+            bound = min(bound, worst.min() + _SLACK)
+        idx = np.flatnonzero(worst <= bound + _SLACK)
         if not idx.size:
             return math.inf, 0
-        vals = full(idx)
+        vals = exact(idx)
         j = int(np.argmin(vals))
         value = float(vals[j])
         with lock:
@@ -317,7 +349,7 @@ def discrepancy(mat: DisorderMatrix) -> tuple[float, SignVector]:
         return value, base + int(idx[j])
 
     value, mask = math.inf, 0
-    for v, m in _worst_margins(mat, True)(block_min, head=_HEAD_ROWS):
+    for v, m in run(block_min, head=_HEAD_ROWS):
         if v < value:
             value, mask = v, m
     return value, SignVector(mat.cols, mask)

@@ -141,10 +141,8 @@ def kim_roche_schedule(
             acc += fr
             cums.append((n * acc) // total)  # exact rational floor
         blocks = [int(cums[0])] + [int(b - a) for a, b in zip(cums, cums[1:])]
-        if all(b >= 1 for b in blocks):
+        if all(b >= 1 for b in blocks):  # always so for one fraction: its block is n >= 2
             break
-        if len(fracs) == 1:
-            raise SizingError(f"n={n} too small for a nonempty round-0 block")
         fracs = fracs[:-1]
 
     rounds = len(fracs) - 1

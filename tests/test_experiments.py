@@ -130,8 +130,8 @@ def test_trajectory_angle_continuity():
 
 
 def test_trajectory_holds_one_replica_at_a_time():
-    # A 200 x 20000 matrix is 32 MB.  The base, one replica and the instances
-    # of two angles are alive at once; holding all six replicas takes 9x.
+    # A 200 x 20000 matrix is 32 MB.  The base, one replica and one angle's
+    # instance are alive at once (3x); holding all six replicas takes 9x.
     matrix = 8 * 200 * 20_000
     overlap_trajectory(200, 0.1, 1.0, "majority", 2, 1, seed=3)  # warm up lazy imports
     tracemalloc.start()
@@ -141,7 +141,7 @@ def test_trajectory_holds_one_replica_at_a_time():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 5 * matrix
+    assert peak < 4 * matrix
 
 
 def test_census_more_room_at_wider_margin():
@@ -160,7 +160,7 @@ def test_census_matches_the_all_pairs_loop(monkeypatch, block):
     # = 3, others closer or farther; a block of 7 cuts every solution set of
     # more than a few elements into several chunks.
     if block:
-        monkeypatch.setattr(experiments, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(experiments, "_SCAN_BYTES", 8 * block)  # uint64 elements
     n, alpha, delta, kappa, trials, seed = 10, 0.4, 0.3, 0.3, 30, 3
     got = online_failure_census(n, alpha, delta, trials, seed, kappa=kappa).per_trial
     enum = functools.partial(enumerate_solutions, kappa=kappa)

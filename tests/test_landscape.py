@@ -7,6 +7,7 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,106 @@ def test_cube_scan_sweep_under_every_thread_split(scan_split, n):
     test_cube_scan_matches_direct_product_sweep(n)
 
 
+def direct_margins(mat):
+    # Every configuration's margins, ascending mask order, from the direct
+    # product sweep.  The scan's float64 margin is the high-half plus the
+    # low-half sum, equal to it up to rounding; that sum is returned.
+    n = mat.cols
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    direct = signs @ mat.entries.T
+    w_hi, w_lo, _, lo = _half_tables(mat.entries)
+    masks = np.arange(1 << n)
+    summed = w_hi[masks >> lo] + w_lo[masks & ((1 << lo) - 1)]
+    assert np.allclose(summed, direct, rtol=0.0, atol=1e-12)
+    return summed
+
+
+def test_margins_on_the_threshold_are_decided_exactly():
+    # Sign matrices at n = 16 have even integer margins and kappa*sqrt(16) is
+    # 2 or 4, so the worst margin of hundreds of configurations lies exactly
+    # on the threshold.
+    for seed in (0, 1):
+        mat = sample_disorder(16, 0.25, "rademacher", seed=seed)
+        y = direct_margins(mat)
+        assert np.array_equal(y, np.rint(y))
+        for kappa, symmetric in itertools.product((0.5, 1.0), (True, False)):
+            thr = 4.0 * kappa
+            worst = np.max(np.abs(y), axis=1) if symmetric else np.min(y, axis=1)
+            assert np.count_nonzero(worst == thr) > 100
+            want = np.flatnonzero(worst <= thr if symmetric else worst >= thr).tolist()
+            assert _scan_masks(mat, kappa, symmetric).tolist() == want
+            assert _scan_masks(mat, kappa, symmetric, first_only=True).tolist() == want[:1]
+        worst = np.max(np.abs(y), axis=1)
+        best, arg = discrepancy(mat)
+        assert (best, arg.bits) == (worst.min(), int(np.argmin(worst)))
+
+
+def test_a_threshold_on_a_margin_and_one_ulp_either_side(monkeypatch):
+    # The threshold is set to some configuration's worst margin and moved one
+    # float64 ulp down and up: one ulp down drops that configuration two-
+    # sided, one ulp up drops it one-sided, and every mask matches the sweep.
+    monkeypatch.setattr(landscape, "_threshold", lambda mat, kappa, symmetric: kappa)
+    for n in (12, 13, 14):
+        mat = sample_disorder(n, 0.5, seed=n)
+        y = direct_margins(mat)
+        for symmetric in (True, False):
+            worst = np.max(np.abs(y), axis=1) if symmetric else np.min(y, axis=1)
+            order = np.argsort(worst, kind="stable")
+            for rank in (0, len(order) // 4, len(order) // 2, 3 * len(order) // 4):
+                at = worst[order[rank]]
+                for thr in (np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf)):
+                    ok = worst <= thr if symmetric else worst >= thr
+                    want = np.flatnonzero(ok).tolist()
+                    assert _scan_masks(mat, float(thr), symmetric).tolist() == want
+                    first = _scan_masks(mat, float(thr), symmetric, first_only=True)
+                    assert first.tolist() == want[:1]
+        worst = np.max(np.abs(y), axis=1)
+        best, arg = discrepancy(mat)
+        assert (best, arg.bits) == (worst.min(), int(np.argmin(worst)))
+
+
+def test_scans_are_exact_under_power_of_two_scaling():
+    # Entries and kappa scaled by 2^-500 or 2^500 scale every margin exactly,
+    # so the masks stay and the discrepancy scales.  A threshold past the
+    # float32 range, or past the float64 range once scaled, accepts every
+    # mask or none, with no overflow warning.
+    for dist, n in (("gaussian", 13), ("rademacher", 12)):
+        mat = sample_disorder(n, 0.5, dist, seed=n)
+        y = direct_margins(mat)
+        cases = ((True, 1.0), (False, 0.2), (False, -0.3))
+        masks = []
+        for symmetric, kappa in cases:
+            ok = np.all(np.abs(y) <= kappa * math.sqrt(n) if symmetric
+                        else y >= kappa * math.sqrt(n), axis=1)
+            masks.append(_scan_masks(mat, kappa, symmetric).tolist())
+            assert masks[-1] == np.flatnonzero(ok).tolist()
+        best, arg = discrepancy(mat)
+        every = list(range(1 << n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-500, 0, 500):
+                scaled = dataclasses.replace(mat, entries=mat.entries * 2.0**k)
+                for (symmetric, kappa), want in zip(cases, masks):
+                    assert _scan_masks(scaled, kappa * 2.0**k, symmetric).tolist() == want
+                assert discrepancy(scaled) == (best * 2.0**k, arg)
+                far = 2.0**1000 if k < 0 else 1e40 * 2.0**k
+                assert _scan_masks(scaled, far, True).tolist() == every
+                assert _scan_masks(scaled, -far, False).tolist() == every
+                assert _scan_masks(scaled, far, False).tolist() == []
+
+
+def test_margins_on_the_threshold_under_every_thread_split(scan_split):
+    test_margins_on_the_threshold_are_decided_exactly()
+
+
+def test_a_threshold_on_a_margin_under_every_thread_split(scan_split, monkeypatch):
+    test_a_threshold_on_a_margin_and_one_ulp_either_side(monkeypatch)
+
+
+def test_power_of_two_scaling_under_every_thread_split(scan_split):
+    test_scans_are_exact_under_power_of_two_scaling()
+
+
 def _threaded_scans(monkeypatch, cores):
     # One high half per block at n = 14, and every scan of it above one band.
     monkeypatch.setattr(disorder, "_CORES", cores)
@@ -220,7 +321,7 @@ def test_error_in_a_scan_helper_propagates(monkeypatch):
     _threaded_scans(monkeypatch, 2)
     caller, helper_failed = threading.get_ident(), threading.Event()
 
-    def consume(base, worst, full):
+    def consume(base, worst, exact):
         if threading.get_ident() != caller:
             helper_failed.set()
             raise RuntimeError("consumer failed in a helper")
@@ -228,7 +329,7 @@ def test_error_in_a_scan_helper_propagates(monkeypatch):
             helper_failed.wait(timeout=30)
         return []
 
-    run = _worst_margins(sample_disorder(14, 0.5, seed=2), True)
+    run, _ = _worst_margins(sample_disorder(14, 0.5, seed=2), True)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="consumer failed in a helper"):
         run(consume)
@@ -288,11 +389,12 @@ def test_first_only_takes_each_block_up_to_the_first_hit_then_stops(monkeypatch,
     _threaded_scans(monkeypatch, cores)
     taken, hit = [], 20 << 7  # block 20 of 64, one high half each
 
-    def consume(base, worst, full):  # a hit is any result that is not None
+    def consume(base, worst, exact):  # a hit is any result that is not None
         taken.append(base)
         return base if base >= hit else None
 
-    blocks = _worst_margins(sample_disorder(14, 0.5, seed=2), True)(consume, first_only=True)
+    run, _ = _worst_margins(sample_disorder(14, 0.5, seed=2), True)
+    blocks = run(consume, first_only=True)
     assert blocks[:20] == [None] * 20 and blocks[20] == hit
     assert set(range(0, hit + 1, 1 << 7)) <= set(taken)
     assert len(taken) == len(set(taken))
