@@ -160,8 +160,8 @@ def cmd_solve(args: argparse.Namespace) -> tuple[dict, str, int]:
         sv = majority_solve(mat)
         feasible = None
     elif args.algo == "kim-roche":
+        sv, rounds = kim_roche_solve(mat, args.c_rounds, (args.d1, args.power))
         sched = kim_roche_schedule(args.n, args.c_rounds, (args.d1, args.power))
-        sv, rounds = kim_roche_solve(mat, sched)
         feasible = None
         sigma = sv.signs().astype(np.float64)
         stops = [r.block_start + r.block_size for r in rounds]

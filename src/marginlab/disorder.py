@@ -248,8 +248,6 @@ def sample_disorder(
     Entry (r, c) depends only on (seed, stream, r, c), never on the matrix
     shape, so enlarging n or alpha extends a sample instead of reshuffling it.
     """
-    if n < 1:
-        raise SizingError(f"need at least one column, got n={n}")
     if dist not in _DISTS:
         raise DomainError(f"unknown distribution {dist!r}")
     if not 0.0 < alpha < math.inf:

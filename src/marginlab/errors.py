@@ -31,8 +31,8 @@ class UsageError(MarginlabError):
 
 
 def check_float_range(name: str, value: int) -> None:
-    """Reject an integer size that would overflow the first float it meets."""
-    if value > sys.float_info.max:
+    """Reject an integer size of either sign that would overflow the first float it meets."""
+    if abs(value) > sys.float_info.max:
         raise DomainError(f"{name} exceeds the float range")
 
 

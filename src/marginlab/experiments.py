@@ -44,7 +44,7 @@ from .disorder import (
 )
 from .errors import DomainError, SizingError, check_float_range, check_matrix_size
 from .landscape import _SCAN_BYTES, _scan_masks, hamming, is_solution
-from .solvers import kim_roche_schedule, kim_roche_solve, majority_solve, online_solve
+from .solvers import kim_roche_solve, majority_solve, online_solve
 
 __all__ = [
     "CensusResult",
@@ -158,6 +158,8 @@ def majority_stability_curve(
     coordinate flips independently with probability tau/pi, so the distance
     at angle tau is Binomial(n, tau/pi) exactly.
     """
+    if n < 1:
+        raise SizingError(f"need at least one coordinate, got n={n}")
     if k_rows < 1:
         raise SizingError(f"need at least one voting row, got {k_rows}")
     check_float_range("k_rows", k_rows)
@@ -221,11 +223,11 @@ def kim_roche_stability_trial(
     """
     if not 0.0 <= threshold < math.inf:
         raise DomainError(f"threshold must be nonnegative and finite, got {threshold}")
-    solve = functools.partial(kim_roche_solve, schedule=kim_roche_schedule(n))
     finals: list[int] = []
     per_round: list[tuple[int, ...]] = []
     agreements: list[tuple[float, ...]] = []
-    for (sv_a, tr_a), [(sv_b, tr_b)] in _coupled_solutions(n, alpha, trials, seed, solve, (tau,)):
+    pairs = _coupled_solutions(n, alpha, trials, seed, kim_roche_solve, (tau,))
+    for (sv_a, tr_a), [(sv_b, tr_b)] in pairs:
         finals.append(hamming(sv_a, sv_b))
         # flips[i]: disagreements among the first i + 1 coordinates
         flips = np.cumsum(sv_a.signs() != sv_b.signs())
@@ -274,12 +276,11 @@ class OverlapTrajectory:
         return self.values.shape[0]
 
 
-def _trajectory_solver(name: str, kappa: float, n: int):
+def _trajectory_solver(name: str, kappa: float):
     if name == "majority":
         return lambda mat: majority_solve(mat)
     if name == "kim_roche":
-        schedule = kim_roche_schedule(n)
-        return lambda mat: kim_roche_solve(mat, schedule)[0]
+        return lambda mat: kim_roche_solve(mat)[0]
     if name == "online_greedy":
         return lambda mat: online_solve(mat, kappa, "greedy_minimax")[0]
     if name == "online_exp":
@@ -304,7 +305,7 @@ def overlap_trajectory(
     """
     if n_replicas < 2:
         raise SizingError(f"need at least two replicas, got {n_replicas}")
-    solve = _trajectory_solver(solver, kappa, n)
+    solve = _trajectory_solver(solver, kappa)
     tau_grid = uniform_tau_grid(q_steps)
     base = sample_disorder(n, alpha, "gaussian", seed)
     signs = np.empty((n_replicas, q_steps + 1, n), dtype=np.int8)
@@ -506,8 +507,6 @@ def _universality_tuple(n: int, m: int, beta: float | None) -> np.ndarray:
                               f"got {beta}")
         sigs[2, :half] = -1.0
         sigs[2, d:d + half] = -1.0
-    elif m > 3:
-        raise DomainError(f"fixed tuples are built for m <= 3, got m={m}")
     return sigs
 
 
@@ -531,6 +530,8 @@ def universality_gap(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if beta is not None and not -1.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [-1, 1], got {beta}")
+    if not 1 <= m <= 3:
+        raise DomainError(f"fixed tuples are built for 1 <= m <= 3, got m={m}")
     if trials < 100:
         raise DomainError(f"trials too few for a gap estimate: {trials}")
     if any(n < 1 for n in n_list):

@@ -165,6 +165,10 @@ def is_solution(
     Two-sided: all |row . sigma| <= kappa*sqrt(n).  One-sided: all
     row . sigma >= kappa*sqrt(n), which is the relaxed window used by
     sequential solvers (kappa = 0 asks every margin to be nonnegative).
+    The margins are the BLAS product ``entries @ signs``, which rounds
+    differently from the cube scans' ``w_hi[a] + w_lo[b]``: when
+    kappa*sqrt(n) lies within rounding of sigma's worst margin, the answer
+    may differ from whether ``enumerate_solutions`` lists sigma.
     """
     if sigma.n != mat.cols:
         raise SizingError(f"sign vector has {sigma.n} coordinates, matrix {mat.cols}")
@@ -307,7 +311,10 @@ def enumerate_solutions(
     Exhaustive meet-in-the-middle scan; refuses n > DEFAULT_ENUM_CAP.  For
     the two-sided window the result is closed under global negation, so it
     has even size whenever it is nonempty and no margin lands exactly on the
-    boundary.
+    boundary.  Each margin is the float64 half-table sum ``w_hi[a] + w_lo[b]``,
+    not ``is_solution``'s BLAS product, so a configuration whose worst margin
+    lies within rounding of kappa*sqrt(n) may be listed where ``is_solution``
+    refuses it, or the reverse.
     """
     return _trusted_sign_vectors(mat.cols, _scan_masks(mat, kappa, symmetric))
 

@@ -52,10 +52,12 @@ ONLINE_STRATEGIES = ("greedy_minimax", "exp_potential")
 class KimRocheSchedule:
     """Block and vote sizes for the multi-stage majority solver.
 
-    ``f`` holds the block fractions for rounds 0..rounds, ``n_blocks`` the
-    integer block sizes (they sum to exactly n), and ``k`` the vote sizes for
-    rounds 1..rounds (round 0 votes with every row).  All vote sizes are odd
-    so majorities never tie on sign disorder.
+    The record :func:`kim_roche_schedule` returns.  No solver takes one
+    (``kim_roche_solve`` builds its own), so it checks nothing.  ``f`` holds
+    the block fractions for rounds 0..rounds, ``n_blocks`` the integer block
+    sizes (they sum to exactly n), and ``k`` the vote sizes for rounds
+    1..rounds (round 0 votes with every row).  All vote sizes are odd so
+    majorities never tie on sign disorder.
     """
 
     n: int
@@ -63,26 +65,6 @@ class KimRocheSchedule:
     f: tuple[float, ...]
     k: tuple[int, ...]
     n_blocks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise SizingError(f"need n >= 1, got {self.n}")
-        if self.rounds < 0:
-            raise SizingError(f"negative round count {self.rounds}")
-        if len(self.f) != self.rounds + 1 or len(self.n_blocks) != self.rounds + 1:
-            raise SizingError("f and n_blocks must cover rounds 0..rounds")
-        if len(self.k) != self.rounds:
-            raise SizingError("k must cover rounds 1..rounds")
-        if self.f[0] != 1.0:
-            raise DomainError(f"round-0 fraction must be 1, got {self.f[0]}")
-        if sum(self.n_blocks) != self.n:
-            raise SizingError(
-                f"blocks sum to {sum(self.n_blocks)}, expected n={self.n}"
-            )
-        if any(b < 1 for b in self.n_blocks):
-            raise SizingError(f"empty block in {self.n_blocks}")
-        if any(kj < 1 or kj % 2 == 0 for kj in self.k):
-            raise DomainError(f"vote sizes must be odd and positive, got {self.k}")
 
 
 def _block_fraction(j: int) -> Fraction:
@@ -200,10 +182,12 @@ def majority_solve(mat: DisorderMatrix) -> SignVector:
 
 def kim_roche_solve(
     mat: DisorderMatrix,
-    schedule: KimRocheSchedule | None = None,
+    c_rounds: float = 4.0,
+    divisors: tuple[float, float] = (1000.0, 3.0),
 ) -> tuple[SignVector, list[RoundRecord]]:
     """Run the multi-stage majority solver; return the signs and one record per round.
 
+    The schedule is ``kim_roche_schedule(mat.cols, c_rounds, divisors)``.
     Round 0 assigns the first block by full-row majority.  Round j >= 1
     computes every row's margin over the assigned prefix, selects the
     schedule's k_j rows with the smallest margins (ties broken by row index,
@@ -211,9 +195,7 @@ def kim_roche_solve(
     Vote sizes are clipped to the row count when the schedule asks for more
     rows than the instance has.
     """
-    sched = schedule if schedule is not None else kim_roche_schedule(mat.cols)
-    if sched.n != mat.cols:
-        raise SizingError(f"schedule is for n={sched.n}, matrix has n={mat.cols}")
+    sched = kim_roche_schedule(mat.cols, c_rounds, divisors)
     entries = mat.entries
     m_rows = mat.rows
     sigma = np.zeros(mat.cols, dtype=np.float64)

@@ -186,7 +186,7 @@ def test_criterion_08_iterated_majority_structure_and_stability(capsys):
     structure_ok = sum(sched.n_blocks) == n and all(kk % 2 == 1 for kk in sched.k)
     for seed in range(50):
         mat = sample_disorder(n, 0.002, seed=seed)
-        _, rounds = kim_roche_solve(mat, sched)
+        _, rounds = kim_roche_solve(mat, 4.0, (1000.0, 3.0))
         spans = [(r.block_start, r.block_start + r.block_size) for r in rounds]
         structure_ok = structure_ok and spans[0][0] == 0 and spans[-1][1] == n
         structure_ok = structure_ok and all(

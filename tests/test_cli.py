@@ -19,6 +19,7 @@ from marginlab.cli import (
     EXIT_USAGE,
     main,
 )
+from marginlab.errors import CapExceededError, DomainError, SizingError
 
 
 # SHA-256 of every file a small run writes, config.json aside, and of its
@@ -844,4 +845,157 @@ def test_finite_flags_whose_product_overflows_are_domain_errors(tmp_path, capsys
     assert code == EXIT_DOMAIN
     assert f"domain error: {message}" in captured.err
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def _edited_matrix_file(tmp_path, edit):
+    """load_matrix of a small PDM2 file whose bytes went through ``edit``."""
+    path = tmp_path / "matrix.bin"
+    marginlab.dump_matrix(marginlab.sample_disorder(4, 0.5), str(path))
+    path.write_bytes(edit(path.read_bytes()))
+    return marginlab.load_matrix(str(path))
+
+
+# One input per refusal that nothing else in the suite reaches
+# (tests/trace_raises.py lists the raise statements a run never executes):
+# name -> (target, error class, message).  A callable target is a library
+# call made with tmp_path; a list is an argv whose documented exit code
+# follows from the error class.
+REFUSALS = {
+    "matrix-unknown-dist": (
+        lambda tmp: marginlab.DisorderMatrix(np.zeros((1, 2)), "cauchy", 0, 0.5),
+        DomainError, "unknown distribution 'cauchy'"),
+    "matrix-no-rows": (
+        lambda tmp: marginlab.DisorderMatrix(np.zeros((0, 4)), "gaussian", 0, 0.25),
+        SizingError, "degenerate shape 0x4"),
+    "matrix-no-columns": (
+        lambda tmp: marginlab.DisorderMatrix(np.zeros((3, 0)), "gaussian", 0, 0.5),
+        SizingError, "degenerate shape 3x0"),
+    "sample-unknown-dist": (
+        lambda tmp: marginlab.sample_disorder(10, 0.5, "cauchy"),
+        DomainError, "unknown distribution 'cauchy'"),
+    "interpolate-shapes": (
+        lambda tmp: marginlab.interpolate(marginlab.sample_disorder(10, 0.5),
+                                          marginlab.sample_disorder(12, 0.5), 0.1),
+        SizingError, "shape mismatch (5, 10) vs (6, 12)"),
+    "trajectory-q-steps-0": (
+        ["experiment", "trajectory", "--q-steps", "0"], DomainError,
+        "need at least one step, got q=0"),
+    "load-truncated-header": (
+        lambda tmp: _edited_matrix_file(tmp, lambda blob: blob[:20]),
+        DomainError, "truncated header"),
+    "load-dist-tag-2": (
+        lambda tmp: _edited_matrix_file(tmp, lambda blob: blob[:20] + (2).to_bytes(8, "little")
+                                        + blob[28:]),
+        DomainError, "unknown distribution tag 2"),
+    "load-one-byte-long": (
+        lambda tmp: _edited_matrix_file(tmp, lambda blob: blob + b"\0"),
+        DomainError, "expected 116 bytes, found 117"),
+    "wilson-no-trials": (
+        lambda tmp: marginlab.wilson_interval(0, 0), DomainError, "need at least one trial"),
+    "wilson-successes-above-trials": (
+        lambda tmp: marginlab.wilson_interval(5, 4), DomainError, "successes 5 outside [0, 4]"),
+    "majority-stability-k-rows-0": (
+        ["experiment", "majority-stability", "--k-rows", "0"], SizingError,
+        "need at least one voting row, got 0"),
+    "trajectory-unknown-solver": (
+        lambda tmp: marginlab.overlap_trajectory(50, 0.1, 1.0, "simplex", 2, 1, 0),
+        DomainError, "unknown solver 'simplex'"),
+    "trajectory-one-replica": (
+        ["experiment", "trajectory", "--replicas", "1"], SizingError,
+        "need at least two replicas, got 1"),
+    "universality-m2-without-beta": (
+        ["experiment", "universality", "--m", "2"], DomainError, "beta is required for m >= 2"),
+    "universality-m4": (
+        ["experiment", "universality", "--m", "4", "--beta", "0.5"], DomainError,
+        "fixed tuples are built for 1 <= m <= 3, got m=4"),
+    "stable-params-m1": (
+        ["experiment", "stable-params", "--m", "1"], DomainError,
+        "tuple size must be at least 2, got 1"),
+    "sign-vector-n0": (
+        lambda tmp: marginlab.SignVector(0, 0), DomainError, "need at least one coordinate"),
+    "from-signs-empty": (
+        lambda tmp: marginlab.SignVector.from_signs([]), DomainError,
+        "signs must be a nonempty 1-d sequence"),
+    "from-signs-2d": (
+        lambda tmp: marginlab.SignVector.from_signs([[1, -1]]), DomainError,
+        "signs must be a nonempty 1-d sequence"),
+    "from-signs-zero": (
+        lambda tmp: marginlab.SignVector.from_signs([1, 0]), DomainError,
+        "signs must be +1 or -1"),
+    "sign-vector-index-n": (lambda tmp: marginlab.SignVector(3, 0)[3], IndexError, "3"),
+    "hamming-sizes": (
+        lambda tmp: marginlab.hamming(marginlab.SignVector(3, 0), marginlab.SignVector(4, 0)),
+        SizingError,
+        "dimension mismatch 3 vs 4"),
+    "is-solution-sizes": (
+        lambda tmp: marginlab.is_solution(marginlab.sample_disorder(4, 0.5),
+                                          marginlab.SignVector(3, 0), 1.0),
+        SizingError, "sign vector has 3 coordinates, matrix 4"),
+    "count-exact-m4": (
+        lambda tmp: marginlab.count_overlap_tuples_exact(10, 4, 0.6, 0.2), DomainError,
+        "exact counting supports m in {2, 3}, got 4"),
+    "count-brute-m4": (
+        lambda tmp: marginlab.count_overlap_tuples_bruteforce(10, 4, 0.6, 0.2), DomainError,
+        "brute force supports m in {2, 3}, got 4"),
+    "count-brute-n13": (
+        ["count-tuples", "--method", "brute", "--n", "13", "--m", "2", "--beta", "0.6",
+         "--eta", "0.2"], CapExceededError, "brute force is capped at n <= 12, got n=13"),
+    "scan-f9": (
+        lambda tmp: marginlab.scan_negativity("f9", 1.0), DomainError, "unknown functional 'f9'"),
+    "phi-count-m4": (
+        lambda tmp: marginlab.phi_count(0.5, 0.1, 4), DomainError,
+        "phi_count supports m in {2, 3}, got 4"),
+    "psi-m0": (
+        lambda tmp: marginlab.psi_free_energy(1.0, 0.5, 0, 1.0, 0.5), DomainError,
+        "m must be at least 1, got 0"),
+    "chaos-m0": (
+        lambda tmp: marginlab.chaos_exponent(0.5, 1.0, 0), DomainError,
+        "m must be at least 1, got 0"),
+    "kim-roche-stability-n1": (
+        ["experiment", "kim-roche-stability", "--n", "1", "--alpha", "5"], SizingError,
+        "schedule needs n >= 2, got n=1"),
+}
+
+
+@pytest.mark.parametrize("target,error,message", REFUSALS.values(), ids=list(REFUSALS))
+def test_every_refusal_raises_its_typed_error(tmp_path, capsys, target, error, message):
+    if callable(target):
+        with pytest.raises(error) as caught:
+            target(tmp_path)
+        assert message in str(caught.value)
+        return
+    out = tmp_path / "out"
+    code = main([*target, "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == (EXIT_CAP if issubclass(error, CapExceededError) else EXIT_DOMAIN)
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# Inputs that each ended in a bare Python exception (exit 1) before they were
+# refused, with the message of the refusal that now comes first.
+FORMER_CRASHES = {
+    "majority-stability-n0": (  # ZeroDivisionError
+        ["experiment", "majority-stability", "--n", "0"], "need at least one coordinate, got n=0"),
+    "universality-m0": (  # IndexError
+        ["experiment", "universality", "--m", "0", "--beta", "0.5"],
+        "fixed tuples are built for 1 <= m <= 3, got m=0"),
+    "universality-m-1": (  # ValueError
+        ["experiment", "universality", "--m", "-1", "--beta", "0.5"],
+        "fixed tuples are built for 1 <= m <= 3, got m=-1"),
+    "census-n-below-float-range": (  # OverflowError
+        ["experiment", "census", f"--n={-10**400}"], "n exceeds the float range"),
+    "two-stage-n-below-float-range": (  # OverflowError
+        ["experiment", "two-stage", f"--n={-10**400}"], "n exceeds the float range"),
+}
+
+
+@pytest.mark.parametrize("argv,message", FORMER_CRASHES.values(), ids=list(FORMER_CRASHES))
+def test_former_crashes_are_domain_errors(tmp_path, capsys, argv, message):
+    code = main([*argv, "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert message in captured.err
     assert list(tmp_path.iterdir()) == []

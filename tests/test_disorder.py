@@ -40,6 +40,19 @@ def test_zero_rows_rejected():
         sample_disorder(100, 0.001)
 
 
+@pytest.mark.parametrize("n,alpha,error,message", [
+    (0, 0.5, SizingError, "floor(alpha*n) = 0, no rows to sample"),
+    (-4, 0.5, SizingError, "floor(alpha*n) = -2, no rows to sample"),
+    (-1, 1e-300, SizingError, "floor(alpha*n) = 0, no rows to sample"),
+    (-(10**300), 1e300, DomainError, "1e+300 * n exceeds the float range"),
+    (-(10**400), 0.5, DomainError, "n exceeds the float range"),
+], ids=["zero", "negative", "product-rounds-to-zero", "product-overflows", "n-overflows"])
+def test_nonpositive_n_rejected_by_the_row_count(n, alpha, error, message):
+    with pytest.raises(error) as caught:
+        sample_disorder(n, alpha)
+    assert str(caught.value) == message
+
+
 def test_oversized_matrix_rejected_before_allocation():
     # 4e18 entries; numpy would refuse the shape with a plain ValueError
     with pytest.raises(SizingError, match="exceeds the limit"):

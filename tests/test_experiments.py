@@ -22,7 +22,7 @@ from marginlab.experiments import (
     universality_gap,
     wilson_interval,
 )
-from marginlab.landscape import enumerate_solutions, hamming
+from marginlab.landscape import SignVector, enumerate_solutions, hamming
 from marginlab.solvers import majority_solve
 from test_disorder import count_pools
 
@@ -185,6 +185,18 @@ def test_two_stage_hedging_rule_wins_at_tight_margin():
     assert exp.fraction > greedy.fraction + 0.2
     wide = online_two_stage_trial(200, 0.1, 0.2, 10, seed=3, kappa=2.0)
     assert wide.fraction == 1.0
+
+
+def test_two_stage_catches_a_rule_that_reads_a_later_column(monkeypatch):
+    # every coordinate takes the sign of the last column's first entry, which
+    # the resampling redraws, so some trial's two runs part on the prefix
+    def peeking(mat, kappa, strategy):
+        sign = 1 if mat.entries[0, -1] >= 0.0 else -1
+        return SignVector.from_signs(np.full(mat.cols, sign)), True
+
+    monkeypatch.setattr(experiments, "online_solve", peeking)
+    with pytest.raises(AssertionError, match="online prefix property violated at trial"):
+        online_two_stage_trial(40, 0.25, 0.1, 20, seed=0)
 
 
 def test_universality_wide_band_saturates():

@@ -74,6 +74,8 @@ CASES = {
     "kim_roche_schedule": (
         lambda c, d1, power: solvers.kim_roche_schedule(1000, c, (d1, power)),
         (4.0, 1000.0, 3.0)),
+    "kim_roche_solve": (
+        lambda c, d1, power: solvers.kim_roche_solve(_MAT, c, (d1, power)), (4.0, 1000.0, 3.0)),
     "online_solve": (lambda kappa: solvers.online_solve(_MAT, kappa), (1.0,)),
     "online_solve/exp_potential": (
         lambda kappa: solvers.online_solve(_MAT, kappa, "exp_potential"), (1.0,)),

@@ -136,8 +136,7 @@ def test_majority_sign_of_column_sums_with_plus_ties():
 
 def test_zero_round_schedule_is_plain_majority():
     mat = sample_disorder(9, 0.5, seed=2)
-    sched = kim_roche_schedule(9, 4.0, (1000.0, 3.0))
-    sv, rounds = kim_roche_solve(mat, sched)
+    sv, rounds = kim_roche_solve(mat, 4.0, (1000.0, 3.0))
     assert sv == majority_solve(mat)
     assert len(rounds) == 1
     assert rounds[0].selected_rows is None  # round 0 lets every row vote
@@ -145,8 +144,7 @@ def test_zero_round_schedule_is_plain_majority():
 
 def test_trace_blocks_partition_coordinates():
     mat = sample_disorder(10_000, 0.002, seed=3)
-    sched = kim_roche_schedule(10_000, 4.0, (1000.0, 3.0))
-    sv, rounds = kim_roche_solve(mat, sched)
+    sv, rounds = kim_roche_solve(mat, 4.0, (1000.0, 3.0))
     assert len(sv) == 10_000
     spans = [(r.block_start, r.block_start + r.block_size) for r in rounds]
     assert spans[0][0] == 0
@@ -172,7 +170,7 @@ def test_trace_keeps_the_solution_and_recounts_violations(tmp_path, capsys, n, a
     violated = []
     for seed in range(10):
         mat = sample_disorder(n, alpha, seed=seed)
-        sv, rounds = kim_roche_solve(mat, sched)
+        sv, rounds = kim_roche_solve(mat, 4.0, divisors)
         sigma = sv.signs().astype(np.float64)
         assert [(r.round_index, r.block_start, r.block_size) for r in rounds] == list(
             zip(range(sched.rounds + 1), starts, sched.n_blocks))
@@ -208,7 +206,7 @@ def test_refinement_beats_majority_on_minimum_margin():
     for seed in range(30):
         mat = sample_disorder(2000, 0.1, seed=seed)
         base = mat.entries @ majority_solve(mat).signs().astype(np.float64)
-        ref = mat.entries @ kim_roche_solve(mat, sched)[0].signs().astype(np.float64)
+        ref = mat.entries @ kim_roche_solve(mat, 4.0, (200.0, 3.0))[0].signs().astype(np.float64)
         gains.append(float(ref.min() - base.min()))
         wins += float(ref.min()) > float(base.min())
     assert np.mean(gains) > 0.0
