@@ -30,7 +30,6 @@ from .errors import (
 )
 from .landscape import (
     SignVector,
-    TupleQuery,
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
     discrepancy,
@@ -102,7 +101,7 @@ __all__ = [
     "conditional_mean", "box_probabilities_equicorrelated", "box_probability_equicorrelated",
     "box_probability_upper_bound",
     # landscape
-    "SignVector", "TupleQuery", "hamming", "overlap", "is_solution",
+    "SignVector", "hamming", "overlap", "is_solution",
     "enumerate_solutions", "discrepancy", "overlap_band",
     "enumerate_forbidden_tuples", "count_overlap_tuples_exact",
     "count_overlap_tuples_bruteforce",

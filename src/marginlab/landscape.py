@@ -28,6 +28,9 @@ with it, and takes the exact max of the rest.
 Overlap structure is handled in exact integer arithmetic throughout: the
 overlap of two configurations is (n - 2*d)/n with d their Hamming distance,
 so band membership tests never touch floating point.
+``enumerate_forbidden_tuples`` joins the scanned masks of correlated
+instances one component at a time, in chunks of tuple rows, into one (k, m)
+uint64 array of in-band tuples.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .errors import CapExceededError, DomainError, SizingError, check_float_rang
 
 __all__ = [
     "SignVector",
-    "TupleQuery",
     "count_overlap_tuples_bruteforce",
     "count_overlap_tuples_exact",
     "discrepancy",
@@ -59,7 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 25
-_SCAN_BYTES = 1 << 19  # bytes of one cube-scan or census temporary (512 KiB)
+_SCAN_BYTES = 1 << 19  # bytes of one cube-scan, census or tuple-join temporary (512 KiB)
 _SCAN_BLOCK = _SCAN_BYTES // 4  # float32 elements of one cube-scan block
 _SLACK = np.float64(2.0**-22)  # bound on |float32 block value - scaled float64 margin|
 _HEAD_ROWS = 3  # rows of the first, bounding stage of a discrepancy block
@@ -388,76 +390,52 @@ def overlap_band(n: int, beta: float, eta: float) -> tuple[int, int]:
     return d_lo, d_hi
 
 
-@dataclass(frozen=True)
-class TupleQuery:
-    """Parameters of a forbidden-structure search.
-
-    Looks for m-tuples of configurations, drawn from feasible sets of
-    correlated instances, whose pairwise overlaps all lie in [beta-eta, beta].
-    ``tau_set`` lists the interpolation angles whose solution sets are pooled
-    into each feasible set.
-    """
-
-    m: int
-    beta: float
-    eta: float
-    kappa: float
-    tau_set: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise DomainError(f"tuples need m >= 2, got {self.m}")
-        if not (0.0 < self.eta < self.beta <= 1.0):
-            raise DomainError(
-                f"need 0 < eta < beta <= 1, got beta={self.beta}, eta={self.eta}"
-            )
-        if not 0.0 < self.kappa < math.inf:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
-        _check_angles("tau_set", self.tau_set)
-
-
 def enumerate_forbidden_tuples(
-    query: TupleQuery, base: DisorderMatrix
-) -> list[tuple[SignVector, ...]]:
-    """All ordered m-tuples with every pairwise overlap inside the band.
+    base: DisorderMatrix, m: int, beta: float, eta: float, kappa: float,
+    tau_set: tuple[float, ...],
+) -> np.ndarray:
+    """All ordered m-tuples with every pairwise overlap in [beta - eta, beta].
 
     ``base`` is the stream-0 matrix.  Component i of a tuple ranges over the
-    pooled solution set of ``base`` rotated, at each angle in ``tau_set``,
-    toward replica i, drawn from (base.seed, 1 + i).  Band membership is
-    tested in exact integer arithmetic on Hamming distances.  Tuples are
-    emitted in lexicographic order of their packed component masks.  Refuses
-    a base off stream 0, whose replica would be the base itself for some i,
-    and n > 14 (n > 12 for m > 3).
+    pooled two-sided solution set, at margin kappa, of ``base`` rotated, at
+    each angle in ``tau_set``, toward replica i, drawn from (base.seed, 1 + i).
+    Returns a (k, m) uint64 array of component masks, one row per tuple, rows
+    in lexicographic order.  Band membership is tested in exact integer
+    arithmetic on Hamming distances.  Refuses a base off stream 0, whose
+    replica would be the base itself for some i, and n > 14 (n > 12 for m > 3).
+
+    The tuples grow one component at a time from one empty prefix: each
+    prefix row is joined with every mask of the next pool that is in band with
+    all of its components, and row-major ``np.nonzero`` keeps the order.  The
+    prefix rows are cut into chunks whose (rows, i, |pool|) uint64 XOR stays
+    within _SCAN_BYTES.
     """
+    if m < 2:
+        raise DomainError(f"tuples need m >= 2, got {m}")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"kappa must be positive, got {kappa}")
+    _check_angles("tau_set", tau_set)
     if base.stream != 0:
         raise DomainError(f"the base must be drawn on stream 0, got stream {base.stream}")
     n = base.cols
-    cap = 14 if query.m <= 3 else 12
+    cap = 14 if m <= 3 else 12
     if n > cap:
         raise CapExceededError(f"tuple enumeration needs n <= {cap}, got n={n}")
-    d_lo, d_hi = overlap_band(n, query.beta, query.eta)
-    pools = [np.unique(np.concatenate([
-        _scan_masks(sample_rotation(base, tau, base.seed, 1 + i), query.kappa, True)
-        for tau in query.tau_set])) for i in range(query.m)]
-
-    out: list[tuple[SignVector, ...]] = []
-    prefix: list[int] = []
-
-    def extend(level: int) -> None:
-        if level == query.m:
-            out.append(tuple(SignVector(n, int(b)) for b in prefix))
-            return
-        cand = pools[level]
-        for b in prefix:
-            d = np.bitwise_count(cand ^ np.uint64(b))
-            cand = cand[(d >= d_lo) & (d <= d_hi)]
-        for b in cand:
-            prefix.append(int(b))
-            extend(level + 1)
-            prefix.pop()
-
-    extend(0)
-    return out
+    d_lo, d_hi = overlap_band(n, beta, eta)
+    tuples = np.empty((1, 0), np.uint64)
+    for i in range(m):
+        pool = np.unique(np.concatenate([
+            _scan_masks(sample_rotation(base, tau, base.seed, 1 + i), kappa, True)
+            for tau in tau_set]))
+        step = max(1, _SCAN_BYTES // (8 * max(1, i * pool.size)))
+        joined = [np.empty((0, i + 1), np.uint64)]
+        for j in range(0, len(tuples), step):
+            rows = tuples[j:j + step]
+            d = np.bitwise_count(rows[:, :, None] ^ pool)
+            r, c = np.nonzero(((d >= d_lo) & (d <= d_hi)).all(axis=1))
+            joined.append(np.column_stack([rows[r], pool[c]]))
+        tuples = np.concatenate(joined)
+    return tuples
 
 
 def count_overlap_tuples_exact(n: int, m: int, beta: float, eta: float) -> int:

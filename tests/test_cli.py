@@ -941,6 +941,22 @@ REFUSALS = {
     "count-brute-n13": (
         ["count-tuples", "--method", "brute", "--n", "13", "--m", "2", "--beta", "0.6",
          "--eta", "0.2"], CapExceededError, "brute force is capped at n <= 12, got n=13"),
+    "tuples-m1": (
+        lambda tmp: marginlab.enumerate_forbidden_tuples(
+            marginlab.sample_disorder(8, 0.25), 1, 0.5, 0.25, 1.0, (0.0,)),
+        DomainError, "tuples need m >= 2, got 1"),
+    "tuples-kappa0": (
+        lambda tmp: marginlab.enumerate_forbidden_tuples(
+            marginlab.sample_disorder(8, 0.25), 2, 0.5, 0.25, 0.0, (0.0,)),
+        DomainError, "kappa must be positive, got 0.0"),
+    "tuples-kappa-nan": (
+        lambda tmp: marginlab.enumerate_forbidden_tuples(
+            marginlab.sample_disorder(8, 0.25), 2, 0.5, 0.25, math.nan, (0.0,)),
+        DomainError, "kappa must be positive, got nan"),
+    "tuples-repeated-angle": (
+        lambda tmp: marginlab.enumerate_forbidden_tuples(
+            marginlab.sample_disorder(8, 0.25), 2, 0.5, 0.25, 1.0, (0.5, 0.5)),
+        DomainError, "tau_set must increase strictly, got (0.5, 0.5)"),
     "scan-f9": (
         lambda tmp: marginlab.scan_negativity("f9", 1.0), DomainError, "unknown functional 'f9'"),
     "phi-count-m4": (

@@ -83,9 +83,9 @@ CASES = {
     "is_solution": (lambda kappa: landscape.is_solution(_MAT, _SIGMA, kappa), (1.0,)),
     "enumerate_solutions": (lambda kappa: landscape.enumerate_solutions(_MAT, kappa), (1.0,)),
     "overlap_band": (landscape.overlap_band, (10, 0.5, 0.2)),
-    "TupleQuery": (
-        lambda beta, eta, kappa, tau: landscape.TupleQuery(2, beta, eta, kappa, (tau,)),
-        (0.5, 0.1, 1.0, 0.0)),
+    "enumerate_forbidden_tuples": (
+        lambda beta, eta, kappa, tau: landscape.enumerate_forbidden_tuples(
+            _MAT, 2, beta, eta, kappa, (tau,)), (0.5, 0.1, 1.0, 0.0)),
     "count_overlap_tuples_exact": (landscape.count_overlap_tuples_exact, (10, 3, 0.6, 0.2)),
     "count_overlap_tuples_bruteforce": (
         landscape.count_overlap_tuples_bruteforce, (5, 2, 0.6, 0.4)),

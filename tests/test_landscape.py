@@ -18,7 +18,6 @@ from marginlab import disorder, landscape
 from marginlab.errors import CapExceededError, DomainError
 from marginlab.landscape import (
     SignVector,
-    TupleQuery,
     _half_tables,
     _scan_masks,
     _worst_margins,
@@ -622,31 +621,38 @@ def test_count_growth_rate_three_way():
     assert rate == pytest.approx(target, abs=4.0 * math.log2(n) / n)
 
 
-def test_tuple_query_validation():
-    with pytest.raises(DomainError):
-        TupleQuery(m=1, beta=0.5, eta=0.1, kappa=1.0, tau_set=(0.0,))
-    with pytest.raises(DomainError):
-        TupleQuery(m=2, beta=0.5, eta=0.1, kappa=0.0, tau_set=(0.0,))
-    with pytest.raises(DomainError):
-        TupleQuery(m=2, beta=0.5, eta=0.1, kappa=1.0, tau_set=(0.5, 0.5))
+def test_tuple_query_validation(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a replica was drawn before the query was checked")
+
+    monkeypatch.setattr(landscape, "sample_rotation", no_draw)
+    base = sample_disorder(8, 0.25, seed=13)
+    with pytest.raises(DomainError, match="tuples need m >= 2, got 1"):
+        enumerate_forbidden_tuples(base, 1, 0.5, 0.1, 1.0, (0.0,))
+    with pytest.raises(DomainError, match="kappa must be positive, got 0.0"):
+        enumerate_forbidden_tuples(base, 2, 0.5, 0.1, 0.0, (0.0,))
+    with pytest.raises(DomainError, match="tau_set must increase strictly"):
+        enumerate_forbidden_tuples(base, 2, 0.5, 0.1, 1.0, (0.5, 0.5))
+    with pytest.raises(DomainError, match="need 0 < eta < beta <= 1"):
+        enumerate_forbidden_tuples(base, 2, 0.5, 0.5, 1.0, (0.0,))
 
 
-def naive_forbidden_tuples(query, base):
+def naive_forbidden_tuples(base, m, beta, eta, kappa, tau_set):
     n = base.cols
     pools = []
-    for i in range(query.m):
+    for i in range(m):
         replica = sample_disorder(n, base.alpha, "gaussian", base.seed, stream=1 + i)
         pool = set()
-        for tau in query.tau_set:
-            pool.update(enumerate_solutions(interpolate(base, replica, tau), query.kappa))
+        for tau in tau_set:
+            pool.update(enumerate_solutions(interpolate(base, replica, tau), kappa))
         pools.append(sorted(pool))
-    lo = query.beta - query.eta - 1e-12
-    hi = query.beta + 1e-12
+    lo = beta - eta - 1e-12
+    hi = beta + 1e-12
     out = []
     for combo in itertools.product(*pools):
         ok = all(
             lo <= overlap(combo[i], combo[j]) <= hi
-            for i in range(query.m) for j in range(i + 1, query.m)
+            for i in range(m) for j in range(i + 1, m)
         )
         if ok:
             out.append(combo)
@@ -664,27 +670,48 @@ FORBIDDEN_TUPLE_DIGESTS = {
 def test_forbidden_tuples_match_naive_oracle():
     base = sample_disorder(8, 0.25, seed=13)
     for (m, kappa), (count, digest) in FORBIDDEN_TUPLE_DIGESTS.items():
-        query = TupleQuery(m=m, beta=0.5, eta=0.25, kappa=kappa,
-                           tau_set=(0.0, math.pi / 4))
-        got = enumerate_forbidden_tuples(query, base)
-        assert len(got) == count
-        assert _sha256(json.dumps([[sv.bits for sv in t] for t in got])) == digest
-        assert got == naive_forbidden_tuples(query, base)
+        args = (base, m, 0.5, 0.25, kappa, (0.0, math.pi / 4))
+        got = enumerate_forbidden_tuples(*args)
+        assert got.dtype == np.uint64 and got.shape == (count, m)
+        assert _sha256(json.dumps(got.tolist())) == digest
+        assert got.tolist() == [[sv.bits for sv in t] for t in naive_forbidden_tuples(*args)]
+
+
+def test_forbidden_tuple_join_in_one_row_chunks(monkeypatch):
+    base = sample_disorder(8, 0.25, seed=13)
+    args = (base, 3, 0.5, 0.25, 0.9, (0.0, math.pi / 4))
+    want = enumerate_forbidden_tuples(*args)
+    # below one row's (1, i, |pool|) XOR at levels 1 and 2, whose pools exceed 7 masks
+    monkeypatch.setattr(landscape, "_SCAN_BYTES", 8 * 7)
+    got = enumerate_forbidden_tuples(*args)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+def test_forbidden_tuples_empty_result_keeps_its_shape():
+    # kappa 0.1: replicas 0 and 1 pool two solutions each with no pair in
+    # band, and replica 2 has no solution at either angle
+    base = sample_disorder(8, 0.25, seed=13)
+    taus = (0.0, math.pi / 4)
+    pools = [np.unique(np.concatenate([
+        _scan_masks(disorder.sample_rotation(base, tau, base.seed, 1 + i), 0.1, True)
+        for tau in taus])) for i in range(3)]
+    assert [p.size for p in pools] == [2, 2, 0]
+    for m in (2, 3):
+        got = enumerate_forbidden_tuples(base, m, 0.5, 0.25, 0.1, taus)
+        assert got.dtype == np.uint64 and got.shape == (0, m)
 
 
 def test_forbidden_tuples_cap():
     base = sample_disorder(20, 0.1, seed=0)
-    query = TupleQuery(m=2, beta=0.5, eta=0.2, kappa=1.0, tau_set=(0.0,))
     with pytest.raises(CapExceededError):
-        enumerate_forbidden_tuples(query, base)
+        enumerate_forbidden_tuples(base, 2, 0.5, 0.2, 1.0, (0.0,))
 
 
 def test_forbidden_tuples_refuse_a_base_off_stream_0():
     # replica 1 lives on stream 2, so this base would be rotated toward itself
     base = sample_disorder(8, 0.25, seed=13, stream=2)
-    query = TupleQuery(m=3, beta=0.5, eta=0.25, kappa=0.9, tau_set=(0.0, math.pi / 4))
     with pytest.raises(DomainError, match="stream 0"):
-        enumerate_forbidden_tuples(query, base)
+        enumerate_forbidden_tuples(base, 3, 0.5, 0.25, 0.9, (0.0, math.pi / 4))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from marginlab import thresholds
 from marginlab.cli import main
 from marginlab.errors import DomainError
-from marginlab.landscape import TupleQuery
+from marginlab.disorder import sample_disorder
+from marginlab.landscape import enumerate_forbidden_tuples
 from marginlab.mvn import box_probability_equicorrelated
 from marginlab.thresholds import (
     alpha_c,
@@ -297,9 +298,9 @@ def test_property_upsilon_reduction(c, kappa):
     lambda k: psi_free_energy(1e-4, 0.5, 2, 1.0, k),
     lambda k: chaos_exponent(k, 1.0, 2),
     lambda k: necessity_terms(k, 2.0),
-    lambda k: TupleQuery(m=2, beta=0.8, eta=0.1, kappa=k, tau_set=(0.0,)),
+    lambda k: enumerate_forbidden_tuples(sample_disorder(10, 0.3), 2, 0.8, 0.1, k, (0.0,)),
 ], ids=["alpha_c", "upsilon", "psi_free_energy", "chaos_exponent", "necessity_terms",
-        "TupleQuery"])
+        "enumerate_forbidden_tuples"])
 def test_margin_entry_points_reject_nan_kappa(call):
     with pytest.raises(DomainError, match="kappa must be positive, got nan"):
         call(math.nan)
