@@ -365,7 +365,7 @@ def dump_matrix(mat: DisorderMatrix, path: str) -> None:
     header = _HEADERS[_MAGIC].pack(_MAGIC, mat.rows, mat.cols, tag, mat.seed, mat.stream, mat.alpha)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(mat.entries, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(mat.entries, dtype="<f8"))  # its buffer, no bytes copy
 
 
 def load_matrix(path: str) -> DisorderMatrix:

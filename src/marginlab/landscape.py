@@ -17,9 +17,13 @@ and value a scan reports is decided in float64, by the same half-table sums
 as a float64 pass.  Two-sided scans visit half the cube, since negating a
 configuration negates its margins.  A scan returns its masks as one ascending
 uint64 array; ``enumerate_solutions`` wraps them in ``SignVector``s, which
-are slotted (no ``__dict__``).  Every entry is finite and bounded from the
-matrix's construction on (``DisorderMatrix``), so no half-table sum
-overflows.  After the first block, blocks go to up to one thread per core
+are slotted (no ``__dict__``).  The wrap runs with the cyclic collector
+paused, under a module lock: the collector tracks every ``SignVector``, one
+per solution, and none can be in a reference cycle.  A thread that calls
+``gc.disable()`` while an enumeration is wrapping may find the collector
+re-enabled.  Every entry is finite and bounded from the matrix's
+construction on (``DisorderMatrix``), so no half-table sum overflows.
+After the first block, blocks go to up to one thread per core
 (numpy releases the GIL in its loops) and their results combine in block
 order, so no output depends on the thread count.  ``discrepancy`` bounds a
 block by its max over a few rows against the best value so far, keeps ties
@@ -35,6 +39,7 @@ uint64 array of in-band tuples.
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
 from collections import deque
@@ -65,6 +70,7 @@ _SCAN_BYTES = 1 << 19  # bytes of one cube-scan, census or tuple-join temporary 
 _SCAN_BLOCK = _SCAN_BYTES // 4  # float32 elements of one cube-scan block
 _SLACK = np.float64(2.0**-22)  # bound on |float32 block value - scaled float64 margin|
 _HEAD_ROWS = 3  # rows of the first, bounding stage of a discrepancy block
+_GC_PAUSE = threading.Lock()  # one pause of the cyclic collector at a time, so each restores it
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -125,10 +131,24 @@ def _trusted_sign_vectors(n: int, masks: np.ndarray) -> list[SignVector]:
     For masks a cube scan produced, which lie in [0, 2^n) by construction.
     The slots are filled through their descriptors in C-level ``map`` loops,
     which skips the frozen dataclass's __init__ and __post_init__.
+
+    The loops run under ``_GC_PAUSE`` with the cyclic collector paused, and
+    re-enable it only if it was on.  It tracks every ``SignVector``, one per
+    solution, so tens of thousands would set off repeated collections, yet
+    one holds two ints and can be in no reference cycle, so nothing is freed
+    late.  A thread that calls ``gc.disable()`` while another is wrapping
+    may find the collector re-enabled.
     """
-    out = list(map(object.__new__, repeat(SignVector, len(masks))))
-    deque(map(SignVector.n.__set__, out, repeat(n)), 0)
-    deque(map(SignVector.bits.__set__, out, masks.tolist()), 0)
+    with _GC_PAUSE:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = list(map(object.__new__, repeat(SignVector, len(masks))))
+            deque(map(SignVector.n.__set__, out, repeat(n)), 0)
+            deque(map(SignVector.bits.__set__, out, masks.tolist()), 0)
+        finally:
+            if was_enabled:
+                gc.enable()
     return out
 
 

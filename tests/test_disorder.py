@@ -611,6 +611,19 @@ def test_loaded_entries_are_a_read_only_view_of_the_file(tmp_path):
         back.entries.setflags(write=True)
 
 
+def test_dump_writes_the_entries_without_a_copy(tmp_path):
+    mat = sample_disorder(1000, 0.5, seed=3)
+    path = tmp_path / "m.bin"
+    tracemalloc.start()
+    try:
+        dump_matrix(mat, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * mat.entries.nbytes  # the array's own buffer is written
+    assert np.array_equal(load_matrix(path).entries, mat.entries)
+
+
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
 def test_load_rejects_non_finite_alpha(tmp_path, alpha):
     # A PDM2 header can carry any float64 alpha; the sampler never writes one.

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -124,6 +125,85 @@ def test_enumerated_vectors_are_ordinary_sign_vectors():
         sols[0].bits = 0
     with pytest.raises(DomainError, match="out of range"):
         SignVector(12, 1 << 12)  # the public constructor still checks
+
+
+#: CPython 3.11's collection thresholds (gen 0 allocations, gen 1 and gen 2 passes).
+DEFAULT_GC_THRESHOLDS = (700, 10, 10)
+
+
+def _restore_collector(was_enabled, thresholds=None):
+    if thresholds is not None:
+        gc.set_threshold(*thresholds)
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_enumeration_wraps_its_solutions_with_the_collector_paused():
+    # Each SignVector is tracked by the cyclic collector; wrapping 18,046 of
+    # them with it running sets off 23 gen-0 and 2 gen-1 passes.
+    mat = sample_disorder(20, 0.5, seed=0)
+    passes = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    was_enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    try:
+        gc.enable()
+        gc.set_threshold(*DEFAULT_GC_THRESHOLDS)
+        gc.collect()  # start from an empty generation 0
+        gc.callbacks.append(count)
+        try:
+            sols = enumerate_solutions(mat, 1.0)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(sols) > gc.get_threshold()[0]
+    finally:
+        _restore_collector(was_enabled, thresholds)
+    assert passes[1:] == [0, 0] and passes[0] <= 1, passes
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_leaves_the_collector_as_it_found_it(enabled):
+    was_enabled = gc.isenabled()
+    try:
+        _restore_collector(enabled)
+        enumerate_solutions(sample_disorder(12, 0.4, seed=5), 0.9)
+        assert gc.isenabled() is enabled
+    finally:
+        _restore_collector(was_enabled)
+
+
+def test_concurrent_enumerations_leave_the_collector_on():
+    # More threads than cores, switching every microsecond: a pause that read
+    # the collector as off while another thread held it paused would never
+    # turn it back on.  The race can strike only between the pause's few
+    # bytecodes, so many small enumerations reach it far more often than a
+    # few large ones, whose scans leave the GIL for long stretches.
+    mat = sample_disorder(6, 0.5, seed=3)
+    serial = enumerate_solutions(mat, 1.0)
+    results, interval = [], sys.getswitchinterval()
+
+    def work():
+        for _ in range(1000):
+            results.append(enumerate_solutions(mat, 1.0))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        enabled_after = gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        _restore_collector(was_enabled)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4000 and all(r == serial for r in results)
+    assert enabled_after
 
 
 def test_enumeration_cap():
