@@ -369,6 +369,12 @@ def cmd_count_tuples(args: argparse.Namespace) -> tuple[dict, str, int]:
     else:
         count = count_overlap_tuples_bruteforce(args.n, args.m, args.beta, args.eta)
     seconds = time.monotonic() - t0
+    try:
+        count = str(count)  # the one decimal conversion, for the table and the text
+    except ValueError:
+        raise DomainError(
+            f"the count has more than the {sys.get_int_max_str_digits()} decimal digits "
+            "Python prints; raise PYTHONINTMAXSTRDIGITS to print it") from None
     return {f"tuple_counts_n{args.n}_m{args.m}.csv": (
         ["n", "m", "beta", "eta", "kappa", "tau_set_id", "count", "seconds"],
         [[args.n, args.m, repr(args.beta), repr(args.eta), repr(0.0), "none", count,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import sys
 
+__all__ = ["CapExceededError", "DomainError", "MarginlabError", "SizingError", "UsageError"]
+
 
 class MarginlabError(Exception):
     """Base class for all package-specific errors."""

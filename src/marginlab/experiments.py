@@ -306,6 +306,8 @@ def overlap_trajectory(
     if n_replicas < 2:
         raise SizingError(f"need at least two replicas, got {n_replicas}")
     solve = _trajectory_solver(solver, kappa)
+    check_float_range("n", n)  # before the size check, so such an n keeps its own refusal
+    check_matrix_size(n_replicas * (q_steps + 1), n)  # the sign table, before any draw
     tau_grid = uniform_tau_grid(q_steps)
     base = sample_disorder(n, alpha, "gaussian", seed)
     signs = np.empty((n_replicas, q_steps + 1, n), dtype=np.int8)

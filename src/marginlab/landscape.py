@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -476,6 +477,8 @@ def count_overlap_tuples_exact(n: int, m: int, beta: float, eta: float) -> int:
     if m not in (2, 3):
         raise DomainError(f"exact counting supports m in {{2, 3}}, got {m}")
     d_lo, d_hi = overlap_band(n, beta, eta)
+    if n > sys.maxsize:
+        raise DomainError(f"exact counting needs n <= {sys.maxsize}, got n={n}")
     if m == 2:
         pairs = sum(math.comb(n, d) for d in range(d_lo, d_hi + 1))
         return (1 << n) * pairs

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from scipy.special import erf, ndtri
 
@@ -27,6 +28,7 @@ from .mvn import _log_det_equicorrelated, box_probabilities_equicorrelated
 __all__ = [
     "FreeEnergyPoint",
     "NecessityRow",
+    "PsiPoint",
     "ScanResult",
     "alpha_c",
     "alpha_ogp",
@@ -127,24 +129,26 @@ def _f1_parts(delta: float) -> tuple[float, float]:
     return 1.0 - delta, 1.0 + binary_entropy(delta)
 
 
-def _f2_parts(beta: float) -> tuple[float, float]:
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    return beta, 1.0 + binary_entropy((1.0 - beta) / 2.0)
-
-
-def _f3_parts(beta: float) -> tuple[float, float]:
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+def _tuple_rate(m: int, beta: float) -> float:
+    """log2 per coordinate of the ordered m-tuples, m in {2, 3}, at pairwise overlap beta."""
     delta = (1.0 - beta) / 2.0
-    return beta, (
+    if m == 2:
+        return 1.0 + binary_entropy(delta)
+    return (
         1.0 + delta + binary_entropy(delta)
         + (1.0 + beta) / 2.0 * binary_entropy((1.0 - beta) / (2.0 * (1.0 + beta)))
     )
 
 
+def _overlap_parts(m: int, beta: float) -> tuple[float, float]:
+    if not (0.0 <= beta < 1.0):
+        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+    return beta, _tuple_rate(m, beta)
+
+
 #: Functional name -> (box dimension m, abscissa -> (box beta, counting part)).
-_FUNCTIONALS = {"f1": (2, _f1_parts), "f2": (2, _f2_parts), "f3": (3, _f3_parts)}
+_FUNCTIONALS = {"f1": (2, _f1_parts), "f2": (2, partial(_overlap_parts, 2)),
+                "f3": (3, partial(_overlap_parts, 3))}
 
 
 def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
@@ -304,23 +308,15 @@ def phi_count(beta: float, eta: float, m: int) -> float:
 
     Counts ordered m-tuples of cube points with pairwise overlaps in
     [beta - eta, beta]; the maximizing distance profile sits at the wide edge
-    of the band, delta = (1 - beta + eta)/2, with the third point's
-    disagreements split evenly.  Matches the counting part of f2/f3 at
-    eta = 0 and the exact counts up to O(log n / n).
+    of the band, overlap beta - eta, with the third point's disagreements
+    split evenly.  It is the counting part of f2/f3 at overlap beta - eta and
+    matches the exact counts up to O(log n / n).
     """
     if m not in (2, 3):
         raise DomainError(f"phi_count supports m in {{2, 3}}, got {m}")
     if not (0.0 <= eta < beta <= 1.0):
         raise DomainError(f"need 0 <= eta < beta <= 1, got beta={beta}, eta={eta}")
-    delta = (1.0 - beta + eta) / 2.0
-    if m == 2:
-        return 1.0 + binary_entropy(delta)
-    return (
-        1.0
-        + binary_entropy(delta)
-        + delta
-        + (1.0 - delta) * binary_entropy(delta / (2.0 * (1.0 - delta)))
-    )
+    return _tuple_rate(m, beta - eta)
 
 
 def upsilon(beta: float, alpha: float, kappa: float) -> float:

@@ -1005,6 +1005,18 @@ FORMER_CRASHES = {
         ["experiment", "census", f"--n={-10**400}"], "n exceeds the float range"),
     "two-stage-n-below-float-range": (  # OverflowError
         ["experiment", "two-stage", f"--n={-10**400}"], "n exceeds the float range"),
+    "count-tuples-count-too-long-to-print": (  # ValueError from str(count)
+        ["count-tuples", "--n", "10000", "--m", "2", "--beta", "0.5", "--eta", "0.002"],
+        "decimal digits Python prints; raise PYTHONINTMAXSTRDIGITS"),
+    "count-tuples-n-above-maxsize": (  # OverflowError from math.comb
+        ["count-tuples", f"--n={10**20}", "--m", "2", "--beta", "0.5", "--eta", "0.25"],
+        f"exact counting needs n <= {sys.maxsize}, got n={10**20}"),
+    "trajectory-replicas-table": (  # ValueError from np.empty
+        ["experiment", "trajectory", f"--replicas={10**20}"],
+        "exceeds the limit of 134217728 entries"),
+    "trajectory-q-steps-table": (  # OverflowError from uniform_tau_grid
+        ["experiment", "trajectory", f"--q-steps={10**400}"],
+        "exceeds the limit of 134217728 entries"),
 }
 
 

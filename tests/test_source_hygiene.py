@@ -1,8 +1,11 @@
 """Static checks on the package source, with the standard library's ``ast``.
 
-Every module-level import in ``src/marginlab`` is used, and every defaulted
-parameter of a public name is set by some call in ``src/`` or ``perfbench/``,
-so a keyword that no caller passes does not linger as an untested knob.
+Every module-level import in ``src/marginlab`` is used, a wildcard import
+only republishes a module's ``__all__`` from ``__init__.py``, and every public
+class is in its module's ``__all__``, which the package republishes whole.
+Every defaulted parameter of a public name is set by some call in ``src/``
+or ``perfbench/``, so a keyword that no caller passes does not linger as an
+untested knob.
 Every error the package raises is caught by one of ``cli.main``'s handlers.
 Only ``disorder`` builds a random generator, so every sampled entry comes
 from its one counter-based kernel, and only ``disorder`` builds a thread
@@ -47,6 +50,18 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _wildcard_faults(path: Path, node: ast.ImportFrom) -> list[str]:
+    """Why ``from x import *`` is not a republication of ``x.__all__`` by ``__init__.py``."""
+    source = "." * node.level + node.module
+    if path.name != "__init__.py":
+        return [f"{path.name}: * from {source}"]
+    names = vars(importlib.import_module(source, "marginlab")).get("__all__")
+    if names is None:
+        return [f"{path.name}: * from {source}, which has no __all__"]
+    return [f"{path.name}: {name} from {source} is not in marginlab.__all__"
+            for name in names if name not in marginlab.__all__]
+
+
 def test_no_unused_module_level_imports():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -55,7 +70,9 @@ def test_no_unused_module_level_imports():
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.names[0].name == "*":
+                unused += _wildcard_faults(path, node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{path.name}: {name}" for name in _bound_names(node)
                            if name not in used]
     assert not unused
@@ -197,3 +214,25 @@ def test_every_name_quoted_in_a_module_docstring_resolves():
             if not _resolves(module, name):
                 unresolved.append(f"{modname}: {name}")
     assert quoted and not unresolved
+
+
+DOMAIN_MODULES = ("errors", *DOCUMENTED_MODULES)
+
+
+def test_the_package_republishes_every_module_all():
+    names = ["__version__"]
+    for modname in DOMAIN_MODULES:
+        names += importlib.import_module(f"marginlab.{modname}").__all__
+    assert sorted(marginlab.__all__) == sorted(names) == sorted(set(names))
+    assert all(hasattr(marginlab, name) for name in names)
+
+
+def test_every_public_class_is_in_its_modules_all():
+    missing = []
+    for modname in DOMAIN_MODULES:
+        module = importlib.import_module(f"marginlab.{modname}")
+        exported = vars(module).get("__all__", ())
+        missing += [f"{modname}: {name}" for name, obj in vars(module).items()
+                    if isinstance(obj, type) and obj.__module__ == module.__name__
+                    and not name.startswith("_") and name not in exported]
+    assert not missing
