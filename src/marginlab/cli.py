@@ -46,6 +46,7 @@ from .errors import CapExceededError, DomainError, UsageError
 from .landscape import (
     count_overlap_tuples_bruteforce,
     count_overlap_tuples_exact,
+    overlap_band,
 )
 from .mvn import (
     box_probability_equicorrelated,
@@ -362,7 +363,35 @@ EXPERIMENTS = {
 }
 
 
+def _unprintable_count() -> DomainError:
+    return DomainError(
+        f"the count has more than the {sys.get_int_max_str_digits()} decimal digits "
+        "Python prints; raise PYTHONINTMAXSTRDIGITS to print it")
+
+
+def _exact_count_unprintable(n: int, m: int, beta: float, eta: float) -> bool:
+    # True only when the exact count is nonzero and 2^n, which divides it, has
+    # more decimal digits than str() prints (a limit of 0 prints any).  2^n has
+    # more than L digits iff 2^n >= 10^L iff n >= (10^L).bit_length(); 3.32 <
+    # log2(10) < 3.33 settles every n outside [3.32 L, 3.33 L), and inside it
+    # 10^L has about as many bits as the 2^n the counter would build.  n above
+    # sys.maxsize is left to the counter, which refuses it at once.  Nonzero:
+    # a nonempty band holds a pair; every in-band d is at most n/2, so 3d <= 2n,
+    # and an even d gives the triple d12 = d13 = d23 = d through t1 = t2 = d/2.
+    limit = sys.get_int_max_str_digits()
+    if limit == 0 or n > sys.maxsize or 100 * n < 332 * limit:
+        return False
+    if 100 * n < 333 * limit and n < (10 ** limit).bit_length():
+        return False
+    d_lo, d_hi = overlap_band(n, beta, eta)
+    if m == 3:
+        d_lo += d_lo % 2
+    return d_lo <= d_hi
+
+
 def cmd_count_tuples(args: argparse.Namespace) -> tuple[dict, str, int]:
+    if args.method == "exact" and _exact_count_unprintable(args.n, args.m, args.beta, args.eta):
+        raise _unprintable_count()
     t0 = time.monotonic()
     if args.method == "exact":
         count = count_overlap_tuples_exact(args.n, args.m, args.beta, args.eta)
@@ -372,9 +401,7 @@ def cmd_count_tuples(args: argparse.Namespace) -> tuple[dict, str, int]:
     try:
         count = str(count)  # the one decimal conversion, for the table and the text
     except ValueError:
-        raise DomainError(
-            f"the count has more than the {sys.get_int_max_str_digits()} decimal digits "
-            "Python prints; raise PYTHONINTMAXSTRDIGITS to print it") from None
+        raise _unprintable_count() from None
     return {f"tuple_counts_n{args.n}_m{args.m}.csv": (
         ["n", "m", "beta", "eta", "kappa", "tau_set_id", "count", "seconds"],
         [[args.n, args.m, repr(args.beta), repr(args.eta), repr(0.0), "none", count,

@@ -12,14 +12,25 @@ what the scan helpers look for.
 Probability parts are evaluated through the box-probability machinery and the
 quadrature error is propagated into the reported value, so negativity is only
 ever asserted with the error bar included.
+
+The box probabilities at kappa = 1 do not depend on alpha, so each beta grid is
+integrated once per process and reused: scans at several alpha on one grid
+(the bisection of :func:`negativity_onset`, repeated CLI ``thresholds`` calls
+in one process) integrate it once.  The cache is keyed on the box dimension m
+and the exact float64 bytes of the grid's betas, holds the last
+``_BOX_CACHE_GRIDS`` = 4 grids, and keeps 24 bytes per point (the key, the
+value and its error bar): about 24 MB for a grid at the 10**6-point limit.  A
+one-shot CLI process gains nothing, since its one scan is the first on its
+grid.  Every point keeps the bits it has without the cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
+import numpy as np
 from scipy.special import erf, ndtri
 
 from .errors import DomainError
@@ -150,21 +161,37 @@ def _overlap_parts(m: int, beta: float) -> tuple[float, float]:
 _FUNCTIONALS = {"f1": (2, _f1_parts), "f2": (2, partial(_overlap_parts, 2)),
                 "f3": (3, partial(_overlap_parts, 3))}
 
+#: Beta grids whose kappa = 1 box probabilities stay cached, least recently used out first.
+_BOX_CACHE_GRIDS = 4
+
+
+@lru_cache(maxsize=_BOX_CACHE_GRIDS)
+def _box_column(m: int, betas: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # The alpha-free half of a scan: one batched box-probability call for a
+    # float64 beta column, as value and error-bar arrays.  Every caller shares
+    # them, so they are read-only.
+    probs = box_probabilities_equicorrelated(m, np.frombuffer(betas).tolist(), 1.0)
+    values = np.array([res.value for res in probs])
+    errors = np.array([res.abs_error_estimate for res in probs])
+    values.flags.writeable = errors.flags.writeable = False
+    return values, errors
+
 
 def _evaluate(which: str, xs, alpha: float) -> list[FreeEnergyPoint]:
-    # One batched box-probability call for all abscissas; the quadrature error
-    # is propagated through the logarithm and scaled by alpha.  The kappa = 1
-    # box holds at least erf(1/sqrt(2))^m (Sidak), so the logarithm is finite.
+    # The quadrature error is propagated through the logarithm and scaled by
+    # alpha.  The kappa = 1 box holds at least erf(1/sqrt(2))^m (Sidak), so
+    # the logarithm is finite.
     m, parts = _FUNCTIONALS[which]
     split = [parts(x) for x in xs]
     if alpha < 0.0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
     _finite("alpha", alpha)
-    probs = box_probabilities_equicorrelated(m, [beta for beta, _ in split], 1.0)
+    betas = np.array([beta for beta, _ in split], dtype=np.float64)
+    values, errors = _box_column(m, betas.tobytes())
     points = []
-    for x, (_, counting), res in zip(xs, split, probs):
-        prob = alpha * math.log2(res.value)
-        err = abs(alpha) * res.abs_error_estimate / (res.value * _LN2)
+    for x, (_, counting), box, box_err in zip(xs, split, values.tolist(), errors.tolist()):
+        prob = alpha * math.log2(box)
+        err = abs(alpha) * box_err / (box * _LN2)
         value = _finite("value", counting + prob)
         points.append(FreeEnergyPoint(x, alpha, value, counting, prob, err))
     return points
@@ -246,7 +273,11 @@ def scan_negativity(
     beta in [0.9, 0.999] step 1e-3; a grid of more than 10**6 points is
     rejected before it is built.  A point counts as negative only when
     value + prob_error < 0.  All grid points share one batched quadrature
-    call; each point equals the one-point functional at its abscissa.
+    call; each point equals the one-point functional at its abscissa.  That
+    call does not depend on alpha and is cached per grid (keyed on m and the
+    grid's float64 betas, last 4 grids, 24 bytes a point), so scans at several
+    alpha on one grid integrate it once; the first scan of a grid in a
+    process, such as a one-shot CLI run, still integrates it.
     """
     if which not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {which!r}, expected one of {sorted(_FUNCTIONALS)}")
@@ -285,7 +316,9 @@ def negativity_onset(which: str, alpha_lo: float, alpha_hi: float) -> float:
     While alpha_hi exceeds twice max(alpha_lo, 1) the bracket is split at its
     geometric midpoint, so a bracket up to the largest float takes tens of
     scans, not about 1,000.  Requires the bracket to straddle the onset: no
-    negative point at ``alpha_lo``, at least one at ``alpha_hi``.
+    negative point at ``alpha_lo``, at least one at ``alpha_hi``.  All scans
+    share one grid, whose box probabilities are integrated once (by the first
+    scan, unless an earlier call in the process left them cached).
     """
     if not scan_negativity(which, alpha_hi).has_negative:
         raise DomainError(f"no negative point at alpha_hi={alpha_hi}; bracket too low")

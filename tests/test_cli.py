@@ -1027,3 +1027,60 @@ def test_former_crashes_are_domain_errors(tmp_path, capsys, argv, message):
     assert code == EXIT_DOMAIN
     assert message in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_count_tuples_refuses_an_unprintable_count_before_counting(tmp_path, capsys,
+                                                                   monkeypatch, m):
+    # 2^1000000 alone has 301,030 digits, far above the default 4,300, and the
+    # band holds d = 250000, even: the count is nonzero, so it is refused
+    # without being computed.
+    def refuse(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(cli, "count_overlap_tuples_exact", refuse)
+    argv = ["count-tuples", "--n", "1000000", "--m", m, "--beta", "0.5", "--eta", "0.25",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than the 4300 decimal digits Python prints" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 10_000])
+def test_count_tuples_early_refusal_edge_is_exact(tmp_path, monkeypatch, limit):
+    # The band [0, 0] at beta = 1 holds one pair and one triple, so the count
+    # is nonzero; a counter stubbed to return 2^n, the least such count, shows
+    # that n is refused up front exactly when str(2^n) would be refused, at
+    # and around the edge n = (10^limit).bit_length().
+    counted = []
+    monkeypatch.setattr(cli, "count_overlap_tuples_exact",
+                        lambda n, m, beta, eta: counted.append(n) or 1 << n)
+    edge = (10 ** limit).bit_length()
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for n in (332 * limit // 100 - 1, edge - 1, edge, 333 * limit // 100 + 1):
+            for m in ("2", "3"):
+                argv = ["count-tuples", "--n", str(n), "--m", m, "--beta", "1.0",
+                        "--eta", repr(1 / n), "--out-dir", str(tmp_path / f"{n}-{m}")]
+                printable = (1 << n) < 10 ** limit
+                assert main(argv) == (EXIT_OK if printable else EXIT_DOMAIN)
+                assert counted.count(n) == (2 if m == "3" else 1) * printable
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_count_tuples_counts_a_zero_count_at_any_n(tmp_path, capsys, monkeypatch):
+    # Three pairwise distances sum to an even number, so a band of odd
+    # distances holds no triple: the m = 3 count is 0 and prints, however
+    # large 2^n is.  Such a count is not refused up front.
+    from marginlab.landscape import count_overlap_tuples_exact
+
+    assert count_overlap_tuples_exact(10, 3, 0.4, 0.1) == 0  # the band [3, 3]
+    monkeypatch.setattr(cli, "count_overlap_tuples_exact", lambda n, m, beta, eta: 0)
+    argv = ["count-tuples", "--n", "1000000", "--m", "3", "--beta", "0.399998",
+            "--eta", "1e-06", "--out-dir", str(tmp_path)]  # the band [300001, 300001]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("0 tuples (exact")

@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
 import marginlab
-from marginlab import mvn
+from marginlab import mvn, thresholds
 from marginlab.errors import DomainError
 from marginlab.mvn import (
     ProbResult,
@@ -290,6 +290,9 @@ def test_refinement_applies_only_to_betas_that_need_it(monkeypatch):
 def test_default_scan_builds_only_the_rules_it_uses(monkeypatch):
     # No default grid needs the 404-node refinement; building that rule anyway
     # (a 404 x 404 companion matrix) raises the peak memory of every scan.
+    # The scan's box probabilities may be cached by an earlier test; clear
+    # them so this scan integrates its grid.
+    thresholds._box_column.cache_clear()
     built = []
 
     @functools.cache

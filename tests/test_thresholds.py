@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginlab import thresholds
+from marginlab import mvn, thresholds
 from marginlab.cli import main
 from marginlab.errors import DomainError
 from marginlab.disorder import sample_disorder
@@ -194,6 +194,54 @@ def test_negativity_onset_wide_bracket_takes_few_scans(monkeypatch):
     onset = negativity_onset("f3", 1.5, 1.797e308)
     assert len(scans) <= 40
     assert abs(onset - negativity_onset("f3", 1.5, 1.7)) <= 1e-3
+
+
+@pytest.mark.parametrize("which", ["f1", "f2", "f3"])
+def test_scan_reusing_cached_box_probabilities_equals_a_cold_scan(which):
+    # The kappa = 1 box probabilities do not depend on alpha and are cached per
+    # grid: a scan at alpha2 after one at alpha1 reuses them and must equal,
+    # field for field, the same scan with the cache cleared.
+    thresholds._box_column.cache_clear()
+    scan_negativity(which, 1.6)
+    warm = scan_negativity(which, 1.7)
+    assert thresholds._box_column.cache_info().hits == 1
+    thresholds._box_column.cache_clear()
+    cold = scan_negativity(which, 1.7)
+    assert thresholds._box_column.cache_info().hits == 0
+    assert warm == cold
+
+
+def test_negativity_onset_integrates_its_grid_once(monkeypatch):
+    # Ten scans of the default f3 grid, one quadrature of it: orders 101
+    # and 202 over its 100 betas, and the 404 refinement over none of them.
+    thresholds._box_column.cache_clear()
+    real, calls = mvn._factor_integrals, []
+
+    def spy(m, betas, kappa, order):
+        calls.append((order, len(betas)))
+        return real(m, betas, kappa, order)
+
+    monkeypatch.setattr(mvn, "_factor_integrals", spy)
+    negativity_onset("f3", 1.5, 1.7)
+    assert calls == [(101, 100), (202, 100), (404, 0)]
+
+
+def test_box_probability_cache_is_bounded():
+    thresholds._box_column.cache_clear()
+    bound = thresholds._BOX_CACHE_GRIDS
+    for k in range(bound + 1):
+        scan_negativity("f2", 1.7, lo=0.5, hi=0.5 + 0.01 * k, step=0.01)
+    info = thresholds._box_column.cache_info()
+    assert (info.misses, info.maxsize) == (bound + 1, bound)
+    assert info.currsize <= bound
+
+
+def test_cached_box_probabilities_are_read_only():
+    values, errors = thresholds._box_column(2, np.array([0.5, 0.9]).tobytes())
+    assert values.dtype == errors.dtype == np.float64
+    assert not values.flags.writeable and not errors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
 
 
 def test_negativity_onset_requires_bracket():
